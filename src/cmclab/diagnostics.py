@@ -25,8 +25,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptyHistory, ParseError, SinkError, ValidationError
-from .geometry import br_components, constraint_norms, weyl_parts
-from .grid import ScalarField, integrate, inverse_metric, sup_norm
+from .geometry import BRComponents, _constraint_norms, _electric_weyl, br_components, magnetic_weyl
+from .grid import ScalarField, VectorField, integrate, inverse_metric, sup_norm
 from .lapse import lapse_bound_margins
 from .state import SliceState
 from .tensor import christoffels, gradient, inner
@@ -78,17 +78,48 @@ class DiagnosticsRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-def br_energy(state: SliceState) -> float:
-    """Slice Bel-Robinson energy, the volume integral of |E|^2 + |B|^2."""
-    parts = weyl_parts(state.g, state.K)
-    q = br_components(parts.E, parts.B, state.g)
+def _br_fields(state: SliceState):
+    """(q, Ric, Gamma) of a slice: the BR components and what they were built from."""
+    g, K = state.g, state.K
+    gamma = christoffels(g)
+    E, ric = _electric_weyl(g, K, gamma)
+    return br_components(E, magnetic_weyl(K, g, gamma), g), ric, gamma
+
+
+def _energy(state: SliceState, q: BRComponents) -> float:
     return integrate(q.q_tttt, state.g)
 
 
-def _lapse_weighted_density(state: SliceState) -> float:
-    parts = weyl_parts(state.g, state.K)
-    q = br_components(parts.E, parts.B, state.g)
+def _lapse_weighted_energy(state: SliceState, q: BRComponents) -> float:
     return integrate(ScalarField(state.grid, state.N.values * q.q_tttt.values), state.g)
+
+
+def _trapezoid(t0: float, d0: float, t1: float, d1: float) -> float:
+    """One trapezoid of the spacetime energy, in |dt|."""
+    return 0.5 * (d1 + d0) * abs(t1 - t0)
+
+
+def _flux(state: SliceState, q: BRComponents, dn: VectorField) -> float:
+    g, K, N = state.g, state.K, state.N
+    inv = inverse_metric(g)
+    pressure = inner(q.q_abtt, K, g).values
+    momentum = np.einsum("...ab,...a,...b->...", inv, q.q_attt.values, dn.values)
+    return -3.0 * integrate(ScalarField(state.grid, -N.values * pressure + momentum), g)
+
+
+def _radius(state: SliceState, q: BRComponents) -> float:
+    peak = float(np.sqrt(np.max(q.q_tttt.values)))
+    g = state.g.values
+    cap = 0.5 * min(
+        period * float(np.sqrt(np.min(g[..., idx])))
+        for period, idx in zip(state.grid.periods, (0, 3, 5))
+    )
+    return cap if peak == 0.0 else min(cap, peak ** -0.5)
+
+
+def br_energy(state: SliceState) -> float:
+    """Slice Bel-Robinson energy, the volume integral of |E|^2 + |B|^2."""
+    return _energy(state, _br_fields(state)[0])
 
 
 def spacetime_br_energy(states) -> float:
@@ -100,11 +131,11 @@ def spacetime_br_energy(states) -> float:
     states = list(states)
     if not states:
         raise EmptyHistory("spacetime energy needs at least one slice")
-    if len(states) == 1:
-        return 0.0
-    times = np.array([s.t for s in states])
-    values = np.array([_lapse_weighted_density(s) for s in states])
-    return abs(float(np.trapezoid(values, times)))
+    densities = [_lapse_weighted_energy(s, _br_fields(s)[0]) for s in states]
+    total = 0.0
+    for s0, s1, d0, d1 in zip(states, states[1:], densities, densities[1:]):
+        total += _trapezoid(s0.t, d0, s1.t, d1)
+    return total
 
 
 def br_flux(state: SliceState) -> float:
@@ -112,16 +143,7 @@ def br_flux(state: SliceState) -> float:
 
     flux = -3 integral( -N <q_abtt, K> + <q_attt, grad N> ) d mu_g.
     """
-    g, K, N = state.g, state.K, state.N
-    gamma = christoffels(g)
-    parts = weyl_parts(g, K, gamma)
-    q = br_components(parts.E, parts.B, g)
-    inv = inverse_metric(g)
-    pressure = inner(q.q_abtt, K, g).values
-    dn = gradient(N).values
-    momentum = np.einsum("...ab,...a,...b->...", inv, q.q_attt.values, dn)
-    density = ScalarField(state.grid, -N.values * pressure + momentum)
-    return -3.0 * integrate(density, g)
+    return _flux(state, _br_fields(state)[0], gradient(state.N))
 
 
 def curvature_radius(state: SliceState) -> float:
@@ -131,17 +153,7 @@ def curvature_radius(state: SliceState) -> float:
     sqrt(g_ii)) / 2, so it transforms as a length under rescaling just
     like the uncapped value; identically flat slices return the cap.
     """
-    parts = weyl_parts(state.g, state.K)
-    q = br_components(parts.E, parts.B, state.g)
-    peak = float(np.sqrt(np.max(q.q_tttt.values)))
-    g = state.g.values
-    cap = 0.5 * min(
-        period * float(np.sqrt(np.min(g[..., idx])))
-        for period, idx in zip(state.grid.periods, (0, 3, 5))
-    )
-    if peak == 0.0:
-        return cap
-    return min(cap, peak ** -0.5)
+    return _radius(state, _br_fields(state)[0])
 
 
 def k_ratio(state: SliceState) -> float:
@@ -177,48 +189,28 @@ class DiagnosticsCollector:
 
     def add(self, state: SliceState) -> DiagnosticsRecord:
         g, K, N = state.g, state.K, state.N
-        gamma = christoffels(g)
-        parts = weyl_parts(g, K, gamma)
-        q = br_components(parts.E, parts.B, g)
-        inv = inverse_metric(g)
-
-        e_br = integrate(q.q_tttt, g)
-        density = integrate(ScalarField(state.grid, N.values * q.q_tttt.values), g)
+        q, ric, gamma = _br_fields(state)
+        density = _lapse_weighted_energy(state, q)
         if self._prev_t is not None:
-            self._accumulated += (
-                0.5 * (density + self._prev_density) * abs(state.t - self._prev_t)
-            )
+            self._accumulated += _trapezoid(self._prev_t, self._prev_density, state.t, density)
         self._prev_t = state.t
         self._prev_density = density
-
-        peak = float(np.sqrt(np.max(q.q_tttt.values)))
-        cap = 0.5 * min(
-            period * float(np.sqrt(np.min(g.values[..., idx])))
-            for period, idx in zip(state.grid.periods, (0, 3, 5))
-        )
-        r_c = cap if peak == 0.0 else min(cap, peak ** -0.5)
+        r_c = _radius(state, q)
         self._r_c_run = min(self._r_c_run, r_c)
-
         dn = gradient(N)
-        pressure = inner(q.q_abtt, K, g).values
-        momentum = np.einsum("...ab,...a,...b->...", inv, q.q_attt.values, dn.values)
-        flux = -3.0 * integrate(
-            ScalarField(state.grid, -N.values * pressure + momentum), g
-        )
-
         low, high = lapse_bound_margins(N, K, g)
-        ham, mom = constraint_norms(g, K, gamma)
+        ham, mom = _constraint_norms(g, K, gamma, ric)
         record = DiagnosticsRecord(
             t=state.t,
-            e_br=e_br,
+            e_br=_energy(state, q),
             e_br_spacetime=self._accumulated,
-            k_ratio=sup_norm(K, g) / abs(state.t),
+            k_ratio=k_ratio(state),
             r_c=r_c,
             r_c_run=self._r_c_run,
             lapse_margin_low=low,
             lapse_margin_high=high,
             grad_n_sup=sup_norm(dn, g),
-            flux=flux,
+            flux=_flux(state, q, dn),
             ham_norm=ham,
             mom_norm=mom,
         )

@@ -32,15 +32,8 @@ import numpy as np
 
 from . import kasner
 from .errors import CmcDriftExceeded
-from .grid import (
-    GridSpec,
-    ScalarField,
-    SymTensorField,
-    inverse_metric,
-    matrix_to_sym,
-    sym_to_matrix,
-)
-from .geometry import constraint_norms, ricci
+from .grid import GridSpec, ScalarField, SymTensorField, matrix_to_sym, sym_to_matrix
+from .geometry import _curvature_terms, constraint_norms
 from .kasner import KasnerParams
 from .lapse import DEFAULT_TOL, solve_lapse
 from .state import SliceState
@@ -183,14 +176,10 @@ def evolution_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides (d/dt g, d/dt K) as 6-component value arrays."""
     gamma = christoffels(g)
-    inv = inverse_metric(g)
-    km = sym_to_matrix(K.values)
-    h = np.einsum("...ab,...ab->...", inv, km)
-    ksq = np.einsum("...ac,...cd,...db->...ab", km, inv, km)
-    ric = sym_to_matrix(ricci(g, gamma).values)
+    ric, km, h, ksq = _curvature_terms(g, K, gamma)
     hess = sym_to_matrix(hessian(N, gamma).values)
     n = N.values[..., None, None]
-    dk = -hess + n * (ric + h[..., None, None] * km - 2.0 * ksq)
+    dk = -hess + n * (sym_to_matrix(ric.values) + h[..., None, None] * km - 2.0 * ksq)
     dg = -2.0 * N.values[..., None] * K.values
     return dg, matrix_to_sym(dk)
 

@@ -46,7 +46,6 @@ from .tensor import (
     divergence,
     gradient,
     hessian,
-    inner,
     norm_sq,
     trace,
     wedge,
@@ -115,18 +114,29 @@ def scalar_curvature(g: SymTensorField, gamma: Connection | None = None) -> Scal
     return trace(ricci(g, gamma), g)
 
 
-def electric_weyl(
-    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
-) -> SymTensorField:
-    """E_ab = Ric_ab + H K_ab - K_ac K^c_b with H = tr K."""
-    if gamma is None:
-        gamma = christoffels(g)
+def _curvature_terms(g: SymTensorField, K: SymTensorField, gamma: Connection | None):
+    """(Ric, K_ab, H = tr K, K_ac K^c_b), shared by E and the K evolution."""
     inv = inverse_metric(g)
     km = sym_to_matrix(K.values)
     h = np.einsum("...ab,...ab->...", inv, km)
     ksq = np.einsum("...ac,...cd,...db->...ab", km, inv, km)
-    ric = sym_to_matrix(ricci(g, gamma).values)
-    return SymTensorField(g.grid, matrix_to_sym(ric + h[..., None, None] * km - ksq))
+    return ricci(g, gamma), km, h, ksq
+
+
+def _electric_weyl(
+    g: SymTensorField, K: SymTensorField, gamma: Connection | None
+) -> tuple[SymTensorField, SymTensorField]:
+    """E and the Ricci tensor it was built from."""
+    ric, km, h, ksq = _curvature_terms(g, K, gamma)
+    e = sym_to_matrix(ric.values) + h[..., None, None] * km - ksq
+    return SymTensorField(g.grid, matrix_to_sym(e)), ric
+
+
+def electric_weyl(
+    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
+) -> SymTensorField:
+    """E_ab = Ric_ab + H K_ab - K_ac K^c_b with H = tr K."""
+    return _electric_weyl(g, K, gamma)[0]
 
 
 def magnetic_weyl(
@@ -157,15 +167,17 @@ def br_components(E: SymTensorField, B: SymTensorField, g: SymTensorField) -> BR
     return BRComponents(density, flux_vec, SymTensorField(E.grid, stress))
 
 
+def _hamiltonian(g: SymTensorField, K: SymTensorField, ric: SymTensorField) -> ScalarField:
+    r = trace(ric, g)
+    h = trace(K, g)
+    return ScalarField(g.grid, r.values + h.values**2 - norm_sq(K, g).values)
+
+
 def hamiltonian_constraint(
     g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
 ) -> ScalarField:
     """Vacuum scalar constraint residual R + H^2 - |K|^2."""
-    if gamma is None:
-        gamma = christoffels(g)
-    r = scalar_curvature(g, gamma)
-    h = trace(K, g)
-    return ScalarField(g.grid, r.values + h.values**2 - norm_sq(K, g).values)
+    return _hamiltonian(g, K, ricci(g, gamma))
 
 
 def momentum_constraint(
@@ -199,19 +211,25 @@ def static_residual(
     return lap, tensor_res
 
 
-def constraint_norms(
-    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
+def _constraint_norms(
+    g: SymTensorField, K: SymTensorField, gamma: Connection, ric: SymTensorField
 ) -> tuple[float, float]:
-    """L2(mu_g) norms of the Hamiltonian and momentum constraint residuals."""
-    if gamma is None:
-        gamma = christoffels(g)
-    ham = hamiltonian_constraint(g, K, gamma)
+    ham = _hamiltonian(g, K, ric)
     mom = momentum_constraint(g, K, gamma)
     inv = inverse_metric(g)
     mom_sq = np.einsum("...ab,...a,...b->...", inv, mom.values, mom.values)
     ham_norm = np.sqrt(integrate(ScalarField(g.grid, ham.values**2), g))
     mom_norm = np.sqrt(integrate(ScalarField(g.grid, mom_sq), g))
     return float(ham_norm), float(mom_norm)
+
+
+def constraint_norms(
+    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
+) -> tuple[float, float]:
+    """L2(mu_g) norms of the Hamiltonian and momentum constraint residuals."""
+    if gamma is None:
+        gamma = christoffels(g)
+    return _constraint_norms(g, K, gamma, ricci(g, gamma))
 
 
 def weyl_trace_residuals(

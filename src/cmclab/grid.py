@@ -205,17 +205,30 @@ def metric_determinant(g: SymTensorField) -> np.ndarray:
     )
 
 
+def _checked_determinant(g: SymTensorField) -> np.ndarray:
+    """det(g), after checking that g is positive definite at every point.
+
+    Sylvester's criterion: the leading principal minors xx, xx yy - xy^2
+    and det must all be positive.  Raises NonPositiveMetric otherwise.
+    """
+    det = metric_determinant(g)
+    v = g.values
+    minor2 = v[..., 0] * v[..., 3] - v[..., 1] * v[..., 1]
+    worst = min(float(v[..., 0].min()), float(minor2.min()), float(det.min()))
+    if worst <= 0.0:
+        raise NonPositiveMetric(f"metric leading principal minor has min {worst:.3e} <= 0")
+    return det
+
+
 def inverse_metric(g: SymTensorField, det: np.ndarray | None = None) -> np.ndarray:
     """Pointwise inverse metric as a full (..., 3, 3) array.
 
-    Raises NonPositiveMetric if det(g) <= 0 anywhere; a symmetric 3x3
-    matrix with positive determinant and positive diagonal entries is the
-    caller's responsibility beyond that cheap guard.
+    Raises NonPositiveMetric unless g is positive definite everywhere.  A
+    det passed in must come from that same check (_checked_determinant)
+    and is not checked again.
     """
     if det is None:
-        det = metric_determinant(g)
-    if np.any(det <= 0.0):
-        raise NonPositiveMetric(f"metric determinant has min {det.min():.3e} <= 0")
+        det = _checked_determinant(g)
     v = g.values
     xx, xy, xz = v[..., 0], v[..., 1], v[..., 2]
     yy, yz, zz = v[..., 3], v[..., 4], v[..., 5]
@@ -253,9 +266,7 @@ def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
 
 def integrate(f: ScalarField, g: SymTensorField) -> float:
     """Integral of f against the metric volume element sqrt(det g) d^3x."""
-    det = metric_determinant(g)
-    if np.any(det <= 0.0):
-        raise NonPositiveMetric(f"metric determinant has min {det.min():.3e} <= 0")
+    det = _checked_determinant(g)
     return float(np.sum(f.values * np.sqrt(det)) * f.grid.cell_volume)
 
 

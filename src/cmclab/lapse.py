@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateZeroOrderTerm, NonPositiveMetric, SolverDiverged
+from .errors import DegenerateZeroOrderTerm, SolverDiverged
 from .grid import (
     ScalarField,
     SymTensorField,
+    _checked_determinant,
     diff_array,
     inverse_metric,
-    metric_determinant,
     sup_norm,
 )
 from .tensor import norm_sq, trace
@@ -95,9 +95,7 @@ def solve_lapse(
     instrumentation.
     """
     grid = g.grid
-    det = metric_determinant(g)
-    if np.any(det <= 0.0):
-        raise NonPositiveMetric(f"metric determinant has min {det.min():.3e} <= 0")
+    det = _checked_determinant(g)
     inv = inverse_metric(g, det)
     ksq = norm_sq(K, g).values
     if np.min(ksq) <= 0.0:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveLapse, NonPositiveMetric
-from .grid import GridSpec, ScalarField, SymTensorField, metric_determinant
+from .errors import NonPositiveLapse
+from .grid import GridSpec, ScalarField, SymTensorField, _checked_determinant
 
 __all__ = ["SliceState"]
 
@@ -34,9 +34,7 @@ class SliceState:
         grid = self.g.grid
         if self.K.grid != grid or self.N.grid != grid:
             raise ValueError("state fields must share one grid")
-        det = metric_determinant(self.g)
-        if np.any(det <= 0.0):
-            raise NonPositiveMetric(f"metric determinant has min {det.min():.3e} <= 0")
+        _checked_determinant(self.g)
         if np.any(self.N.values <= 0.0):
             raise NonPositiveLapse(f"lapse has min {self.N.values.min():.3e} <= 0")
 

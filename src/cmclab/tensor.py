@@ -23,16 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveMetric
 from .grid import (
     GridSpec,
     ScalarField,
     SymTensorField,
     VectorField,
+    _checked_determinant,
     diff_array,
     inverse_metric,
     matrix_to_sym,
-    metric_determinant,
     sym_to_matrix,
 )
 
@@ -79,14 +78,13 @@ class Connection:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def _metric_derivatives(g: SymTensorField) -> np.ndarray:
-    """dg[..., d, a, b] = partial_d g_ab, as a full symmetric matrix."""
-    spacings = g.grid.spacings
-    mat = sym_to_matrix(g.values)
-    dg = np.empty(g.grid.shape + (3, 3, 3))
-    for d in range(3):
-        dg[..., d, :, :] = diff_array(mat, d, spacings[d])
-    return dg
+def _partials(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coordinate partials d[:, :, :, t, ...] = partial_t values, for grid-shaped values."""
+    spacings = grid.spacings
+    d = np.empty(grid.shape + (3,) + values.shape[3:])
+    for t in range(3):
+        d[:, :, :, t] = diff_array(values, t, spacings[t])
+    return d
 
 
 def christoffels(g: SymTensorField) -> Connection:
@@ -95,7 +93,7 @@ def christoffels(g: SymTensorField) -> Connection:
     Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc)
     """
     inv = inverse_metric(g)
-    dg = _metric_derivatives(g)
+    dg = _partials(sym_to_matrix(g.values), g.grid)  # dg[..., d, a, b] = d_d g_ab
     # lower[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
     lower = (
         np.transpose(dg, (0, 1, 2, 4, 3, 5))
@@ -108,10 +106,7 @@ def christoffels(g: SymTensorField) -> Connection:
 
 def levi_civita_lower(g: SymTensorField) -> np.ndarray:
     """Metric-weighted alternating tensor eps_abc = sqrt(det g) [abc]."""
-    det = metric_determinant(g)
-    if np.any(det <= 0.0):
-        raise NonPositiveMetric(f"metric determinant has min {det.min():.3e} <= 0")
-    return np.sqrt(det)[..., None, None, None] * _ALT
+    return np.sqrt(_checked_determinant(g))[..., None, None, None] * _ALT
 
 
 def _eps_last_two_up(g: SymTensorField, inv: np.ndarray) -> np.ndarray:
@@ -180,11 +175,8 @@ def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray
 
     nabla_t A_sb = d_t A_sb - Gamma^m_{ts} A_mb - Gamma^m_{tb} A_sm
     """
-    spacings = A.grid.spacings
     mat = sym_to_matrix(A.values)
-    dA = np.empty(A.grid.shape + (3, 3, 3))
-    for t in range(3):
-        dA[..., t, :, :] = diff_array(mat, t, spacings[t])
+    dA = _partials(mat, A.grid)
     gam = gamma.coefficients
     dA -= np.einsum("...mts,...mb->...tsb", gam, mat)
     dA -= np.einsum("...mtb,...sm->...tsb", gam, mat)
@@ -215,20 +207,18 @@ def divergence(A: SymTensorField, g: SymTensorField, gamma: Connection | None = 
 
 def gradient(f: ScalarField) -> VectorField:
     """Covector gradient (nabla f)_a = d_a f."""
-    spacings = f.grid.spacings
-    values = np.stack([diff_array(f.values, a, spacings[a]) for a in range(3)], axis=-1)
-    return VectorField(f.grid, values)
+    return VectorField(f.grid, _partials(f.values, f.grid))
 
 
 def hessian(f: ScalarField, gamma: Connection) -> SymTensorField:
     """Covariant Hessian nabla_a nabla_b f = d_a d_b f - Gamma^c_{ab} d_c f."""
     spacings = f.grid.spacings
-    df = [diff_array(f.values, a, spacings[a]) for a in range(3)]
+    df = _partials(f.values, f.grid)
     hess = np.empty(f.grid.shape + (3, 3))
     for a in range(3):
         for b in range(a, 3):
-            hess[..., a, b] = diff_array(df[b], a, spacings[a])
+            hess[..., a, b] = diff_array(df[..., b], a, spacings[a])
             if b != a:
                 hess[..., b, a] = hess[..., a, b]
-    hess -= np.einsum("...cab,...c->...ab", gamma.coefficients, np.stack(df, axis=-1))
+    hess -= np.einsum("...cab,...c->...ab", gamma.coefficients, df)
     return SymTensorField(f.grid, matrix_to_sym(hess))

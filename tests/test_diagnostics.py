@@ -38,6 +38,7 @@ from cmclab.diagnostics import RECORD_COLUMNS
 from cmclab.evolution import (
     evolve_states,
     kasner_initial_data,
+    perturb,
     rescale,
     warped_kasner_state,
 )
@@ -155,9 +156,21 @@ def test_gradient_estimate_rescaling_laws(grid8, rng):
     assert c2 == pytest.approx(c_fit * r**2, rel=1e-12)
 
 
-def test_collector_rows_match_standalone_quantities(grid8):
-    s0 = kasner_initial_data(AXIAL, -1.0, grid8)
-    states = [s0] + list(evolve_states(s0, -0.9, dt=0.02, solver_tol=1e-12))
+def _evolved_axial(grid):
+    s0 = kasner_initial_data(AXIAL, -1.0, grid)
+    return [s0] + list(evolve_states(s0, -0.9, dt=0.02, solver_tol=1e-12))
+
+
+def _perturbed_warped(grid):
+    # Ric, B and grad N are nonzero here; on homogeneous Kasner all vanish
+    return [perturb(warped_kasner_state(GENERIC, t, grid), 1e-3, seed=i)[0]
+            for i, t in enumerate((-1.0, -0.95, -0.9))]
+
+
+@pytest.mark.parametrize("history", [_evolved_axial, _perturbed_warped],
+                         ids=["evolved_axial", "perturbed_warped"])
+def test_collector_rows_match_standalone_quantities(grid8, history):
+    states = history(grid8)
     collector = DiagnosticsCollector()
     for s in states:
         collector.add(s)

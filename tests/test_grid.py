@@ -8,6 +8,7 @@ from cmclab import (
     GridSpec,
     NonPositiveMetric,
     ScalarField,
+    SliceState,
     SymTensorField,
     VectorField,
     integrate,
@@ -15,6 +16,7 @@ from cmclab import (
     matrix_to_sym,
     metric_determinant,
     partial_derivative,
+    solve_lapse,
     sup_norm,
     sym_index,
     sym_to_matrix,
@@ -140,6 +142,21 @@ def test_inverse_rejects_non_spd_metric(grid8):
     vals[..., 5] = -1.0  # negative zz direction
     with pytest.raises(NonPositiveMetric):
         inverse_metric(SymTensorField(grid8, vals))
+
+
+@pytest.mark.parametrize("use", [
+    lambda g: SliceState(t=-1.0, g=g, K=SymTensorField.identity(g.grid),
+                         N=ScalarField.constant(g.grid, 1.0)),
+    lambda g: inverse_metric(g),
+    lambda g: integrate(ScalarField.constant(g.grid, 1.0), g),
+    lambda g: solve_lapse(g, SymTensorField.identity(g.grid)),
+], ids=["SliceState", "inverse_metric", "integrate", "solve_lapse"])
+def test_indefinite_metric_with_positive_determinant_is_rejected(grid8, use):
+    # diag(-1, -1, 1) has det = +1, so only the leading minors expose it
+    g = SymTensorField.diagonal_constant(grid8, (-1.0, -1.0, 1.0))
+    assert np.all(metric_determinant(g) > 0.0)
+    with pytest.raises(NonPositiveMetric):
+        use(g)
 
 
 def test_diff_array_is_fourth_order():
