@@ -98,7 +98,6 @@ from .tensor import (
     gradient,
     hessian,
     inner,
-    levi_civita_lower,
     norm_sq,
     raise_first_index,
     trace,

@@ -3,7 +3,8 @@
 One key per line, `#` starts a comment, unknown and duplicate keys are
 rejected with the offending line number.  Validation failures name the
 violated invariant.  serialize_config emits a file that parses back to an
-equal RunConfig (floats via repr, hence bitwise).
+equal RunConfig (floats via repr, hence bitwise), and raises
+ValidationError for a string value no config line can carry.
 """
 
 from __future__ import annotations
@@ -168,14 +169,26 @@ def _format_value(field_name: str, value) -> str:
     return str(value)
 
 
+def _fits_one_line(text: str) -> bool:
+    """Whether parse_config reads `key = text` back as the nonempty value text."""
+    return bool(text) and text == text.strip() and "#" not in text and len(text.splitlines()) == 1
+
+
 def serialize_config(config: RunConfig) -> str:
-    """Emit text that parse_config maps back to an equal RunConfig."""
+    """Emit text that parse_config maps back to an equal RunConfig.
+
+    Raises ValidationError, naming the key, for a string value that a
+    key = value line cannot carry: empty, with surrounding whitespace, a
+    `#` (comment start) or a line break.
+    """
     lines = []
     for f in fields(RunConfig):
-        value = getattr(config, f.name)
+        key, value = _FIELD_TO_KEY[f.name], getattr(config, f.name)
         if value is None and f.name in ("dt", "output_path", "snapshot_path"):
             continue
         if f.name == "times" and not value:
             continue
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {_format_value(f.name, value)}")
+        if isinstance(value, str) and not _fits_one_line(value):
+            raise ValidationError(f"{key} = {value!r} cannot be written as a config line")
+        lines.append(f"{key} = {_format_value(f.name, value)}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EmptyHistory, ParseError, SinkError, ValidationError
 from .geometry import BRComponents, _constraint_norms, _electric_weyl, br_components, magnetic_weyl
 from .grid import ScalarField, VectorField, integrate, inverse_metric, sup_norm
-from .lapse import lapse_bound_margins
+from .lapse import _bound_margins
 from .state import SliceState
 from .tensor import christoffels, gradient, inner
 
@@ -198,13 +198,14 @@ class DiagnosticsCollector:
         r_c = _radius(state, q)
         self._r_c_run = min(self._r_c_run, r_c)
         dn = gradient(N)
-        low, high = lapse_bound_margins(N, K, g)
+        k_sup = sup_norm(K, g)
+        low, high = _bound_margins(N, K, g, k_sup)
         ham, mom = _constraint_norms(g, K, gamma, ric)
         record = DiagnosticsRecord(
             t=state.t,
             e_br=_energy(state, q),
             e_br_spacetime=self._accumulated,
-            k_ratio=k_ratio(state),
+            k_ratio=k_sup / abs(state.t),
             r_c=r_c,
             r_c_run=self._r_c_run,
             lapse_margin_low=low,

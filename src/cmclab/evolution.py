@@ -233,8 +233,14 @@ def time_step(
 
 
 def max_stable_dt(state: SliceState, cfl: float = DEFAULT_CFL) -> float:
-    """Step-size bound cfl * min(h) / sup N (coordinate light speed ~ N)."""
-    return cfl * min(state.grid.spacings) / float(np.max(state.N.values))
+    """Step-size bound cfl * min(h) / sup(N sqrt(lambda_max(g^-1))).
+
+    N sqrt(lambda_max(g^-1)) = N / sqrt(lambda_min(g)) is the largest
+    coordinate light speed at a point.
+    """
+    lambda_min = np.linalg.eigvalsh(sym_to_matrix(state.g.values))[..., 0]
+    speed = state.N.values / np.sqrt(lambda_min)
+    return cfl * min(state.grid.spacings) / float(np.max(speed))
 
 
 def evolve_states(

@@ -32,6 +32,7 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _pointwise_norm_sq,
     diff_array,
     integrate,
     inverse_metric,
@@ -119,7 +120,7 @@ def _curvature_terms(g: SymTensorField, K: SymTensorField, gamma: Connection | N
     inv = inverse_metric(g)
     km = sym_to_matrix(K.values)
     h = np.einsum("...ab,...ab->...", inv, km)
-    ksq = np.einsum("...ac,...cd,...db->...ab", km, inv, km)
+    ksq = km @ inv @ km
     return ricci(g, gamma), km, h, ksq
 
 
@@ -215,9 +216,7 @@ def _constraint_norms(
     g: SymTensorField, K: SymTensorField, gamma: Connection, ric: SymTensorField
 ) -> tuple[float, float]:
     ham = _hamiltonian(g, K, ric)
-    mom = momentum_constraint(g, K, gamma)
-    inv = inverse_metric(g)
-    mom_sq = np.einsum("...ab,...a,...b->...", inv, mom.values, mom.values)
+    mom_sq = _pointwise_norm_sq(momentum_constraint(g, K, gamma), inverse_metric(g))
     ham_norm = np.sqrt(integrate(ScalarField(g.grid, ham.values**2), g))
     mom_norm = np.sqrt(integrate(ScalarField(g.grid, mom_sq), g))
     return float(ham_norm), float(mom_norm)

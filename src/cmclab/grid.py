@@ -270,6 +270,11 @@ def integrate(f: ScalarField, g: SymTensorField) -> float:
     return float(np.sum(f.values * np.sqrt(det)) * f.grid.cell_volume)
 
 
+def _sym_dot(a_up: np.ndarray, b_up: np.ndarray) -> np.ndarray:
+    """A . B = g^{ac} g^{bd} A_ab B_cd = tr(g^-1 A g^-1 B), from the mixed g^-1 A and g^-1 B."""
+    return np.einsum("...ab,...ba->...", a_up, b_up)
+
+
 def _pointwise_norm_sq(field, inv: np.ndarray) -> np.ndarray:
     if isinstance(field, ScalarField):
         return field.values**2
@@ -277,9 +282,8 @@ def _pointwise_norm_sq(field, inv: np.ndarray) -> np.ndarray:
         v = field.values
         return np.einsum("...ab,...a,...b->...", inv, v, v)
     if isinstance(field, SymTensorField):
-        m = sym_to_matrix(field.values)
-        up = np.einsum("...ac,...bd,...cd->...ab", inv, inv, m)
-        return np.einsum("...ab,...ab->...", up, m)
+        up = inv @ sym_to_matrix(field.values)
+        return _sym_dot(up, up)
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 

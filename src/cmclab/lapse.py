@@ -178,7 +178,14 @@ def lapse_bound_margins(
     H^2 is taken as the grid supremum of (tr K)^2; for CMC data the trace
     is uniform so the choice is immaterial.
     """
-    ksq_sup = sup_norm(K, g) ** 2
+    return _bound_margins(N, K, g, sup_norm(K, g))
+
+
+def _bound_margins(
+    N: ScalarField, K: SymTensorField, g: SymTensorField, k_sup: float
+) -> tuple[float, float]:
+    """lapse_bound_margins, given k_sup = sup |K|_g."""
+    ksq_sup = k_sup**2
     h_sup = float(np.max(np.abs(trace(K, g).values)))
     if ksq_sup <= 0.0 or h_sup <= 0.0:
         raise DegenerateZeroOrderTerm("bounds need |K| > 0 and H != 0")

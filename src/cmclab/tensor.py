@@ -11,6 +11,14 @@ Implements the operations the energy identities are built from:
 with D the Levi-Civita covariant derivative of g and eps the
 metric-weighted alternating tensor eps_abc = sqrt(det g) [abc].
 
+No eps array is built: with dual(M)_p = [pbc] M_bc and
+eps_a^{bc} = g_ap [pbc] / sqrt(det g), the wedge is
+g dual(A g^-1 B) / sqrt(det g) and the curl takes the same dual of D A;
+expanding eps_a^{cd} eps_b^{ef} as a determinant of metrics gives
+
+    A x B = A g^-1 B + B g^-1 A - (tr A) B - (tr B) A
+            + (2/3)((tr A)(tr B) - A.B) g.
+
 Orientation convention: the alternating symbol is right-handed in the
 coordinate frame ([123] = +1).  Reversing orientation flips the sign of
 wedge and curl (and hence of the magnetic Weyl part built from curl),
@@ -29,6 +37,7 @@ from .grid import (
     SymTensorField,
     VectorField,
     _checked_determinant,
+    _sym_dot,
     diff_array,
     inverse_metric,
     matrix_to_sym,
@@ -38,7 +47,6 @@ from .grid import (
 __all__ = [
     "Connection",
     "christoffels",
-    "levi_civita_lower",
     "wedge",
     "cross",
     "curl",
@@ -52,12 +60,6 @@ __all__ = [
     "covariant_derivative_sym",
     "raise_first_index",
 ]
-
-# Alternating symbol [abc], right-handed: [0,1,2] = +1.
-_ALT = np.zeros((3, 3, 3))
-_ALT[0, 1, 2] = _ALT[1, 2, 0] = _ALT[2, 0, 1] = 1.0
-_ALT[0, 2, 1] = _ALT[2, 1, 0] = _ALT[1, 0, 2] = -1.0
-
 
 @dataclass(frozen=True, eq=False)
 class Connection:
@@ -104,20 +106,14 @@ def christoffels(g: SymTensorField) -> Connection:
     return Connection(g.grid, coeffs)
 
 
-def levi_civita_lower(g: SymTensorField) -> np.ndarray:
-    """Metric-weighted alternating tensor eps_abc = sqrt(det g) [abc]."""
-    return np.sqrt(_checked_determinant(g))[..., None, None, None] * _ALT
-
-
-def _eps_last_two_up(g: SymTensorField, inv: np.ndarray) -> np.ndarray:
-    """eps_a^{st} = eps_amn g^{ms} g^{nt}; equals [ast] / sqrt(det g) * g_a-row lowered."""
-    eps = levi_civita_lower(g)
-    return np.einsum("...amn,...ms,...nt->...ast", eps, inv, inv)
+def _dual(m: np.ndarray) -> np.ndarray:
+    """dual(M)_p = [pbc] M_bc = (M_12 - M_21, M_20 - M_02, M_01 - M_10) over the last two axes."""
+    return np.stack([m[..., b, c] - m[..., c, b] for b, c in ((1, 2), (2, 0), (0, 1))], axis=-1)
 
 
 def raise_first_index(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
     """Mixed components A^a_b = g^{ac} A_cb as a full (..., 3, 3) array."""
-    return np.einsum("...ac,...cb->...ab", inv, sym_to_matrix(A.values))
+    return inv @ sym_to_matrix(A.values)
 
 
 def trace(A: SymTensorField, g: SymTensorField) -> ScalarField:
@@ -136,8 +132,7 @@ def traceless(A: SymTensorField, g: SymTensorField) -> SymTensorField:
 def inner(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> ScalarField:
     """Full contraction A . B = g^{ac} g^{bd} A_ab B_cd."""
     inv = inverse_metric(g)
-    ma, mb = sym_to_matrix(A.values), sym_to_matrix(B.values)
-    values = np.einsum("...ac,...bd,...ab,...cd->...", inv, inv, ma, mb)
+    values = _sym_dot(raise_first_index(A, inv), raise_first_index(B, inv))
     return ScalarField(A.grid, values)
 
 
@@ -147,27 +142,23 @@ def norm_sq(A: SymTensorField, g: SymTensorField) -> ScalarField:
 
 
 def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorField:
-    """(A ^ B)_a = eps_a^{bc} A_b^d B_{dc}."""
-    inv = inverse_metric(g)
-    eps_up = _eps_last_two_up(g, inv)
-    a_mixed = np.einsum("...bd,...dc->...bc", sym_to_matrix(A.values), inv)  # A_b^c
-    m = np.einsum("...bd,...dc->...bc", a_mixed, sym_to_matrix(B.values))  # A_b^d B_dc
-    values = np.einsum("...abc,...bc->...a", eps_up, m)
-    return VectorField(A.grid, values)
+    """(A ^ B)_a = eps_a^{bc} A_b^d B_{dc} = g_ap dual(A g^-1 B)_p / sqrt(det g)."""
+    det = _checked_determinant(g)
+    m = sym_to_matrix(A.values) @ inverse_metric(g, det) @ sym_to_matrix(B.values)
+    d = _dual(m) / np.sqrt(det)[..., None]
+    return VectorField(A.grid, np.einsum("...ap,...p->...a", sym_to_matrix(g.values), d))
 
 
 def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorField:
     """(A x B)_ab, symmetric and commutative for symmetric inputs."""
     inv = inverse_metric(g)
-    eps_up = _eps_last_two_up(g, inv)
-    ma, mb = sym_to_matrix(A.values), sym_to_matrix(B.values)
-    main = np.einsum("...acd,...bef,...ce,...df->...ab", eps_up, eps_up, ma, mb)
-    dot = np.einsum("...ac,...bd,...ab,...cd->...", inv, inv, ma, mb)
-    tr_a = np.einsum("...ab,...ab->...", inv, ma)
-    tr_b = np.einsum("...ab,...ab->...", inv, mb)
-    gm = sym_to_matrix(g.values)
-    full = main + ((dot - tr_a * tr_b) / 3.0)[..., None, None] * gm
-    return SymTensorField(A.grid, matrix_to_sym(full))
+    a_up, b_up = raise_first_index(A, inv), raise_first_index(B, inv)
+    tr_a, tr_b = np.einsum("...aa->...", a_up)[..., None], np.einsum("...aa->...", b_up)[..., None]
+    dot = _sym_dot(a_up, b_up)[..., None]
+    # twice the averaged off-diagonal pair of A g^-1 B is A g^-1 B + B g^-1 A
+    pair = 2.0 * matrix_to_sym(sym_to_matrix(A.values) @ b_up)
+    values = pair - tr_a * B.values - tr_b * A.values + (2.0 / 3.0) * (tr_a * tr_b - dot) * g.values
+    return SymTensorField(A.grid, values)
 
 
 def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray:
@@ -187,12 +178,12 @@ def curl(A: SymTensorField, g: SymTensorField, gamma: Connection | None = None) 
     """Symmetrized metric-weighted curl of a symmetric tensor."""
     if gamma is None:
         gamma = christoffels(g)
-    inv = inverse_metric(g)
-    eps_up = _eps_last_two_up(g, inv)
-    grad_a = covariant_derivative_sym(A, gamma)
-    half = np.einsum("...ast,...tsb->...ab", eps_up, grad_a)
-    full = 0.5 * (half + np.swapaxes(half, -1, -2))
-    return SymTensorField(A.grid, matrix_to_sym(full))
+    det = _checked_determinant(g)
+    # nabla A as [..., b, s, t], whose dual is D_pb = [pst] nabla_t A_sb as [..., b, p];
+    # (D^T g)_ba = eps_a^{st} nabla_t A_sb sqrt(det g), and matrix_to_sym symmetrizes it
+    d = _dual(np.swapaxes(covariant_derivative_sym(A, gamma), -1, -3))
+    values = matrix_to_sym(d @ sym_to_matrix(g.values)) / np.sqrt(det)[..., None]
+    return SymTensorField(A.grid, values)
 
 
 def divergence(A: SymTensorField, g: SymTensorField, gamma: Connection | None = None) -> VectorField:

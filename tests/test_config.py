@@ -1,9 +1,11 @@
 """Run configuration parsing, validation, and round-trip."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmclab import (
     AXIAL,
+    FLAT,
     GENERIC,
     ParseError,
     RunConfig,
@@ -11,6 +13,7 @@ from cmclab import (
     parse_config,
     serialize_config,
 )
+from cmclab.config import COMMANDS
 
 BASIC = """\
 command = evolve
@@ -141,4 +144,58 @@ def test_serialize_skips_unset_optionals():
     assert "output_path" not in text
     assert "snapshot_path" not in text
     assert "dt" not in text.replace("dt = ", "") or "dt" not in text
+    assert parse_config(text) == cfg
+
+
+@pytest.mark.parametrize("path", ["runs/a#1.csv", " lead.csv", "trail.csv ", "a\nb.csv", ""])
+def test_serialize_refuses_strings_a_line_cannot_carry(path):
+    for key in ("output_path", "snapshot_path"):
+        cfg = RunConfig(command="evolve", **{key: path})
+        with pytest.raises(ValidationError) as err:
+            serialize_config(cfg)
+        assert key in str(err.value)
+
+
+_NEG = st.floats(min_value=-1e6, max_value=-1e-6)
+_POS = st.floats(min_value=1e-12, max_value=1e6)
+_PATHS = st.one_of(st.none(), st.text(max_size=12))
+
+
+@st.composite
+def _run_configs(draw):
+    t0, t_end = draw(_NEG), draw(_NEG)
+    if t_end == t0:
+        t_end = t0 / 2.0
+    dt = draw(st.one_of(st.none(), _POS))
+    if dt is not None and t_end < t0:
+        dt = -dt  # toward t_end
+    return RunConfig(
+        command=draw(st.sampled_from(COMMANDS)),
+        grid_n=draw(st.integers(8, 256)),
+        period=draw(_POS),
+        kasner=draw(st.sampled_from((AXIAL, GENERIC, FLAT))),
+        t0=t0,
+        t_end=t_end,
+        dt=dt,
+        cfl=draw(_POS),
+        perturb_amplitude=draw(st.floats(min_value=0.0, max_value=1.0)),
+        seed=draw(st.integers(0, 2**63)),
+        lambda_threshold=draw(st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
+        output_path=draw(_PATHS),
+        trace_correction=draw(st.booleans()),
+        solver_tol=draw(_POS),
+        cadence=draw(st.integers(1, 1000)),
+        times=tuple(draw(st.lists(_NEG, max_size=4))),
+        snapshot_path=draw(_PATHS),
+    )
+
+
+@settings(database=None, derandomize=True, max_examples=300)
+@given(_run_configs())
+def test_serialize_round_trips_or_names_the_key(cfg):
+    try:
+        text = serialize_config(cfg)
+    except ValidationError as err:
+        assert "_path = " in str(err)  # only a path string can be refused
+        return
     assert parse_config(text) == cfg

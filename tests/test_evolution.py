@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles as orc
 from cmclab import (
     AXIAL,
     CmcDriftExceeded,
@@ -209,8 +210,21 @@ def test_adaptive_steps_follow_the_cfl_bound(grid8):
 
 def test_max_stable_dt_formula(grid8):
     s = kasner_initial_data(AXIAL, -2.0, grid8)  # N = tau^2 = 1/4
-    want = 0.25 * min(grid8.spacings) / float(np.max(s.N.values))
+    # diagonal metric: the fastest light runs along the smallest g_ii
+    g_min = float(np.min(kasner.metric_diagonal(AXIAL, kasner.tau_of_t(-2.0))))
+    want = 0.25 * min(grid8.spacings) / (float(np.max(s.N.values)) / np.sqrt(g_min))
     assert max_stable_dt(s) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, WARP_AMP])
+def test_max_stable_dt_follows_the_coordinate_light_speed(grid8, amplitude):
+    # AXIAL at t = -0.1: sup N = 100, but light moves at N sqrt(lambda_max(g^-1)) = 215.4
+    s = warped_kasner_state(AXIAL, -0.1, grid8, amplitude=amplitude)
+    inv = orc.brute_inverse(orc.sym_to_mat(s.g.values))
+    speed = float(np.max(s.N.values * np.sqrt(np.linalg.eigvalsh(inv)[..., -1])))
+    assert speed > 2.0 * float(np.max(s.N.values))
+    want = 0.3 * min(grid8.spacings) / speed
+    assert max_stable_dt(s, cfl=0.3) == pytest.approx(want, rel=1e-12)
 
 
 def test_drift_policy_raises_or_projects(grid8):

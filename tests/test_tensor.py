@@ -18,7 +18,6 @@ from cmclab import (
     hessian,
     inner,
     inverse_metric,
-    levi_civita_lower,
     metric_determinant,
     norm_sq,
     raise_first_index,
@@ -75,13 +74,6 @@ def test_raise_first_index_round_trip(grid8, rng):
     assert np.allclose(back, sym_to_matrix(a.values), rtol=1e-12, atol=1e-13)
 
 
-def test_levi_civita_lower_is_weighted_alternating_symbol(grid8, rng):
-    g = random_metric(grid8, rng)
-    eps = levi_civita_lower(g)
-    expect = orc.brute_eps_lower(orc.brute_det(orc.sym_to_mat(g.values)))
-    assert np.allclose(eps, expect, rtol=1e-13, atol=1e-15)
-
-
 def test_wedge_matches_brute(grid8, rng):
     for _ in range(5):
         g = random_metric(grid8, rng)
@@ -103,6 +95,9 @@ def test_wedge_is_antisymmetric(grid8, rng):
     ba = wedge(b, a, g).values
     scale = np.max(np.abs(ab))
     assert np.max(np.abs(ab + ba)) < 1e-13 * max(scale, 1.0)
+    # A_b^d g_dc = A_bc is symmetric in (b, c), so eps_a^{bc} contracts it to zero
+    ag = wedge(a, g, g).values
+    assert np.max(np.abs(ag)) < 1e-13 * max(np.max(np.abs(a.values)), 1.0)
 
 
 def test_wedge_of_field_with_itself_vanishes(grid8, rng):
@@ -135,6 +130,10 @@ def test_cross_is_symmetric_in_arguments_and_traceless(grid8, rng):
     scale = max(np.max(np.abs(ab.values)), 1.0)
     assert np.max(np.abs(ab.values - ba.values)) < 1e-13 * scale
     assert np.max(np.abs(trace(ab, g).values)) < 1e-12 * scale
+    # eps_a^{cd} eps_b^{ef} A_ce g_df = (tr A) g_ab - A_ab, hence A x g = -traceless(A)
+    ag = cross(a, g, g).values
+    tl = traceless(a, g).values
+    assert np.max(np.abs(ag + tl)) < 1e-13 * max(np.max(np.abs(tl)), 1.0)
 
 
 def test_christoffels_match_brute(grid8, rng):
