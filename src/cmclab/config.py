@@ -9,6 +9,7 @@ ValidationError for a string value no config line can carry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidKasner, ParseError, ValidationError
@@ -52,6 +53,14 @@ class RunConfig:
             raise ValidationError(
                 f"command must be one of {', '.join(COMMANDS)}, got {self.command!r}"
             )
+        # NaN fails every comparison below silently, so test finiteness first.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ValidationError(
+                    f"{_FIELD_TO_KEY[f.name]} must be finite, got {value!r}"
+                )
         if self.grid_n < MIN_POINTS_PER_AXIS:
             raise ValidationError(
                 f"grid_n must be at least {MIN_POINTS_PER_AXIS}, got {self.grid_n!r}"

@@ -70,7 +70,8 @@ class KasnerParams:
     def __post_init__(self):
         s1 = self.p1 + self.p2 + self.p3
         s2 = self.p1**2 + self.p2**2 + self.p3**2
-        if abs(s1 - 1.0) > KASNER_TOL or abs(s2 - 1.0) > KASNER_TOL:
+        # written so that a NaN exponent fails it too
+        if not (abs(s1 - 1.0) <= KASNER_TOL and abs(s2 - 1.0) <= KASNER_TOL):
             raise InvalidKasner(
                 f"exponents {self.exponents} give sum {s1!r}, sum of squares {s2!r}"
             )

@@ -95,6 +95,8 @@ def test_bad_flag_value():
 def test_kasner_validation_becomes_validation_error():
     with pytest.raises(ValidationError):
         parse_config("command = evolve\nkasner = 0.5, 0.5, 0.5\n")
+    with pytest.raises(ValidationError):
+        parse_config("command = evolve\nkasner = nan, 0.0, 0.0\n")
 
 
 @pytest.mark.parametrize("key,value,excerpt", [
@@ -127,6 +129,20 @@ def test_dt_sign_matches_collapse_direction():
     assert cfg.dt == -0.01
     with pytest.raises(ValidationError):
         parse_config("command = evolve\nt0 = -1.0\nt_end = -2.0\ndt = 0.01\n")
+
+
+@pytest.mark.parametrize("key,overrides", [
+    ("dt", {"t_end": -2.0, "dt": float("nan")}),
+    ("dt", {"t_end": -2.0, "dt": float("-inf")}),
+    ("perturb_amplitude", {"perturb_amplitude": float("nan")}),
+    ("perturb_amplitude", {"perturb_amplitude": float("inf")}),
+    ("times", {"times": (-1.0, float("nan"))}),
+], ids=["dt-nan", "dt-neg-inf", "amplitude-nan", "amplitude-inf", "times-nan"])
+def test_non_finite_values_are_rejected(key, overrides):
+    with pytest.raises(ValidationError) as err:
+        RunConfig(command="evolve", t0=-1.0, **overrides)
+    assert key in str(err.value)
+    assert "finite" in str(err.value)
 
 
 def test_serialize_round_trips_bitwise():

@@ -15,6 +15,8 @@ def test_params_validate_kasner_relations():
         KasnerParams(0.5, 0.5, 0.5)  # sum of squares off
     with pytest.raises(InvalidKasner):
         KasnerParams(0.9, 0.1, 0.1)  # sum off
+    with pytest.raises(InvalidKasner):
+        KasnerParams(float("nan"), 0.0, 0.0)  # fails every comparison
 
 
 def test_random_circle_parametrization_is_admissible(rng):
