@@ -66,9 +66,11 @@ from .geometry import (
 )
 from .grid import (
     GridSpec,
+    Metric,
     ScalarField,
     SymTensorField,
     VectorField,
+    as_metric,
     integrate,
     inverse_metric,
     matrix_to_sym,

@@ -28,6 +28,7 @@ __all__ = ["main", "run", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of the cmclab command: a command and the override flags."""
     parser = argparse.ArgumentParser(
         prog="cmclab",
         description="Vacuum CMC slice laboratory: Bel-Robinson energy "
@@ -59,12 +60,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _deliver(text: str, config: RunConfig, echo: bool = True) -> None:
+def _deliver(text: str, config: RunConfig) -> None:
     if config.output_path:
         with open(config.output_path, "w") as handle:
             handle.write(text)
-        if echo:
-            print(f"wrote {config.output_path}")
+        print(f"wrote {config.output_path}")
     else:
         sys.stdout.write(text)
 
@@ -151,6 +151,7 @@ def _run_evolve(config: RunConfig) -> int:
 
 
 def run(config: RunConfig) -> int:
+    """Run the command config names and return its exit status."""
     if config.command in ("verify", "rescale-test"):
         return _run_checks(config)
     if config.command == "oracle":
@@ -159,6 +160,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Parse argv, run the command and return the exit status; package errors exit 1."""
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)

@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import EmptyHistory, ParseError, SinkError, ValidationError
 from .geometry import BRComponents, _constraint_norms, _electric_weyl, br_components, magnetic_weyl
-from .grid import ScalarField, VectorField, integrate, inverse_metric, sup_norm
+from .grid import Metric, ScalarField, VectorField, as_metric, integrate, sup_norm
 from .lapse import _bound_margins
 from .state import SliceState
-from .tensor import christoffels, gradient, inner
+from .tensor import gradient, inner
 
 __all__ = [
     "DiagnosticsRecord",
@@ -79,19 +79,14 @@ RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def _br_fields(state: SliceState):
-    """(q, Ric, Gamma) of a slice: the BR components and what they were built from."""
-    g, K = state.g, state.K
-    gamma = christoffels(g)
-    E, ric = _electric_weyl(g, K, gamma)
-    return br_components(E, magnetic_weyl(K, g, gamma), g), ric, gamma
+    """(g, q, Ric) of a slice: its Metric, the BR components and the Ricci tensor of E."""
+    g, K = as_metric(state.g), state.K
+    E, ric = _electric_weyl(g, K)
+    return g, br_components(E, magnetic_weyl(K, g), g), ric
 
 
-def _energy(state: SliceState, q: BRComponents) -> float:
-    return integrate(q.q_tttt, state.g)
-
-
-def _lapse_weighted_energy(state: SliceState, q: BRComponents) -> float:
-    return integrate(ScalarField(state.grid, state.N.values * q.q_tttt.values), state.g)
+def _lapse_weighted_energy(g: Metric, q: BRComponents, N: ScalarField) -> float:
+    return integrate(ScalarField(g.grid, N.values * q.q_tttt.values), g)
 
 
 def _trapezoid(t0: float, d0: float, t1: float, d1: float) -> float:
@@ -99,27 +94,25 @@ def _trapezoid(t0: float, d0: float, t1: float, d1: float) -> float:
     return 0.5 * (d1 + d0) * abs(t1 - t0)
 
 
-def _flux(state: SliceState, q: BRComponents, dn: VectorField) -> float:
-    g, K, N = state.g, state.K, state.N
-    inv = inverse_metric(g)
-    pressure = inner(q.q_abtt, K, g).values
-    momentum = np.einsum("...ab,...a,...b->...", inv, q.q_attt.values, dn.values)
-    return -3.0 * integrate(ScalarField(state.grid, -N.values * pressure + momentum), g)
+def _flux(g: Metric, q: BRComponents, state: SliceState, dn: VectorField) -> float:
+    pressure = inner(q.q_abtt, state.K, g).values
+    momentum = np.einsum("...ab,...a,...b->...", g.inv, q.q_attt.values, dn.values)
+    return -3.0 * integrate(ScalarField(g.grid, -state.N.values * pressure + momentum), g)
 
 
-def _radius(state: SliceState, q: BRComponents) -> float:
+def _radius(g: Metric, q: BRComponents) -> float:
     peak = float(np.sqrt(np.max(q.q_tttt.values)))
-    g = state.g.values
     cap = 0.5 * min(
-        period * float(np.sqrt(np.min(g[..., idx])))
-        for period, idx in zip(state.grid.periods, (0, 3, 5))
+        period * float(np.sqrt(np.min(g.values[..., idx])))
+        for period, idx in zip(g.grid.periods, (0, 3, 5))
     )
     return cap if peak == 0.0 else min(cap, peak ** -0.5)
 
 
 def br_energy(state: SliceState) -> float:
     """Slice Bel-Robinson energy, the volume integral of |E|^2 + |B|^2."""
-    return _energy(state, _br_fields(state)[0])
+    g, q, _ = _br_fields(state)
+    return integrate(q.q_tttt, g)
 
 
 def spacetime_br_energy(states) -> float:
@@ -131,7 +124,7 @@ def spacetime_br_energy(states) -> float:
     states = list(states)
     if not states:
         raise EmptyHistory("spacetime energy needs at least one slice")
-    densities = [_lapse_weighted_energy(s, _br_fields(s)[0]) for s in states]
+    densities = [_lapse_weighted_energy(*_br_fields(s)[:2], s.N) for s in states]
     total = 0.0
     for s0, s1, d0, d1 in zip(states, states[1:], densities, densities[1:]):
         total += _trapezoid(s0.t, d0, s1.t, d1)
@@ -143,7 +136,7 @@ def br_flux(state: SliceState) -> float:
 
     flux = -3 integral( -N <q_abtt, K> + <q_attt, grad N> ) d mu_g.
     """
-    return _flux(state, _br_fields(state)[0], gradient(state.N))
+    return _flux(*_br_fields(state)[:2], state, gradient(state.N))
 
 
 def curvature_radius(state: SliceState) -> float:
@@ -153,7 +146,7 @@ def curvature_radius(state: SliceState) -> float:
     sqrt(g_ii)) / 2, so it transforms as a length under rescaling just
     like the uncapped value; identically flat slices return the cap.
     """
-    return _radius(state, _br_fields(state)[0])
+    return _radius(*_br_fields(state)[:2])
 
 
 def k_ratio(state: SliceState) -> float:
@@ -188,22 +181,22 @@ class DiagnosticsCollector:
         self._r_c_run = np.inf
 
     def add(self, state: SliceState) -> DiagnosticsRecord:
-        g, K, N = state.g, state.K, state.N
-        q, ric, gamma = _br_fields(state)
-        density = _lapse_weighted_energy(state, q)
+        K, N = state.K, state.N
+        g, q, ric = _br_fields(state)
+        density = _lapse_weighted_energy(g, q, N)
         if self._prev_t is not None:
             self._accumulated += _trapezoid(self._prev_t, self._prev_density, state.t, density)
         self._prev_t = state.t
         self._prev_density = density
-        r_c = _radius(state, q)
+        r_c = _radius(g, q)
         self._r_c_run = min(self._r_c_run, r_c)
         dn = gradient(N)
         k_sup = sup_norm(K, g)
         low, high = _bound_margins(N, K, g, k_sup)
-        ham, mom = _constraint_norms(g, K, gamma, ric)
+        ham, mom = _constraint_norms(g, K, ric)
         record = DiagnosticsRecord(
             t=state.t,
-            e_br=_energy(state, q),
+            e_br=integrate(q.q_tttt, g),
             e_br_spacetime=self._accumulated,
             k_ratio=k_sup / abs(state.t),
             r_c=r_c,
@@ -211,7 +204,7 @@ class DiagnosticsCollector:
             lapse_margin_low=low,
             lapse_margin_high=high,
             grad_n_sup=sup_norm(dn, g),
-            flux=_flux(state, q, dn),
+            flux=_flux(g, q, state, dn),
             ham_norm=ham,
             mom_norm=mom,
         )

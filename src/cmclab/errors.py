@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CmcLabError", "NonPositiveMetric", "NonPositiveLapse", "SolverDiverged",
+    "DegenerateZeroOrderTerm", "BoundViolation", "CmcDriftExceeded", "InvalidKasner",
+    "EmptyHistory", "SinkError", "ParseError", "ValidationError",
+]
+
 
 class CmcLabError(Exception):
     """Base class for all package-specific errors."""

@@ -32,12 +32,13 @@ import numpy as np
 
 from . import kasner
 from .errors import CmcDriftExceeded
-from .grid import GridSpec, ScalarField, SymTensorField, matrix_to_sym, sym_to_matrix
+from .grid import (GridSpec, Metric, ScalarField, SymTensorField, as_metric, matrix_to_sym,
+                   sym_to_matrix)
 from .geometry import _curvature_terms, constraint_norms
 from .kasner import KasnerParams
 from .lapse import DEFAULT_TOL, solve_lapse
 from .state import SliceState
-from .tensor import christoffels, hessian, trace
+from .tensor import hessian, trace
 
 __all__ = [
     "kasner_initial_data",
@@ -162,7 +163,7 @@ def perturb(
         return float(np.sqrt(np.max(np.einsum("...ab,...ab->...", m, m))))
 
     g_vals = state.g.values + amplitude * frob_sup(state.g.values) * w_g
-    g = SymTensorField(state.grid, g_vals)
+    g = Metric(state.grid, g_vals)
     k_vals = state.K.values + amplitude * frob_sup(state.K.values) * w_k
     defect = state.t - trace(SymTensorField(state.grid, k_vals), g).values
     K = SymTensorField(state.grid, k_vals + (defect[..., None] / 3.0) * g_vals)
@@ -175,9 +176,9 @@ def evolution_rhs(
     g: SymTensorField, K: SymTensorField, N: ScalarField
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides (d/dt g, d/dt K) as 6-component value arrays."""
-    gamma = christoffels(g)
-    ric, km, h, ksq = _curvature_terms(g, K, gamma)
-    hess = sym_to_matrix(hessian(N, gamma).values)
+    g = as_metric(g)
+    ric, km, h, ksq = _curvature_terms(g, K)
+    hess = sym_to_matrix(hessian(N, g.gamma).values)
     n = N.values[..., None, None]
     dk = -hess + n * (sym_to_matrix(ric.values) + h[..., None, None] * km - 2.0 * ksq)
     dg = -2.0 * N.values[..., None] * K.values
@@ -204,7 +205,7 @@ def time_step(
 
     def stage(g_vals: np.ndarray, k_vals: np.ndarray):
         nonlocal n_prev
-        g = SymTensorField(grid, g_vals)
+        g = Metric(grid, g_vals)
         K = SymTensorField(grid, k_vals)
         N, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=n_prev)
         n_prev = N
@@ -215,7 +216,7 @@ def time_step(
     dg3, dk3 = stage(g0 + 0.5 * dt * dg2, k0 + 0.5 * dt * dk2)
     dg4, dk4 = stage(g0 + dt * dg3, k0 + dt * dk3)
 
-    g_new = SymTensorField(grid, g0 + (dt / 6.0) * (dg1 + 2.0 * dg2 + 2.0 * dg3 + dg4))
+    g_new = Metric(grid, g0 + (dt / 6.0) * (dg1 + 2.0 * dg2 + 2.0 * dg3 + dg4))
     k_vals = k0 + (dt / 6.0) * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
     t_new = state.t + dt
 

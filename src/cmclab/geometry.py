@@ -29,19 +29,18 @@ import numpy as np
 
 from .errors import NonPositiveLapse
 from .grid import (
+    Metric,
     ScalarField,
     SymTensorField,
     VectorField,
     _pointwise_norm_sq,
+    as_metric,
     diff_array,
     integrate,
-    inverse_metric,
     matrix_to_sym,
     sym_to_matrix,
 )
 from .tensor import (
-    Connection,
-    christoffels,
     cross,
     curl,
     divergence,
@@ -86,15 +85,13 @@ class BRComponents:
     q_abtt: SymTensorField
 
 
-def ricci(g: SymTensorField, gamma: Connection | None = None) -> SymTensorField:
+def ricci(g: SymTensorField) -> SymTensorField:
     """Ricci tensor of the slice metric.
 
     Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
              + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb
     """
-    if gamma is None:
-        gamma = christoffels(g)
-    gam = gamma.coefficients
+    gam = as_metric(g).gamma.coefficients
     spacings = g.grid.spacings
 
     term = np.zeros(g.grid.shape + (3, 3))
@@ -110,54 +107,46 @@ def ricci(g: SymTensorField, gamma: Connection | None = None) -> SymTensorField:
     return SymTensorField(g.grid, matrix_to_sym(term))
 
 
-def scalar_curvature(g: SymTensorField, gamma: Connection | None = None) -> ScalarField:
+def scalar_curvature(g: SymTensorField) -> ScalarField:
     """Scalar curvature R = g^{ab} Ric_ab."""
-    return trace(ricci(g, gamma), g)
+    g = as_metric(g)
+    return trace(ricci(g), g)
 
 
-def _curvature_terms(g: SymTensorField, K: SymTensorField, gamma: Connection | None):
+def _curvature_terms(g: Metric, K: SymTensorField):
     """(Ric, K_ab, H = tr K, K_ac K^c_b), shared by E and the K evolution."""
-    inv = inverse_metric(g)
     km = sym_to_matrix(K.values)
-    h = np.einsum("...ab,...ab->...", inv, km)
-    ksq = km @ inv @ km
-    return ricci(g, gamma), km, h, ksq
+    h = np.einsum("...ab,...ab->...", g.inv, km)
+    ksq = km @ g.inv @ km
+    return ricci(g), km, h, ksq
 
 
-def _electric_weyl(
-    g: SymTensorField, K: SymTensorField, gamma: Connection | None
-) -> tuple[SymTensorField, SymTensorField]:
+def _electric_weyl(g: Metric, K: SymTensorField) -> tuple[SymTensorField, SymTensorField]:
     """E and the Ricci tensor it was built from."""
-    ric, km, h, ksq = _curvature_terms(g, K, gamma)
+    ric, km, h, ksq = _curvature_terms(g, K)
     e = sym_to_matrix(ric.values) + h[..., None, None] * km - ksq
     return SymTensorField(g.grid, matrix_to_sym(e)), ric
 
 
-def electric_weyl(
-    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
-) -> SymTensorField:
+def electric_weyl(g: SymTensorField, K: SymTensorField) -> SymTensorField:
     """E_ab = Ric_ab + H K_ab - K_ac K^c_b with H = tr K."""
-    return _electric_weyl(g, K, gamma)[0]
+    return _electric_weyl(as_metric(g), K)[0]
 
 
-def magnetic_weyl(
-    K: SymTensorField, g: SymTensorField, gamma: Connection | None = None
-) -> SymTensorField:
+def magnetic_weyl(K: SymTensorField, g: SymTensorField) -> SymTensorField:
     """B_ab = -curl K_ab."""
-    b = curl(K, g, gamma)
-    return SymTensorField(K.grid, -b.values)
+    return SymTensorField(K.grid, -curl(K, g).values)
 
 
-def weyl_parts(
-    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
-) -> WeylParts:
-    if gamma is None:
-        gamma = christoffels(g)
-    return WeylParts(E=electric_weyl(g, K, gamma), B=magnetic_weyl(K, g, gamma))
+def weyl_parts(g: SymTensorField, K: SymTensorField) -> WeylParts:
+    """Electric and magnetic Weyl parts of the slice (g, K), sharing one Metric."""
+    g = as_metric(g)
+    return WeylParts(E=electric_weyl(g, K), B=magnetic_weyl(K, g))
 
 
 def br_components(E: SymTensorField, B: SymTensorField, g: SymTensorField) -> BRComponents:
     """Assemble (q_tttt, q_attt, q_abtt) from the Weyl parts."""
+    g = as_metric(g)
     density = ScalarField(E.grid, norm_sq(E, g).values + norm_sq(B, g).values)
     flux_vec = VectorField(E.grid, 2.0 * wedge(E, B, g).values)
     stress = (
@@ -168,33 +157,27 @@ def br_components(E: SymTensorField, B: SymTensorField, g: SymTensorField) -> BR
     return BRComponents(density, flux_vec, SymTensorField(E.grid, stress))
 
 
-def _hamiltonian(g: SymTensorField, K: SymTensorField, ric: SymTensorField) -> ScalarField:
+def _hamiltonian(g: Metric, K: SymTensorField, ric: SymTensorField) -> ScalarField:
     r = trace(ric, g)
     h = trace(K, g)
     return ScalarField(g.grid, r.values + h.values**2 - norm_sq(K, g).values)
 
 
-def hamiltonian_constraint(
-    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
-) -> ScalarField:
+def hamiltonian_constraint(g: SymTensorField, K: SymTensorField) -> ScalarField:
     """Vacuum scalar constraint residual R + H^2 - |K|^2."""
-    return _hamiltonian(g, K, ricci(g, gamma))
+    g = as_metric(g)
+    return _hamiltonian(g, K, ricci(g))
 
 
-def momentum_constraint(
-    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
-) -> VectorField:
+def momentum_constraint(g: SymTensorField, K: SymTensorField) -> VectorField:
     """Vacuum vector constraint residual (div K)_a - d_a H."""
-    if gamma is None:
-        gamma = christoffels(g)
-    div_k = divergence(K, g, gamma)
+    g = as_metric(g)
+    div_k = divergence(K, g)
     dh = gradient(trace(K, g))
     return VectorField(g.grid, div_k.values - dh.values)
 
 
-def static_residual(
-    g: SymTensorField, N: ScalarField, gamma: Connection | None = None
-) -> tuple[ScalarField, SymTensorField]:
+def static_residual(g: SymTensorField, N: ScalarField) -> tuple[ScalarField, SymTensorField]:
     """Residuals of the static vacuum system (Delta N, Hess N - N Ric).
 
     Both vanish iff (g, N) solves  Delta N = 0,  nabla^2 N = N Ric.
@@ -203,39 +186,32 @@ def static_residual(
     """
     if np.any(N.values <= 0.0):
         raise NonPositiveLapse(f"lapse has min {N.values.min():.3e} <= 0")
-    if gamma is None:
-        gamma = christoffels(g)
-    hess = hessian(N, gamma)
+    g = as_metric(g)
+    hess = hessian(N, g.gamma)
     lap = trace(hess, g)
-    ric = ricci(g, gamma)
+    ric = ricci(g)
     tensor_res = SymTensorField(g.grid, hess.values - N.values[..., None] * ric.values)
     return lap, tensor_res
 
 
-def _constraint_norms(
-    g: SymTensorField, K: SymTensorField, gamma: Connection, ric: SymTensorField
-) -> tuple[float, float]:
+def _constraint_norms(g: Metric, K: SymTensorField, ric: SymTensorField) -> tuple[float, float]:
     ham = _hamiltonian(g, K, ric)
-    mom_sq = _pointwise_norm_sq(momentum_constraint(g, K, gamma), inverse_metric(g))
+    mom_sq = _pointwise_norm_sq(momentum_constraint(g, K), g.inv)
     ham_norm = np.sqrt(integrate(ScalarField(g.grid, ham.values**2), g))
     mom_norm = np.sqrt(integrate(ScalarField(g.grid, mom_sq), g))
     return float(ham_norm), float(mom_norm)
 
 
-def constraint_norms(
-    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
-) -> tuple[float, float]:
+def constraint_norms(g: SymTensorField, K: SymTensorField) -> tuple[float, float]:
     """L2(mu_g) norms of the Hamiltonian and momentum constraint residuals."""
-    if gamma is None:
-        gamma = christoffels(g)
-    return _constraint_norms(g, K, gamma, ricci(g, gamma))
+    g = as_metric(g)
+    return _constraint_norms(g, K, ricci(g))
 
 
-def weyl_trace_residuals(
-    g: SymTensorField, K: SymTensorField, gamma: Connection | None = None
-) -> tuple[float, float]:
+def weyl_trace_residuals(g: SymTensorField, K: SymTensorField) -> tuple[float, float]:
     """Sup of |tr E| and |tr B|; near zero for constraint-clean data."""
-    parts = weyl_parts(g, K, gamma)
+    g = as_metric(g)
+    parts = weyl_parts(g, K)
     tr_e = trace(parts.E, g).values
     tr_b = trace(parts.B, g).values
     return float(np.max(np.abs(tr_e))), float(np.max(np.abs(tr_b)))

@@ -10,11 +10,17 @@ arrays, covectors as (n1, n2, n3, 3), and symmetric 2-tensors as
 Spatial derivatives use 4th-order centered stencils with periodic wrap;
 integration against a metric volume element is a plain Riemann sum, which
 is spectrally accurate for smooth periodic integrands.
+
+A Metric is a SymTensorField checked positive definite by construction;
+it derives sqrt(det g), g^-1 and the connection Gamma once each, on first
+use, and every operation reads them through as_metric(g).  Build one per
+computation (a record, an RK stage); a SliceState never stores one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +37,8 @@ __all__ = [
     "diff_array",
     "integrate",
     "sup_norm",
+    "Metric",
+    "as_metric",
     "metric_determinant",
     "inverse_metric",
     "sym_to_matrix",
@@ -66,14 +74,16 @@ class GridSpec:
     periods: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        if not all(float(n).is_integer() for n in self.shape):
+            raise ValueError(f"grid shape must be whole numbers, got {self.shape}")
         shape = tuple(int(n) for n in self.shape)
         periods = tuple(float(p) for p in self.periods)
         if len(shape) != 3 or len(periods) != 3:
             raise ValueError("GridSpec needs exactly three axes")
         if any(n < MIN_POINTS_PER_AXIS for n in shape):
             raise ValueError(f"grid needs >= {MIN_POINTS_PER_AXIS} points per axis, got {shape}")
-        if any(p <= 0.0 for p in periods):
-            raise ValueError(f"periods must be strictly positive, got {periods}")
+        if not all(np.isfinite(p) and p > 0.0 for p in periods):
+            raise ValueError(f"periods must be finite and strictly positive, got {periods}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "periods", periods)
 
@@ -220,16 +230,8 @@ def _checked_determinant(g: SymTensorField) -> np.ndarray:
     return det
 
 
-def inverse_metric(g: SymTensorField, det: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise inverse metric as a full (..., 3, 3) array.
-
-    Raises NonPositiveMetric unless g is positive definite everywhere.  A
-    det passed in must come from that same check (_checked_determinant)
-    and is not checked again.
-    """
-    if det is None:
-        det = _checked_determinant(g)
-    v = g.values
+def _inverse(v: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Closed-form inverse (..., 3, 3) of 6-component storage v with determinant det."""
     xx, xy, xz = v[..., 0], v[..., 1], v[..., 2]
     yy, yz, zz = v[..., 3], v[..., 4], v[..., 5]
     inv = np.empty(v.shape[:-1] + (3, 3), dtype=v.dtype)
@@ -244,6 +246,45 @@ def inverse_metric(g: SymTensorField, det: np.ndarray | None = None) -> np.ndarr
     inv[..., 2, 1] = inv[..., 1, 2]
     inv /= det[..., None, None]
     return inv
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Metric(SymTensorField):
+    """A metric checked positive definite (else NonPositiveMetric), keeping det.
+
+    sqrt_det, inv (g^-1 as (..., 3, 3)) and gamma (the Levi-Civita
+    Connection) are computed once, on first use; all are read-only.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "det", _frozen(_checked_determinant(self)))
+
+    @cached_property
+    def sqrt_det(self) -> np.ndarray:
+        return _frozen(np.sqrt(self.det))
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        return _frozen(_inverse(self.values, self.det))
+
+    @cached_property
+    def gamma(self) -> Connection:
+        return christoffels(self)
+
+
+def as_metric(g: SymTensorField) -> Metric:
+    """g itself if it is a Metric, else a checked Metric over the same values."""
+    return g if isinstance(g, Metric) else Metric(g.grid, g.values)
+
+
+def inverse_metric(g: SymTensorField) -> np.ndarray:
+    """Pointwise read-only inverse (..., 3, 3) of g; NonPositiveMetric unless g is definite."""
+    return as_metric(g).inv
 
 
 # 4th-order centered first-derivative stencil: (8(f+1 - f-1) - (f+2 - f-2)) / 12h
@@ -266,8 +307,7 @@ def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
 
 def integrate(f: ScalarField, g: SymTensorField) -> float:
     """Integral of f against the metric volume element sqrt(det g) d^3x."""
-    det = _checked_determinant(g)
-    return float(np.sum(f.values * np.sqrt(det)) * f.grid.cell_volume)
+    return float(np.sum(f.values * as_metric(g).sqrt_det) * f.grid.cell_volume)
 
 
 def _sym_dot(a_up: np.ndarray, b_up: np.ndarray) -> np.ndarray:
@@ -293,5 +333,48 @@ def sup_norm(field, g: SymTensorField) -> float:
     Scalars use |f|; vectors and symmetric tensors contract all indices
     with the inverse metric.
     """
-    inv = inverse_metric(g)
-    return float(np.sqrt(np.max(_pointwise_norm_sq(field, inv))))
+    return float(np.sqrt(np.max(_pointwise_norm_sq(field, as_metric(g).inv))))
+
+
+@dataclass(frozen=True, eq=False)
+class Connection:
+    """Christoffel symbols Gamma^a_{bc} of a metric, shape (*grid, 3, 3, 3).
+
+    Symmetric in the lower index pair by construction.
+    """
+
+    grid: GridSpec
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        coeffs = np.asarray(self.coefficients, dtype=float)
+        if coeffs.shape != self.grid.shape + (3, 3, 3):
+            raise ValueError(f"connection coefficients shaped {coeffs.shape}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("connection coefficients must be finite")
+        object.__setattr__(self, "coefficients", coeffs)
+
+
+def _partials(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coordinate partials d[:, :, :, t, ...] = partial_t values, for grid-shaped values."""
+    spacings = grid.spacings
+    d = np.empty(grid.shape + (3,) + values.shape[3:])
+    for t in range(3):
+        d[:, :, :, t] = diff_array(values, t, spacings[t])
+    return d
+
+
+def christoffels(g: SymTensorField) -> Connection:
+    """Levi-Civita connection of g via 4th-order finite differences.
+
+    Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc)
+    """
+    inv = as_metric(g).inv
+    dg = _partials(sym_to_matrix(g.values), g.grid)  # dg[..., d, a, b] = d_d g_ab
+    # lower[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
+    lower = (
+        np.transpose(dg, (0, 1, 2, 4, 3, 5))
+        + np.transpose(dg, (0, 1, 2, 5, 4, 3))
+        - dg
+    )
+    return Connection(g.grid, _frozen(0.5 * np.einsum("...ad,...dbc->...abc", inv, lower)))

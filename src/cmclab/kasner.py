@@ -103,6 +103,7 @@ def tau_of_t(t: float) -> float:
 
 
 def t_of_tau(tau: float) -> float:
+    """Mean curvature t = -1/tau of the slice at proper time tau > 0."""
     if tau <= 0.0:
         raise ValueError(f"proper time must be positive, got {tau!r}")
     return -1.0 / tau

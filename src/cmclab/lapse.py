@@ -43,14 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateZeroOrderTerm, SolverDiverged
+from .errors import BoundViolation, DegenerateZeroOrderTerm, SolverDiverged
 from .grid import (
     ScalarField,
     SymTensorField,
-    _checked_determinant,
     _pointwise_norm_sq,
+    as_metric,
     diff_array,
-    inverse_metric,
     sup_norm,
 )
 from .tensor import trace
@@ -60,6 +59,7 @@ __all__ = [
     "solve_lapse",
     "lapse_bound_margins",
     "check_lapse_bounds",
+    "default_bound_tolerance",
     "DEFAULT_TOL",
     "BOUND_TOL_COEFF",
 ]
@@ -122,23 +122,24 @@ def solve_lapse(
 ) -> tuple[ScalarField, EllipticSolveReport]:
     """Solve -Delta N + |K|^2 N = rhs (default rhs = 1) to relative residual tol.
 
-    Returns the lapse and a solve report.  Raises DegenerateZeroOrderTerm
-    when min |K|^2 <= 0 (an H = 0 slice) and SolverDiverged when the
-    iteration budget 10 * sqrt(num_points) runs out above tolerance.
-    `callback(values)` is invoked with each CG iterate, for convergence
-    instrumentation.
+    Returns the lapse and a solve report.  Raises ValueError unless tol is
+    finite and positive, DegenerateZeroOrderTerm when min |K|^2 <= 0 (an
+    H = 0 slice) and SolverDiverged when the budget 10 * sqrt(num_points)
+    runs out above tolerance.  `callback(values)` is invoked with each CG
+    iterate, for convergence instrumentation.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    g = as_metric(g)
     grid = g.grid
-    det = _checked_determinant(g)
-    inv = inverse_metric(g, det)
-    ksq = _pointwise_norm_sq(K, inv)
+    ksq = _pointwise_norm_sq(K, g.inv)
     if np.min(ksq) <= 0.0:
         raise DegenerateZeroOrderTerm(
             f"min |K|^2 = {ksq.min():.3e}; the lapse operator needs |K|^2 > 0"
         )
 
-    sqrt_g = np.sqrt(det)
-    flux_coeff = sqrt_g[..., None, None] * inv
+    sqrt_g = g.sqrt_det
+    flux_coeff = sqrt_g[..., None, None] * g.inv
     weight_v = sqrt_g * ksq
     spacings = grid.spacings
 
@@ -209,6 +210,7 @@ def lapse_bound_margins(
     H^2 is taken as the grid supremum of (tr K)^2; for CMC data the trace
     is uniform so the choice is immaterial.
     """
+    g = as_metric(g)
     return _bound_margins(N, K, g, sup_norm(K, g))
 
 
@@ -226,6 +228,7 @@ def _bound_margins(
 
 
 def default_bound_tolerance(grid) -> float:
+    """Bound-check slack max(1e-10, BOUND_TOL_COEFF h^4), h the widest grid spacing."""
     h = max(grid.spacings)
     return max(1e-10, BOUND_TOL_COEFF * h**4)
 
@@ -239,12 +242,12 @@ def check_lapse_bounds(
     """Margins of the maximum-principle bounds; raises BoundViolation if negative.
 
     Tolerance defaults to max(1e-10, 10 h^4), the discretization slack of
-    the 4th-order stencils.
+    the 4th-order stencils; one given must be finite and >= 0 (ValueError).
     """
-    from .errors import BoundViolation
-
     if tolerance is None:
         tolerance = default_bound_tolerance(N.grid)
+    elif not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     margins = lapse_bound_margins(N, K, g)
     if margins[0] < -tolerance or margins[1] < -tolerance:
         raise BoundViolation(

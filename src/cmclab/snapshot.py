@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .errors import ParseError, SinkError
-from .grid import GridSpec, ScalarField, SymTensorField, VectorField
+from .grid import GridSpec, Metric, ScalarField, SymTensorField, VectorField
 from .state import SliceState
 
 __all__ = ["FORMAT_TAG", "save_fields", "load_fields", "save_state", "load_state"]
@@ -21,6 +21,7 @@ FORMAT_TAG = "cmclab-snapshot-1"
 
 _KIND_OF_TYPE = {ScalarField: "scalar", VectorField: "vector", SymTensorField: "symtensor"}
 _TYPE_OF_KIND = {kind: cls for cls, kind in _KIND_OF_TYPE.items()}
+_KIND_OF_TYPE[Metric] = "symtensor"  # saved as, and loaded back as, a plain symtensor
 
 
 def save_fields(path, grid: GridSpec, fields: dict, scalars: dict | None = None) -> None:
@@ -80,6 +81,7 @@ def load_fields(path) -> tuple[GridSpec, dict, dict]:
 
 
 def save_state(state: SliceState, path) -> None:
+    """Write a slice state (g, K, N and t) to path with save_fields."""
     save_fields(
         path,
         state.grid,
@@ -89,6 +91,7 @@ def save_state(state: SliceState, path) -> None:
 
 
 def load_state(path) -> SliceState:
+    """Read back a slice state written by save_state; ParseError if path holds none."""
     _, fields, scalars = load_fields(path)
     try:
         return SliceState(t=scalars["t"], g=fields["g"], K=fields["K"], N=fields["N"])

@@ -19,6 +19,10 @@ expanding eps_a^{cd} eps_b^{ef} as a determinant of metrics gives
     A x B = A g^-1 B + B g^-1 A - (tr A) B - (tr B) A
             + (2/3)((tr A)(tr B) - A.B) g.
 
+Gamma (Connection, christoffels) lives in grid.py, so that a grid.Metric can
+derive it once; it is re-exported here.  Every operation reads g^-1,
+sqrt(det g) and Gamma from as_metric(g).
+
 Orientation convention: the alternating symbol is right-handed in the
 coordinate frame ([123] = +1).  Reversing orientation flips the sign of
 wedge and curl (and hence of the magnetic Weyl part built from curl),
@@ -27,19 +31,18 @@ leaving every quadratic scalar unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import (
-    GridSpec,
+    Connection,
     ScalarField,
     SymTensorField,
     VectorField,
-    _checked_determinant,
+    _partials,
     _sym_dot,
+    as_metric,
+    christoffels,
     diff_array,
-    inverse_metric,
     matrix_to_sym,
     sym_to_matrix,
 )
@@ -61,51 +64,6 @@ __all__ = [
     "raise_first_index",
 ]
 
-@dataclass(frozen=True, eq=False)
-class Connection:
-    """Christoffel symbols Gamma^a_{bc} of a metric, shape (*grid, 3, 3, 3).
-
-    Symmetric in the lower index pair by construction.
-    """
-
-    grid: GridSpec
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.shape != self.grid.shape + (3, 3, 3):
-            raise ValueError(f"connection coefficients shaped {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("connection coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
-
-
-def _partials(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coordinate partials d[:, :, :, t, ...] = partial_t values, for grid-shaped values."""
-    spacings = grid.spacings
-    d = np.empty(grid.shape + (3,) + values.shape[3:])
-    for t in range(3):
-        d[:, :, :, t] = diff_array(values, t, spacings[t])
-    return d
-
-
-def christoffels(g: SymTensorField) -> Connection:
-    """Levi-Civita connection of g via 4th-order finite differences.
-
-    Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc)
-    """
-    inv = inverse_metric(g)
-    dg = _partials(sym_to_matrix(g.values), g.grid)  # dg[..., d, a, b] = d_d g_ab
-    # lower[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
-    lower = (
-        np.transpose(dg, (0, 1, 2, 4, 3, 5))
-        + np.transpose(dg, (0, 1, 2, 5, 4, 3))
-        - dg
-    )
-    coeffs = 0.5 * np.einsum("...ad,...dbc->...abc", inv, lower)
-    return Connection(g.grid, coeffs)
-
-
 def _dual(m: np.ndarray) -> np.ndarray:
     """dual(M)_p = [pbc] M_bc = (M_12 - M_21, M_20 - M_02, M_01 - M_10) over the last two axes."""
     return np.stack([m[..., b, c] - m[..., c, b] for b, c in ((1, 2), (2, 0), (0, 1))], axis=-1)
@@ -118,8 +76,7 @@ def raise_first_index(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
 
 def trace(A: SymTensorField, g: SymTensorField) -> ScalarField:
     """g-trace g^{ab} A_ab."""
-    inv = inverse_metric(g)
-    values = np.einsum("...ab,...ab->...", inv, sym_to_matrix(A.values))
+    values = np.einsum("...ab,...ab->...", as_metric(g).inv, sym_to_matrix(A.values))
     return ScalarField(A.grid, values)
 
 
@@ -131,7 +88,7 @@ def traceless(A: SymTensorField, g: SymTensorField) -> SymTensorField:
 
 def inner(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> ScalarField:
     """Full contraction A . B = g^{ac} g^{bd} A_ab B_cd."""
-    inv = inverse_metric(g)
+    inv = as_metric(g).inv
     values = _sym_dot(raise_first_index(A, inv), raise_first_index(B, inv))
     return ScalarField(A.grid, values)
 
@@ -143,15 +100,15 @@ def norm_sq(A: SymTensorField, g: SymTensorField) -> ScalarField:
 
 def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorField:
     """(A ^ B)_a = eps_a^{bc} A_b^d B_{dc} = g_ap dual(A g^-1 B)_p / sqrt(det g)."""
-    det = _checked_determinant(g)
-    m = sym_to_matrix(A.values) @ inverse_metric(g, det) @ sym_to_matrix(B.values)
-    d = _dual(m) / np.sqrt(det)[..., None]
+    g = as_metric(g)
+    m = sym_to_matrix(A.values) @ g.inv @ sym_to_matrix(B.values)
+    d = _dual(m) / g.sqrt_det[..., None]
     return VectorField(A.grid, np.einsum("...ap,...p->...a", sym_to_matrix(g.values), d))
 
 
 def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorField:
     """(A x B)_ab, symmetric and commutative for symmetric inputs."""
-    inv = inverse_metric(g)
+    inv = as_metric(g).inv
     a_up, b_up = raise_first_index(A, inv), raise_first_index(B, inv)
     tr_a, tr_b = np.einsum("...aa->...", a_up)[..., None], np.einsum("...aa->...", b_up)[..., None]
     dot = _sym_dot(a_up, b_up)[..., None]
@@ -174,25 +131,21 @@ def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray
     return dA
 
 
-def curl(A: SymTensorField, g: SymTensorField, gamma: Connection | None = None) -> SymTensorField:
+def curl(A: SymTensorField, g: SymTensorField) -> SymTensorField:
     """Symmetrized metric-weighted curl of a symmetric tensor."""
-    if gamma is None:
-        gamma = christoffels(g)
-    det = _checked_determinant(g)
+    g = as_metric(g)
     # nabla A as [..., b, s, t], whose dual is D_pb = [pst] nabla_t A_sb as [..., b, p];
     # (D^T g)_ba = eps_a^{st} nabla_t A_sb sqrt(det g), and matrix_to_sym symmetrizes it
-    d = _dual(np.swapaxes(covariant_derivative_sym(A, gamma), -1, -3))
-    values = matrix_to_sym(d @ sym_to_matrix(g.values)) / np.sqrt(det)[..., None]
+    d = _dual(np.swapaxes(covariant_derivative_sym(A, g.gamma), -1, -3))
+    values = matrix_to_sym(d @ sym_to_matrix(g.values)) / g.sqrt_det[..., None]
     return SymTensorField(A.grid, values)
 
 
-def divergence(A: SymTensorField, g: SymTensorField, gamma: Connection | None = None) -> VectorField:
+def divergence(A: SymTensorField, g: SymTensorField) -> VectorField:
     """(div A)_b = g^{ac} nabla_a A_cb."""
-    if gamma is None:
-        gamma = christoffels(g)
-    inv = inverse_metric(g)
-    grad_a = covariant_derivative_sym(A, gamma)
-    values = np.einsum("...ac,...acb->...b", inv, grad_a)
+    g = as_metric(g)
+    grad_a = covariant_derivative_sym(A, g.gamma)
+    values = np.einsum("...ac,...acb->...b", g.inv, grad_a)
     return VectorField(A.grid, values)
 
 

@@ -51,6 +51,25 @@ def test_gridspec_rejects_nonpositive_period():
         GridSpec((8, 8, 8), periods=(1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("period", [float("nan"), float("inf"), -float("inf")])
+def test_gridspec_rejects_non_finite_period(period):
+    # NaN fails every comparison, so only an explicit finiteness check catches it
+    with pytest.raises(ValueError, match="periods"):
+        GridSpec((8, 8, 8), periods=(period, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [8.9, 8.5, float("nan"), float("inf")])
+def test_gridspec_rejects_fractional_shape(n):
+    with pytest.raises(ValueError, match="shape"):
+        GridSpec((n, 8, 8))
+
+
+def test_gridspec_accepts_whole_valued_shape():
+    grid = GridSpec((np.int64(8), 9.0, 10))
+    assert grid.shape == (8, 9, 10)
+    assert all(type(n) is int for n in grid.shape)
+
+
 def test_axis_coordinates_cover_half_open_period():
     grid = GridSpec((8, 16, 12), periods=(1.0, 2.0, 3.0))
     for axis in range(3):

@@ -29,9 +29,8 @@ from cmclab.lapse import BOUND_TOL_COEFF, _apply_operator
 
 
 def _operator_pieces(g, K):
-    det = metric_determinant(g)
-    sqrt_g = np.sqrt(det)
-    flux = sqrt_g[..., None, None] * inverse_metric(g, det)
+    sqrt_g = np.sqrt(metric_determinant(g))
+    flux = sqrt_g[..., None, None] * inverse_metric(g)
     weight = sqrt_g * norm_sq(K, g).values
     return sqrt_g, flux, weight
 
@@ -225,6 +224,38 @@ def test_check_lapse_bounds_raises_on_violation(grid8):
     good = ScalarField.constant(grid8, tau * tau)
     margins = check_lapse_bounds(good, K, g)
     assert margins[0] == pytest.approx(0.0, abs=1e-14)
+
+
+def _kasner_slice(grid, tau=1.0):
+    g = SymTensorField.diagonal_constant(grid, kasner.metric_diagonal(AXIAL, tau))
+    K = SymTensorField.diagonal_constant(grid, kasner.second_form_diagonal(AXIAL, tau))
+    return g, K
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_solve_lapse_rejects_bad_tol(grid8, tol):
+    # a NaN tol is never met, so the restart loop would spin forever
+    g, K = _kasner_slice(grid8)
+    with pytest.raises(ValueError, match="tol"):
+        solve_lapse(g, K, tol=tol)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-3])
+def test_check_lapse_bounds_rejects_bad_tolerance(grid8, tolerance):
+    g, K = _kasner_slice(grid8)
+    halved = ScalarField.constant(grid8, 0.5)  # margins (-0.5, 2.5)
+    with pytest.raises(BoundViolation):
+        check_lapse_bounds(halved, K, g)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_lapse_bounds(halved, K, g, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_lapse_bounds(ScalarField.constant(grid8, 1.0), K, g, tolerance=tolerance)
+
+
+def test_check_lapse_bounds_accepts_zero_tolerance(grid8):
+    g, K = _kasner_slice(grid8)
+    low, high = check_lapse_bounds(ScalarField.constant(grid8, 1.0), K, g, tolerance=0.0)
+    assert low == pytest.approx(0.0, abs=1e-14) and high == pytest.approx(2.0)
 
 
 def test_bound_margins_need_nonzero_data(grid8):

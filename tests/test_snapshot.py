@@ -6,6 +6,7 @@ import pytest
 from cmclab import (
     GENERIC,
     GridSpec,
+    Metric,
     ParseError,
     ScalarField,
     SinkError,
@@ -59,6 +60,26 @@ def test_load_rejects_foreign_archives(tmp_path, grid8):
     np.savez(tmp_path / "untagged.npz", data=np.ones(3))
     with pytest.raises(ParseError):
         load_fields(tmp_path / "untagged.npz")
+
+
+def test_metric_field_saves_as_symtensor(tmp_path, grid8):
+    path = tmp_path / "metric.npz"
+    g = Metric.diagonal_constant(grid8, (1.0, 2.0, 3.0))
+    save_fields(path, grid8, {"g": g})
+    _, fields, _ = load_fields(path)
+    assert type(fields["g"]) is SymTensorField
+    assert np.array_equal(fields["g"].values, g.values)
+
+
+def test_load_rejects_non_finite_periods(tmp_path):
+    path = tmp_path / "nan_periods.npz"
+    np.savez(path, format_tag=np.array(FORMAT_TAG),
+             shape=np.array([8, 8, 8], dtype=np.int64),
+             periods=np.array([np.nan, 1.0, 1.0]),
+             names=np.array([], dtype=str), kinds=np.array([], dtype=str),
+             extra_names=np.array([], dtype=str))
+    with pytest.raises(ValueError, match="periods"):
+        load_fields(path)
 
 
 def test_load_state_requires_state_fields(tmp_path, grid8):
