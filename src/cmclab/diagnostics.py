@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import EmptyHistory, ParseError, SinkError, ValidationError
-from .geometry import BRComponents, _constraint_norms, _electric_weyl, br_components, magnetic_weyl
+from .geometry import BRComponents, br_components, constraint_norms, weyl_parts
 from .grid import Metric, ScalarField, VectorField, as_metric, integrate, sup_norm
 from .lapse import _bound_margins
 from .state import SliceState
@@ -78,11 +78,11 @@ class DiagnosticsRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-def _br_fields(state: SliceState):
-    """(g, q, Ric) of a slice: its Metric, the BR components and the Ricci tensor of E."""
-    g, K = as_metric(state.g), state.K
-    E, ric = _electric_weyl(g, K)
-    return g, br_components(E, magnetic_weyl(K, g), g), ric
+def _br_fields(state: SliceState) -> tuple[Metric, BRComponents]:
+    """(g, q) of a slice: its Metric and the BR components."""
+    g = as_metric(state.g)
+    weyl = weyl_parts(g, state.K)
+    return g, br_components(weyl.E, weyl.B, g)
 
 
 def _lapse_weighted_energy(g: Metric, q: BRComponents, N: ScalarField) -> float:
@@ -111,7 +111,7 @@ def _radius(g: Metric, q: BRComponents) -> float:
 
 def br_energy(state: SliceState) -> float:
     """Slice Bel-Robinson energy, the volume integral of |E|^2 + |B|^2."""
-    g, q, _ = _br_fields(state)
+    g, q = _br_fields(state)
     return integrate(q.q_tttt, g)
 
 
@@ -124,7 +124,7 @@ def spacetime_br_energy(states) -> float:
     states = list(states)
     if not states:
         raise EmptyHistory("spacetime energy needs at least one slice")
-    densities = [_lapse_weighted_energy(*_br_fields(s)[:2], s.N) for s in states]
+    densities = [_lapse_weighted_energy(*_br_fields(s), s.N) for s in states]
     total = 0.0
     for s0, s1, d0, d1 in zip(states, states[1:], densities, densities[1:]):
         total += _trapezoid(s0.t, d0, s1.t, d1)
@@ -136,7 +136,7 @@ def br_flux(state: SliceState) -> float:
 
     flux = -3 integral( -N <q_abtt, K> + <q_attt, grad N> ) d mu_g.
     """
-    return _flux(*_br_fields(state)[:2], state, gradient(state.N))
+    return _flux(*_br_fields(state), state, gradient(state.N))
 
 
 def curvature_radius(state: SliceState) -> float:
@@ -146,7 +146,7 @@ def curvature_radius(state: SliceState) -> float:
     sqrt(g_ii)) / 2, so it transforms as a length under rescaling just
     like the uncapped value; identically flat slices return the cap.
     """
-    return _radius(*_br_fields(state)[:2])
+    return _radius(*_br_fields(state))
 
 
 def k_ratio(state: SliceState) -> float:
@@ -182,7 +182,7 @@ class DiagnosticsCollector:
 
     def add(self, state: SliceState) -> DiagnosticsRecord:
         K, N = state.K, state.N
-        g, q, ric = _br_fields(state)
+        g, q = _br_fields(state)
         density = _lapse_weighted_energy(g, q, N)
         if self._prev_t is not None:
             self._accumulated += _trapezoid(self._prev_t, self._prev_density, state.t, density)
@@ -193,7 +193,7 @@ class DiagnosticsCollector:
         dn = gradient(N)
         k_sup = sup_norm(K, g)
         low, high = _bound_margins(N, K, g, k_sup)
-        ham, mom = _constraint_norms(g, K, ric)
+        ham, mom = constraint_norms(g, K)
         record = DiagnosticsRecord(
             t=state.t,
             e_br=integrate(q.q_tttt, g),

@@ -150,8 +150,8 @@ def perturb(
     numbers is the resulting (Hamiltonian, momentum) residual L2 norms.
     Deterministic in the seed; amplitude 0 returns the state unchanged.
     """
-    if amplitude < 0.0:
-        raise ValueError(f"amplitude must be nonnegative, got {amplitude!r}")
+    if not (np.isfinite(amplitude) and amplitude >= 0.0):
+        raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude!r}")
     if amplitude == 0.0:
         return state, constraint_norms(state.g, state.K)
     rng = np.random.default_rng(seed)
@@ -177,7 +177,8 @@ def evolution_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides (d/dt g, d/dt K) as 6-component value arrays."""
     g = as_metric(g)
-    ric, km, h, ksq = _curvature_terms(g, K)
+    ric = g.ricci  # read before the Hessian: deriving Ric beside its arrays raises peak memory
+    km, h, ksq = _curvature_terms(g, K)
     hess = sym_to_matrix(hessian(N, g.gamma).values)
     n = N.values[..., None, None]
     dk = -hess + n * (sym_to_matrix(ric.values) + h[..., None, None] * km - 2.0 * ksq)
@@ -239,6 +240,8 @@ def max_stable_dt(state: SliceState, cfl: float = DEFAULT_CFL) -> float:
     N sqrt(lambda_max(g^-1)) = N / sqrt(lambda_min(g)) is the largest
     coordinate light speed at a point.
     """
+    if not (np.isfinite(cfl) and cfl > 0.0):
+        raise ValueError(f"cfl must be finite and positive, got {cfl!r}")
     lambda_min = np.linalg.eigvalsh(sym_to_matrix(state.g.values))[..., 0]
     speed = state.N.values / np.sqrt(lambda_min)
     return cfl * min(state.grid.spacings) / float(np.max(speed))
@@ -260,8 +263,8 @@ def evolve_states(
     dt=None each step takes the CFL-limited size.  The final step is
     shortened to land on t_end exactly.
     """
-    if t_end >= 0.0:
-        raise ValueError(f"t_end must be negative, got {t_end!r}")
+    if not (np.isfinite(t_end) and t_end < 0.0):
+        raise ValueError(f"t_end must be a finite negative real, got {t_end!r}")
     direction = np.sign(t_end - state.t)
     if direction == 0.0:
         return

@@ -35,9 +35,9 @@ from .grid import (
     VectorField,
     _pointwise_norm_sq,
     as_metric,
-    diff_array,
     integrate,
     matrix_to_sym,
+    ricci,
     sym_to_matrix,
 )
 from .tensor import (
@@ -85,52 +85,26 @@ class BRComponents:
     q_abtt: SymTensorField
 
 
-def ricci(g: SymTensorField) -> SymTensorField:
-    """Ricci tensor of the slice metric.
-
-    Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
-             + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb
-    """
-    gam = as_metric(g).gamma.coefficients
-    spacings = g.grid.spacings
-
-    term = np.zeros(g.grid.shape + (3, 3))
-    for c in range(3):
-        term += diff_array(gam[..., c, :, :], c, spacings[c])
-
-    gtrace = np.einsum("...ccb->...b", gam)  # Gamma^c_{cb}
-    for a in range(3):
-        term[..., a, :] -= diff_array(gtrace, a, spacings[a])
-
-    term += np.einsum("...d,...dab->...ab", gtrace, gam)
-    term -= np.einsum("...cad,...dcb->...ab", gam, gam)
-    return SymTensorField(g.grid, matrix_to_sym(term))
-
-
 def scalar_curvature(g: SymTensorField) -> ScalarField:
     """Scalar curvature R = g^{ab} Ric_ab."""
     g = as_metric(g)
-    return trace(ricci(g), g)
+    return trace(g.ricci, g)
 
 
 def _curvature_terms(g: Metric, K: SymTensorField):
-    """(Ric, K_ab, H = tr K, K_ac K^c_b), shared by E and the K evolution."""
+    """(K_ab, H = tr K, K_ac K^c_b), shared by E and the K evolution."""
     km = sym_to_matrix(K.values)
     h = np.einsum("...ab,...ab->...", g.inv, km)
     ksq = km @ g.inv @ km
-    return ricci(g), km, h, ksq
-
-
-def _electric_weyl(g: Metric, K: SymTensorField) -> tuple[SymTensorField, SymTensorField]:
-    """E and the Ricci tensor it was built from."""
-    ric, km, h, ksq = _curvature_terms(g, K)
-    e = sym_to_matrix(ric.values) + h[..., None, None] * km - ksq
-    return SymTensorField(g.grid, matrix_to_sym(e)), ric
+    return km, h, ksq
 
 
 def electric_weyl(g: SymTensorField, K: SymTensorField) -> SymTensorField:
     """E_ab = Ric_ab + H K_ab - K_ac K^c_b with H = tr K."""
-    return _electric_weyl(as_metric(g), K)[0]
+    g = as_metric(g)
+    km, h, ksq = _curvature_terms(g, K)
+    e = sym_to_matrix(g.ricci.values) + h[..., None, None] * km - ksq
+    return SymTensorField(g.grid, matrix_to_sym(e))
 
 
 def magnetic_weyl(K: SymTensorField, g: SymTensorField) -> SymTensorField:
@@ -157,16 +131,12 @@ def br_components(E: SymTensorField, B: SymTensorField, g: SymTensorField) -> BR
     return BRComponents(density, flux_vec, SymTensorField(E.grid, stress))
 
 
-def _hamiltonian(g: Metric, K: SymTensorField, ric: SymTensorField) -> ScalarField:
-    r = trace(ric, g)
-    h = trace(K, g)
-    return ScalarField(g.grid, r.values + h.values**2 - norm_sq(K, g).values)
-
-
 def hamiltonian_constraint(g: SymTensorField, K: SymTensorField) -> ScalarField:
     """Vacuum scalar constraint residual R + H^2 - |K|^2."""
     g = as_metric(g)
-    return _hamiltonian(g, K, ricci(g))
+    r = scalar_curvature(g)
+    h = trace(K, g)
+    return ScalarField(g.grid, r.values + h.values**2 - norm_sq(K, g).values)
 
 
 def momentum_constraint(g: SymTensorField, K: SymTensorField) -> VectorField:
@@ -189,23 +159,18 @@ def static_residual(g: SymTensorField, N: ScalarField) -> tuple[ScalarField, Sym
     g = as_metric(g)
     hess = hessian(N, g.gamma)
     lap = trace(hess, g)
-    ric = ricci(g)
-    tensor_res = SymTensorField(g.grid, hess.values - N.values[..., None] * ric.values)
+    tensor_res = SymTensorField(g.grid, hess.values - N.values[..., None] * g.ricci.values)
     return lap, tensor_res
-
-
-def _constraint_norms(g: Metric, K: SymTensorField, ric: SymTensorField) -> tuple[float, float]:
-    ham = _hamiltonian(g, K, ric)
-    mom_sq = _pointwise_norm_sq(momentum_constraint(g, K), g.inv)
-    ham_norm = np.sqrt(integrate(ScalarField(g.grid, ham.values**2), g))
-    mom_norm = np.sqrt(integrate(ScalarField(g.grid, mom_sq), g))
-    return float(ham_norm), float(mom_norm)
 
 
 def constraint_norms(g: SymTensorField, K: SymTensorField) -> tuple[float, float]:
     """L2(mu_g) norms of the Hamiltonian and momentum constraint residuals."""
     g = as_metric(g)
-    return _constraint_norms(g, K, ricci(g))
+    ham = hamiltonian_constraint(g, K)
+    mom_sq = _pointwise_norm_sq(momentum_constraint(g, K), g.inv)
+    ham_norm = np.sqrt(integrate(ScalarField(g.grid, ham.values**2), g))
+    mom_norm = np.sqrt(integrate(ScalarField(g.grid, mom_sq), g))
+    return float(ham_norm), float(mom_norm)
 
 
 def weyl_trace_residuals(g: SymTensorField, K: SymTensorField) -> tuple[float, float]:

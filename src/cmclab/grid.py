@@ -12,9 +12,9 @@ integration against a metric volume element is a plain Riemann sum, which
 is spectrally accurate for smooth periodic integrands.
 
 A Metric is a SymTensorField checked positive definite by construction;
-it derives sqrt(det g), g^-1 and the connection Gamma once each, on first
-use, and every operation reads them through as_metric(g).  Build one per
-computation (a record, an RK stage); a SliceState never stores one.
+it derives sqrt(det g), g^-1, the connection Gamma and Ric once each, on
+first use, and every operation reads them through as_metric(g).  Build one
+per computation (a record, an RK stage); a SliceState never stores one.
 """
 
 from __future__ import annotations
@@ -256,8 +256,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Metric(SymTensorField):
     """A metric checked positive definite (else NonPositiveMetric), keeping det.
 
-    sqrt_det, inv (g^-1 as (..., 3, 3)) and gamma (the Levi-Civita
-    Connection) are computed once, on first use; all are read-only.
+    sqrt_det, inv (g^-1 as (..., 3, 3)), gamma (the Levi-Civita Connection)
+    and ricci (Ric) are computed once, on first use; all are read-only.
     """
 
     def __post_init__(self):
@@ -275,6 +275,10 @@ class Metric(SymTensorField):
     @cached_property
     def gamma(self) -> Connection:
         return christoffels(self)
+
+    @cached_property
+    def ricci(self) -> SymTensorField:
+        return ricci(self)
 
 
 def as_metric(g: SymTensorField) -> Metric:
@@ -378,3 +382,25 @@ def christoffels(g: SymTensorField) -> Connection:
         - dg
     )
     return Connection(g.grid, _frozen(0.5 * np.einsum("...ad,...dbc->...abc", inv, lower)))
+
+
+def ricci(g: SymTensorField) -> SymTensorField:
+    """Ricci tensor of the slice metric.
+
+    Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
+             + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb
+    """
+    gam = as_metric(g).gamma.coefficients
+    spacings = g.grid.spacings
+
+    term = np.zeros(g.grid.shape + (3, 3))
+    for c in range(3):
+        term += diff_array(gam[..., c, :, :], c, spacings[c])
+
+    gtrace = np.einsum("...ccb->...b", gam)  # Gamma^c_{cb}
+    for a in range(3):
+        term[..., a, :] -= diff_array(gtrace, a, spacings[a])
+
+    term += np.einsum("...d,...dab->...ab", gtrace, gam)
+    term -= np.einsum("...cad,...dcb->...ab", gam, gam)
+    return SymTensorField(g.grid, _frozen(matrix_to_sym(term)))

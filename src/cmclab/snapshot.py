@@ -51,7 +51,7 @@ def save_fields(path, grid: GridSpec, fields: dict, scalars: dict | None = None)
 
 
 def load_fields(path) -> tuple[GridSpec, dict, dict]:
-    """Read back (grid, fields, scalars) written by save_fields."""
+    """Read back (grid, fields, scalars) written by save_fields; ParseError if path holds none."""
     try:
         with np.load(path) as archive:
             data = {key: archive[key] for key in archive.files}
@@ -77,6 +77,8 @@ def load_fields(path) -> tuple[GridSpec, dict, dict]:
         }
     except KeyError as exc:
         raise ParseError(f"snapshot missing entry {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     return grid, fields, scalars
 
 
@@ -97,3 +99,5 @@ def load_state(path) -> SliceState:
         return SliceState(t=scalars["t"], g=fields["g"], K=fields["K"], N=fields["N"])
     except KeyError as exc:
         raise ParseError(f"snapshot is not a slice state (missing {exc})") from exc
+    except ValueError as exc:
+        raise ParseError(f"snapshot is not a slice state ({exc})") from exc

@@ -19,9 +19,9 @@ expanding eps_a^{cd} eps_b^{ef} as a determinant of metrics gives
     A x B = A g^-1 B + B g^-1 A - (tr A) B - (tr B) A
             + (2/3)((tr A)(tr B) - A.B) g.
 
-Gamma (Connection, christoffels) lives in grid.py, so that a grid.Metric can
-derive it once; it is re-exported here.  Every operation reads g^-1,
-sqrt(det g) and Gamma from as_metric(g).
+Gamma (Connection, christoffels) and Ric live in grid.py, so that a
+grid.Metric can derive each once; Gamma is re-exported here.  Every
+operation reads g^-1, sqrt(det g) and Gamma from as_metric(g).
 
 Orientation convention: the alternating symbol is right-handed in the
 coordinate frame ([123] = +1).  Reversing orientation flips the sign of

@@ -104,6 +104,9 @@ def test_perturb_rejects_negative_amplitude_and_sick_metrics(grid8):
     base = kasner_initial_data(AXIAL, -1.0, grid8)
     with pytest.raises(ValueError):
         perturb(base, -0.5, seed=0)
+    for amplitude in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="amplitude"):
+            perturb(base, amplitude, seed=0)
     with pytest.raises(NonPositiveMetric):
         perturb(base, 50.0, seed=0)
 
@@ -195,6 +198,15 @@ def test_evolve_states_argument_validation(grid8):
     with pytest.raises(ValueError):
         list(evolve_states(s0, -0.5, dt=-0.01))  # sign points away
     assert list(evolve_states(s0, -1.0)) == []  # already there
+    for t_end in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            next(evolve_states(s0, t_end))
+    for cfl in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="cfl"):
+            max_stable_dt(s0, cfl)
+    # next(), not list(): an unchecked -inf or zero cfl would step forever
+    with pytest.raises(ValueError, match="cfl"):
+        next(evolve_states(s0, -0.5, cfl=0.0))
 
 
 def test_adaptive_steps_follow_the_cfl_bound(grid8):

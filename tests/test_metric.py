@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cmclab import (
     AXIAL,
@@ -17,15 +18,23 @@ from cmclab import (
     SymTensorField,
     as_metric,
     christoffels,
+    constraint_norms,
+    electric_weyl,
     evolve_states,
+    hamiltonian_constraint,
     inverse_metric,
     load_state,
     metric_determinant,
     perturb,
     rescale,
+    ricci,
     save_state,
+    scalar_curvature,
+    static_residual,
+    sym_to_matrix,
     time_step,
     warped_kasner_state,
+    weyl_parts,
 )
 from cmclab import grid as grid_module
 from cmclab.checks import random_metric
@@ -63,21 +72,33 @@ def counting(*names):
             setattr(module, attr, value)
 
 
-DERIVED = ("_inverse", "_checked_determinant", "christoffels")
+DERIVED = ("_inverse", "_checked_determinant", "christoffels", "ricci")
 
 
 def test_collector_record_derives_each_quantity_once(perturbed12):
     with counting(*DERIVED) as counts:
         DiagnosticsCollector().add(perturbed12)
-    assert [counts[name] for name in DERIVED] == [1, 1, 1]
+    assert [counts[name] for name in DERIVED] == [1, 1, 1, 1]
 
 
 def test_rk4_step_derives_once_per_stage(perturbed12):
-    # one Metric per stage (inverse, guard, Gamma) and one for the updated
-    # slice (inverse, guard); the new SliceState runs its own guard
+    # one Metric per stage (inverse, guard, Gamma, Ric) and one for the
+    # updated slice (inverse, guard); the new SliceState runs its own guard
     with counting(*DERIVED) as counts:
         time_step(perturbed12, 1e-3, trace_correction=True)
-    assert [counts[name] for name in DERIVED] == [5, 6, 4]
+    assert [counts[name] for name in DERIVED] == [5, 6, 4, 4]
+
+
+def test_curvature_ops_share_one_ricci(perturbed12):
+    g, K, N = as_metric(perturbed12.g), perturbed12.K, perturbed12.N
+    with counting("ricci") as counts:
+        hamiltonian_constraint(g, K)
+        electric_weyl(g, K)
+        constraint_norms(g, K)
+        weyl_parts(g, K)
+        static_residual(g, N)
+        scalar_curvature(g)
+    assert counts["ricci"] == 1
 
 
 def test_metric_caches_read_only_quantities(grid8, rng):
@@ -90,7 +111,9 @@ def test_metric_caches_read_only_quantities(grid8, rng):
     assert np.array_equal(m.inv, inverse_metric(g))
     assert m.gamma is m.gamma
     assert np.array_equal(m.gamma.coefficients, christoffels(g).coefficients)
-    for array in (m.det, m.sqrt_det, m.inv, m.gamma.coefficients):
+    assert m.ricci is m.ricci
+    assert np.array_equal(m.ricci.values, ricci(g).values)
+    for array in (m.det, m.sqrt_det, m.inv, m.gamma.coefficients, m.ricci.values):
         with pytest.raises(ValueError):
             array[...] = 0.0
 
@@ -98,6 +121,30 @@ def test_metric_caches_read_only_quantities(grid8, rng):
 def test_metric_rejects_indefinite_values(grid8):
     with pytest.raises(NonPositiveMetric):
         Metric.diagonal_constant(grid8, (-1.0, -1.0, 1.0))
+
+
+_entries = st.floats(-10.0, 10.0, allow_nan=False)
+_point = st.integers(0, 7)
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(st.tuples(*[_entries] * 6), st.floats(0.0, 20.0), st.tuples(_point, _point, _point))
+def test_metric_accepts_exactly_the_positive_definite_fields(entries, shift, point):
+    # oracle: eigvalsh at the one non-identity point, independent of the
+    # leading-minor guard; near-singular matrices are left to rounding.
+    # The diagonal shift makes definite and indefinite draws both common.
+    entries = np.array(entries) + shift * np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+    matrix = sym_to_matrix(entries)
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    assume(abs(eigenvalues[0]) > 1e-9 * max(1.0, abs(eigenvalues[-1])))
+    grid = GridSpec.cubic(8)
+    values = SymTensorField.identity(grid).values.copy()
+    values[point] = entries
+    if eigenvalues[0] > 0.0:
+        Metric(grid, values)
+    else:
+        with pytest.raises(NonPositiveMetric):
+            Metric(grid, values)
 
 
 def test_states_keep_plain_metric_fields(perturbed12, tmp_path):

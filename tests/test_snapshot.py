@@ -71,15 +71,23 @@ def test_metric_field_saves_as_symtensor(tmp_path, grid8):
     assert np.array_equal(fields["g"].values, g.values)
 
 
-def test_load_rejects_non_finite_periods(tmp_path):
-    path = tmp_path / "nan_periods.npz"
+@pytest.mark.parametrize("shape, periods, data, match", [
+    ((8, 8, 8), (np.nan, 1.0, 1.0), None, "periods"),
+    ((4, 8, 8), (1.0, 1.0, 1.0), None, ">= 8 points"),
+    ((8, 8, 8), (1.0, 1.0, 1.0), np.zeros((8, 8, 8, 5)), "field values shaped"),
+], ids=["nan-periods", "short-axis", "wrong-shape"])
+def test_load_rejects_malformed_archives(tmp_path, shape, periods, data, match):
+    path = tmp_path / "malformed.npz"
+    entries = {"names": np.array([], dtype=str), "kinds": np.array([], dtype=str)}
+    if data is not None:
+        entries = {"names": np.array(["g"]), "kinds": np.array(["symtensor"]), "data_0": data}
     np.savez(path, format_tag=np.array(FORMAT_TAG),
-             shape=np.array([8, 8, 8], dtype=np.int64),
-             periods=np.array([np.nan, 1.0, 1.0]),
-             names=np.array([], dtype=str), kinds=np.array([], dtype=str),
-             extra_names=np.array([], dtype=str))
-    with pytest.raises(ValueError, match="periods"):
+             shape=np.array(shape, dtype=np.int64), periods=np.array(periods),
+             extra_names=np.array([], dtype=str), **entries)
+    with pytest.raises(ParseError, match=match):
         load_fields(path)
+    with pytest.raises(ParseError, match=match):
+        load_state(path)
 
 
 def test_load_state_requires_state_fields(tmp_path, grid8):
@@ -87,6 +95,11 @@ def test_load_state_requires_state_fields(tmp_path, grid8):
     save_fields(path, grid8, {"g": SymTensorField.identity(grid8)},
                 scalars={"t": -1.0})
     with pytest.raises(ParseError):
+        load_state(path)
+    fields = {"g": SymTensorField.identity(grid8), "K": SymTensorField.identity(grid8),
+              "N": ScalarField.constant(grid8, 1.0)}
+    save_fields(path, grid8, fields, scalars={"t": 1.0})
+    with pytest.raises(ParseError, match="CMC time"):
         load_state(path)
 
 
