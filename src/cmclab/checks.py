@@ -112,7 +112,7 @@ def identity_checks(grid_n: int = 16, seed: int = 0, solver_tol: float = 1e-10):
     g = as_metric(random_metric(grid, rng))
     a = SymTensorField(grid, _random_smooth_sym(grid, rng))
 
-    defect = np.einsum("...ab,...bc->...ac", sym_to_matrix(g.values), inverse_metric(g)) - np.eye(3)
+    defect = sym_to_matrix(g.values) @ inverse_metric(g) - np.eye(3)
     results.append(_result("metric-inverse-identity", float(np.max(np.abs(defect))), 1e-12))
 
     results.append(

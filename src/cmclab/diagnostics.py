@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyHistory, ParseError, SinkError, ValidationError
 from .geometry import BRComponents, br_components, constraint_norms, weyl_parts
-from .grid import Metric, ScalarField, VectorField, as_metric, integrate, sup_norm
+from .grid import Metric, ScalarField, VectorField, _vector_dot, as_metric, integrate, sup_norm
 from .lapse import _bound_margins
 from .state import SliceState
 from .tensor import gradient, inner
@@ -96,7 +96,7 @@ def _trapezoid(t0: float, d0: float, t1: float, d1: float) -> float:
 
 def _flux(g: Metric, q: BRComponents, state: SliceState, dn: VectorField) -> float:
     pressure = inner(q.q_abtt, state.K, g).values
-    momentum = np.einsum("...ab,...a,...b->...", g.inv, q.q_attt.values, dn.values)
+    momentum = _vector_dot(g.inv, q.q_attt.values, dn.values)
     return -3.0 * integrate(ScalarField(g.grid, -state.N.values * pressure + momentum), g)
 
 

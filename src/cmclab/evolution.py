@@ -105,8 +105,9 @@ def warped_kasner_state(
     jac = _warp_jacobian(grid, amplitude)
     g_hat = np.diag(kasner.metric_diagonal(p, tau))
     k_hat = np.diag(kasner.second_form_diagonal(p, tau))
-    g_full = np.einsum("...ca,cd,...db->...ab", jac, g_hat, jac)
-    k_full = np.einsum("...ca,cd,...db->...ab", jac, k_hat, jac)
+    jac_t = np.swapaxes(jac, -1, -2)
+    g_full = jac_t @ g_hat @ jac
+    k_full = jac_t @ k_hat @ jac
     g = SymTensorField(grid, matrix_to_sym(g_full))
     K = SymTensorField(grid, matrix_to_sym(k_full))
     N = ScalarField.constant(grid, kasner.lapse(tau))

@@ -7,7 +7,8 @@ arrays, covectors as (n1, n2, n3, 3), and symmetric 2-tensors as
 
     (xx, xy, xz, yy, yz, zz).
 
-Spatial derivatives use 4th-order centered stencils with periodic wrap;
+Spatial derivatives use 4th-order centered stencils with periodic wrap,
+read as four slices of one copy padded by two points at each end;
 integration against a metric volume element is a plain Riemann sum, which
 is spectrally accurate for smooth periodic integrands.
 
@@ -15,6 +16,9 @@ A Metric is a SymTensorField checked positive definite by construction;
 it derives sqrt(det g), g^-1, the connection Gamma and Ric once each, on
 first use, and every operation reads them through as_metric(g).  Build one
 per computation (a record, an RK stage); a SliceState never stores one.
+Gamma is assembled from the partials of the 6 stored components of g with
+one batched g^-1 matmul, and Ric contracts Gamma by batched 3x3 matmuls on
+views of it.
 """
 
 from __future__ import annotations
@@ -179,13 +183,13 @@ class SymTensorField:
         return self.values[..., sym_index(a, b)]
 
 
+# slot of each entry of a full (3, 3) matrix
+_MATRIX_SLOTS = np.array([[sym_index(a, b) for b in range(3)] for a in range(3)])
+
+
 def sym_to_matrix(values: np.ndarray) -> np.ndarray:
     """Expand 6-component symmetric storage (..., 6) to full (..., 3, 3)."""
-    mat = np.empty(values.shape[:-1] + (3, 3), dtype=values.dtype)
-    for slot, (a, b) in enumerate(SYM_PAIRS):
-        mat[..., a, b] = values[..., slot]
-        mat[..., b, a] = values[..., slot]
-    return mat
+    return np.take(values, _MATRIX_SLOTS, axis=-1)
 
 
 def matrix_to_sym(mat: np.ndarray) -> np.ndarray:
@@ -291,14 +295,30 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
     return as_metric(g).inv
 
 
+def _along(axis: int, ndim: int, start, stop) -> tuple:
+    """Index selecting [start:stop] along one axis of an ndim array."""
+    index = [slice(None)] * ndim
+    index[axis] = slice(start, stop)
+    return tuple(index)
+
+
 # 4th-order centered first-derivative stencil: (8(f+1 - f-1) - (f+2 - f-2)) / 12h
 def diff_array(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """4th-order periodic centered difference of an array along a grid axis."""
-    up1 = np.roll(values, -1, axis=axis)
-    dn1 = np.roll(values, 1, axis=axis)
-    up2 = np.roll(values, -2, axis=axis)
-    dn2 = np.roll(values, 2, axis=axis)
-    return (8.0 * (up1 - dn1) - (up2 - dn2)) / (12.0 * spacing)
+    """4th-order periodic centered difference of an array along a grid axis.
+
+    The array is wrapped once, two points each side, and the four shifted
+    neighbours are slices of that padded copy.
+    """
+    n, nd = values.shape[axis], values.ndim
+    padded = np.concatenate(
+        (values[_along(axis, nd, n - 2, None)], values, values[_along(axis, nd, None, 2)]),
+        axis=axis,
+    )
+    out = padded[_along(axis, nd, 3, n + 3)] - padded[_along(axis, nd, 1, n + 1)]
+    out *= 8.0
+    out -= padded[_along(axis, nd, 4, n + 4)] - padded[_along(axis, nd, 0, n)]
+    out /= 12.0 * spacing
+    return out
 
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
@@ -319,12 +339,16 @@ def _sym_dot(a_up: np.ndarray, b_up: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...ba->...", a_up, b_up)
 
 
+def _vector_dot(inv: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g^{ab} v_a w_b, from g^-1 and two (..., 3) covector arrays."""
+    return np.sum((inv @ v[..., None])[..., 0] * w, axis=-1)
+
+
 def _pointwise_norm_sq(field, inv: np.ndarray) -> np.ndarray:
     if isinstance(field, ScalarField):
         return field.values**2
     if isinstance(field, VectorField):
-        v = field.values
-        return np.einsum("...ab,...a,...b->...", inv, v, v)
+        return _vector_dot(inv, field.values, field.values)
     if isinstance(field, SymTensorField):
         up = inv @ sym_to_matrix(field.values)
         return _sym_dot(up, up)
@@ -368,20 +392,29 @@ def _partials(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return d
 
 
+# lower[..., d, slot(b, c)] = d_b g_dc + d_c g_bd - d_d g_bc takes its first two
+# terms from the flattened partials dg[..., t * 6 + slot] = d_t g_slot at these indices
+_LOWER_FIRST = np.array([[6 * b + sym_index(d, c) for b, c in SYM_PAIRS] for d in range(3)])
+_LOWER_SECOND = np.array([[6 * c + sym_index(b, d) for b, c in SYM_PAIRS] for d in range(3)])
+# flat index a * 3 + b of each SYM_PAIRS entry in a (3, 3) block
+_SYM_FLAT = np.array([3 * a + b for a, b in SYM_PAIRS])
+
+
 def christoffels(g: SymTensorField) -> Connection:
     """Levi-Civita connection of g via 4th-order finite differences.
 
-    Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc)
+    Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc), assembled
+    on the 6 stored (b, c) pairs and expanded to the full lower pair.
     """
     inv = as_metric(g).inv
-    dg = _partials(sym_to_matrix(g.values), g.grid)  # dg[..., d, a, b] = d_d g_ab
-    # lower[..., d, b, c] = d_b g_dc + d_c g_bd - d_d g_bc
-    lower = (
-        np.transpose(dg, (0, 1, 2, 4, 3, 5))
-        + np.transpose(dg, (0, 1, 2, 5, 4, 3))
-        - dg
-    )
-    return Connection(g.grid, _frozen(0.5 * np.einsum("...ad,...dbc->...abc", inv, lower)))
+    dg = _partials(g.values, g.grid)  # dg[..., t, slot] = d_t g_slot
+    flat = dg.reshape(g.grid.shape + (18,))
+    lower = np.take(flat, _LOWER_FIRST, axis=-1)
+    lower += np.take(flat, _LOWER_SECOND, axis=-1)
+    lower -= dg
+    half = inv @ lower
+    half *= 0.5
+    return Connection(g.grid, _frozen(sym_to_matrix(half)))
 
 
 def ricci(g: SymTensorField) -> SymTensorField:
@@ -389,18 +422,24 @@ def ricci(g: SymTensorField) -> SymTensorField:
 
     Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
              + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb
+
+    The divergence term is differentiated on the 6 stored (a, b) pairs, and
+    both products are batched 3x3 matmuls on views of Gamma.
     """
     gam = as_metric(g).gamma.coefficients
-    spacings = g.grid.spacings
+    grid = g.grid
+    spacings = grid.spacings
+    rows = gam.reshape(grid.shape + (3, 9))  # rows[..., d, 3a + b] = Gamma^d_ab
 
-    term = np.zeros(g.grid.shape + (3, 3))
+    div = 0.0  # d_c Gamma^c_ab on the stored (a, b) pairs, each Gamma^c taken contiguous
     for c in range(3):
-        term += diff_array(gam[..., c, :, :], c, spacings[c])
+        div = div + diff_array(np.take(rows[..., c, :], _SYM_FLAT, axis=-1), c, spacings[c])
+    term = sym_to_matrix(div)
 
-    gtrace = np.einsum("...ccb->...b", gam)  # Gamma^c_{cb}
-    for a in range(3):
-        term[..., a, :] -= diff_array(gtrace, a, spacings[a])
+    gtrace = gam[..., 0, 0, :] + gam[..., 1, 1, :] + gam[..., 2, 2, :]  # Gamma^c_{cb}
+    term -= _partials(gtrace, grid)  # [a, b] = d_a Gamma^c_cb
 
-    term += np.einsum("...d,...dab->...ab", gtrace, gam)
-    term -= np.einsum("...cad,...dcb->...ab", gam, gam)
-    return SymTensorField(g.grid, _frozen(matrix_to_sym(term)))
+    term += (gtrace[..., None, :] @ rows).reshape(term.shape)
+    for c in range(3):
+        term -= gam[..., c, :, :] @ gam[..., :, c, :]
+    return SymTensorField(grid, _frozen(matrix_to_sym(term)))

@@ -23,6 +23,12 @@ Gamma (Connection, christoffels) and Ric live in grid.py, so that a
 grid.Metric can derive each once; Gamma is re-exported here.  Every
 operation reads g^-1, sqrt(det g) and Gamma from as_metric(g).
 
+covariant_derivative_sym (shared by curl and divergence) differentiates
+the 6 stored components of A and forms Gamma^m_ts A_mb as one batched
+(9 x 3) @ (3 x 3) matmul; since A and the lower pair of Gamma are both
+symmetric, the other connection term Gamma^m_tb A_sm is the same array
+with its last two axes swapped.
+
 Orientation convention: the alternating symbol is right-handed in the
 coordinate frame ([123] = +1).  Reversing orientation flips the sign of
 wedge and curl (and hence of the magnetic Weyl part built from curl),
@@ -123,11 +129,13 @@ def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray
 
     nabla_t A_sb = d_t A_sb - Gamma^m_{ts} A_mb - Gamma^m_{tb} A_sm
     """
-    mat = sym_to_matrix(A.values)
-    dA = _partials(mat, A.grid)
-    gam = gamma.coefficients
-    dA -= np.einsum("...mts,...mb->...tsb", gam, mat)
-    dA -= np.einsum("...mtb,...sm->...tsb", gam, mat)
+    dA = sym_to_matrix(_partials(A.values, A.grid))
+    rows = gamma.coefficients.reshape(A.grid.shape + (3, 9))  # rows[..., m, 3t + s] = Gamma^m_ts
+    # x[t, s, b] = Gamma^m_ts A_mb; as A and Gamma's lower pair are symmetric,
+    # the second term Gamma^m_tb A_sm is x[t, b, s]
+    x = (np.swapaxes(rows, -1, -2) @ sym_to_matrix(A.values)).reshape(dA.shape)
+    dA -= x
+    dA -= np.swapaxes(x, -1, -2)
     return dA
 
 
@@ -164,5 +172,6 @@ def hessian(f: ScalarField, gamma: Connection) -> SymTensorField:
             hess[..., a, b] = diff_array(df[..., b], a, spacings[a])
             if b != a:
                 hess[..., b, a] = hess[..., a, b]
-    hess -= np.einsum("...cab,...c->...ab", gamma.coefficients, df)
+    rows = gamma.coefficients.reshape(f.grid.shape + (3, 9))  # rows[..., c, 3a + b] = Gamma^c_ab
+    hess -= (df[..., None, :] @ rows).reshape(hess.shape)
     return SymTensorField(f.grid, matrix_to_sym(hess))
