@@ -68,9 +68,11 @@ from .grid import (
     GridSpec,
     Metric,
     ScalarField,
+    SecondForm,
     SymTensorField,
     VectorField,
     as_metric,
+    as_second_form,
     integrate,
     inverse_metric,
     matrix_to_sym,

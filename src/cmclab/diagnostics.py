@@ -26,10 +26,11 @@ import numpy as np
 
 from .errors import EmptyHistory, ParseError, SinkError, ValidationError
 from .geometry import BRComponents, br_components, constraint_norms, weyl_parts
-from .grid import Metric, ScalarField, VectorField, _vector_dot, as_metric, integrate, sup_norm
-from .lapse import _bound_margins
+from .grid import (Metric, ScalarField, SecondForm, VectorField, _sym_dot, _vector_dot,
+                   as_metric, as_second_form, integrate, sup_norm)
+from .lapse import lapse_bound_margins
 from .state import SliceState
-from .tensor import gradient, inner
+from .tensor import gradient, raise_first_index
 
 __all__ = [
     "DiagnosticsRecord",
@@ -78,11 +79,12 @@ class DiagnosticsRecord:
 RECORD_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
-def _br_fields(state: SliceState) -> tuple[Metric, BRComponents]:
-    """(g, q) of a slice: its Metric and the BR components."""
+def _br_fields(state: SliceState) -> tuple[Metric, SecondForm, BRComponents]:
+    """(g, K, q) of a slice: its Metric, its SecondForm over it and the BR components."""
     g = as_metric(state.g)
-    weyl = weyl_parts(g, state.K)
-    return g, br_components(weyl.E, weyl.B, g)
+    K = as_second_form(state.K, g)
+    weyl = weyl_parts(g, K)
+    return g, K, br_components(weyl.E, weyl.B, g)
 
 
 def _lapse_weighted_energy(g: Metric, q: BRComponents, N: ScalarField) -> float:
@@ -94,10 +96,10 @@ def _trapezoid(t0: float, d0: float, t1: float, d1: float) -> float:
     return 0.5 * (d1 + d0) * abs(t1 - t0)
 
 
-def _flux(g: Metric, q: BRComponents, state: SliceState, dn: VectorField) -> float:
-    pressure = inner(q.q_abtt, state.K, g).values
+def _flux(g: Metric, K: SecondForm, q: BRComponents, N: ScalarField, dn: VectorField) -> float:
+    pressure = _sym_dot(raise_first_index(q.q_abtt, g.inv), K.mixed)  # <q_abtt, K>
     momentum = _vector_dot(g.inv, q.q_attt.values, dn.values)
-    return -3.0 * integrate(ScalarField(g.grid, -state.N.values * pressure + momentum), g)
+    return -3.0 * integrate(ScalarField(g.grid, -N.values * pressure + momentum), g)
 
 
 def _radius(g: Metric, q: BRComponents) -> float:
@@ -111,7 +113,7 @@ def _radius(g: Metric, q: BRComponents) -> float:
 
 def br_energy(state: SliceState) -> float:
     """Slice Bel-Robinson energy, the volume integral of |E|^2 + |B|^2."""
-    g, q = _br_fields(state)
+    g, _, q = _br_fields(state)
     return integrate(q.q_tttt, g)
 
 
@@ -124,7 +126,10 @@ def spacetime_br_energy(states) -> float:
     states = list(states)
     if not states:
         raise EmptyHistory("spacetime energy needs at least one slice")
-    densities = [_lapse_weighted_energy(*_br_fields(s), s.N) for s in states]
+    densities = []
+    for s in states:
+        g, _, q = _br_fields(s)
+        densities.append(_lapse_weighted_energy(g, q, s.N))
     total = 0.0
     for s0, s1, d0, d1 in zip(states, states[1:], densities, densities[1:]):
         total += _trapezoid(s0.t, d0, s1.t, d1)
@@ -136,7 +141,7 @@ def br_flux(state: SliceState) -> float:
 
     flux = -3 integral( -N <q_abtt, K> + <q_attt, grad N> ) d mu_g.
     """
-    return _flux(*_br_fields(state), state, gradient(state.N))
+    return _flux(*_br_fields(state), state.N, gradient(state.N))
 
 
 def curvature_radius(state: SliceState) -> float:
@@ -146,7 +151,8 @@ def curvature_radius(state: SliceState) -> float:
     sqrt(g_ii)) / 2, so it transforms as a length under rescaling just
     like the uncapped value; identically flat slices return the cap.
     """
-    return _radius(*_br_fields(state))
+    g, _, q = _br_fields(state)
+    return _radius(g, q)
 
 
 def k_ratio(state: SliceState) -> float:
@@ -181,8 +187,8 @@ class DiagnosticsCollector:
         self._r_c_run = np.inf
 
     def add(self, state: SliceState) -> DiagnosticsRecord:
-        K, N = state.K, state.N
-        g, q = _br_fields(state)
+        N = state.N
+        g, K, q = _br_fields(state)
         density = _lapse_weighted_energy(g, q, N)
         if self._prev_t is not None:
             self._accumulated += _trapezoid(self._prev_t, self._prev_density, state.t, density)
@@ -191,20 +197,19 @@ class DiagnosticsCollector:
         r_c = _radius(g, q)
         self._r_c_run = min(self._r_c_run, r_c)
         dn = gradient(N)
-        k_sup = sup_norm(K, g)
-        low, high = _bound_margins(N, K, g, k_sup)
+        low, high = lapse_bound_margins(N, K, g)
         ham, mom = constraint_norms(g, K)
         record = DiagnosticsRecord(
             t=state.t,
             e_br=integrate(q.q_tttt, g),
             e_br_spacetime=self._accumulated,
-            k_ratio=k_sup / abs(state.t),
+            k_ratio=float(np.sqrt(np.max(K.norm_sq))) / abs(state.t),
             r_c=r_c,
             r_c_run=self._r_c_run,
             lapse_margin_low=low,
             lapse_margin_high=high,
             grad_n_sup=sup_norm(dn, g),
-            flux=_flux(g, q, state, dn),
+            flux=_flux(g, K, q, N, dn),
             ham_norm=ham,
             mom_norm=mom,
         )

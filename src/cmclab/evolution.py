@@ -32,9 +32,9 @@ import numpy as np
 
 from . import kasner
 from .errors import CmcDriftExceeded
-from .grid import (GridSpec, Metric, ScalarField, SymTensorField, as_metric, matrix_to_sym,
-                   sym_to_matrix)
-from .geometry import _curvature_terms, constraint_norms
+from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, as_metric,
+                   as_second_form, matrix_to_sym, sym_to_matrix)
+from .geometry import constraint_norms
 from .kasner import KasnerParams
 from .lapse import DEFAULT_TOL, solve_lapse
 from .state import SliceState
@@ -167,7 +167,7 @@ def perturb(
     g = Metric(state.grid, g_vals)
     k_vals = state.K.values + amplitude * frob_sup(state.K.values) * w_k
     defect = state.t - trace(SymTensorField(state.grid, k_vals), g).values
-    K = SymTensorField(state.grid, k_vals + (defect[..., None] / 3.0) * g_vals)
+    K = SecondForm(state.grid, k_vals + (defect[..., None] / 3.0) * g_vals, g)
     N, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=state.N)
     new_state = SliceState(t=state.t, g=g, K=K, N=N)
     return new_state, constraint_norms(g, K)
@@ -176,13 +176,24 @@ def perturb(
 def evolution_rhs(
     g: SymTensorField, K: SymTensorField, N: ScalarField
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides (d/dt g, d/dt K) as 6-component value arrays."""
+    """Right-hand sides (d/dt g, d/dt K) as 6-component value arrays.
+
+    Ric is read from as_metric(g), and H = tr K and K g^-1 K from
+    as_second_form(K, g), so a stage that hands down the SecondForm its
+    lapse solve read raises K once.
+    """
     g = as_metric(g)
     ric = g.ricci  # read before the Hessian: deriving Ric beside its arrays raises peak memory
-    km, h, ksq = _curvature_terms(g, K)
+    K = as_second_form(K, g)
+    ksq = K.squared()
     hess = sym_to_matrix(hessian(N, g.gamma).values)
-    n = N.values[..., None, None]
-    dk = -hess + n * (sym_to_matrix(ric.values) + h[..., None, None] * km - 2.0 * ksq)
+    # dk = -hess + N (Ric + H K - 2 K g^-1 K), accumulated in place
+    dk = sym_to_matrix(ric.values)
+    dk += K.trace[..., None, None] * sym_to_matrix(K.values)
+    ksq *= 2.0
+    dk -= ksq
+    dk *= N.values[..., None, None]
+    dk -= hess
     dg = -2.0 * N.values[..., None] * K.values
     return dg, matrix_to_sym(dk)
 
@@ -197,10 +208,14 @@ def time_step(
     """One classical RK4 step of size dt (either sign).
 
     The lapse equation is re-solved at every stage, warm-started from the
-    previous stage.  After the update the sup-norm drift of tr K from the
-    new time label is either projected into the pure-trace part of K
-    (trace_correction) or required to stay below cmc_drift_tol.
+    previous stage; the stage's one Metric and one SecondForm serve both
+    the solve and evolution_rhs.  After the update the sup-norm drift of
+    tr K from the new time label is either projected into the pure-trace
+    part of K (trace_correction) or required to stay below cmc_drift_tol.
+    Raises ValueError unless dt is finite.
     """
+    if not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     grid = state.grid
     g0, k0 = state.g.values, state.K.values
     n_prev = state.N
@@ -208,7 +223,7 @@ def time_step(
     def stage(g_vals: np.ndarray, k_vals: np.ndarray):
         nonlocal n_prev
         g = Metric(grid, g_vals)
-        K = SymTensorField(grid, k_vals)
+        K = SecondForm(grid, k_vals, g)
         N, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=n_prev)
         n_prev = N
         return evolution_rhs(g, K, N)
@@ -222,10 +237,10 @@ def time_step(
     k_vals = k0 + (dt / 6.0) * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
     t_new = state.t + dt
 
-    k_new = SymTensorField(grid, k_vals)
-    drift = trace(k_new, g_new).values - t_new
+    k_new = SecondForm(grid, k_vals, g_new)
+    drift = k_new.trace - t_new
     if trace_correction:
-        k_new = SymTensorField(grid, k_vals - (drift[..., None] / 3.0) * g_new.values)
+        k_new = SecondForm(grid, k_vals - (drift[..., None] / 3.0) * g_new.values, g_new)
     elif np.max(np.abs(drift)) > cmc_drift_tol:
         raise CmcDriftExceeded(
             f"tr K drifted {np.max(np.abs(drift)):.3e} from t = {t_new!r} "
@@ -260,12 +275,14 @@ def evolve_states(
 ):
     """Yield successive states from state.t to exactly t_end.
 
-    A fixed dt is used as given (its sign must point at t_end); with
-    dt=None each step takes the CFL-limited size.  The final step is
-    shortened to land on t_end exactly.
+    A fixed dt is used as given (it must be finite and its sign must point
+    at t_end); with dt=None each step takes the CFL-limited size.  The
+    final step is shortened to land on t_end exactly.
     """
     if not (np.isfinite(t_end) and t_end < 0.0):
         raise ValueError(f"t_end must be a finite negative real, got {t_end!r}")
+    if dt is not None and not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     direction = np.sign(t_end - state.t)
     if direction == 0.0:
         return

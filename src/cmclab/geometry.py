@@ -19,6 +19,11 @@ The quadratic energy fields assembled from E and B are
     q_tttt = |E|^2 + |B|^2                    (nonnegative density)
     q_attt = 2 (E ^ B)_a
     q_abtt = -(E x E)_ab - (B x B)_ab + (1/3)(|E|^2 + |B|^2) g_ab
+
+Every reader of K here reads H = tr K, g^-1 K, |K|^2 and nabla K from
+grid.as_second_form(K, g), and Ric from as_metric(g); a caller that hands
+one Metric and one SecondForm over it to several of them (a diagnostics
+record does) derives each quantity once.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ import numpy as np
 
 from .errors import NonPositiveLapse
 from .grid import (
-    Metric,
     ScalarField,
     SymTensorField,
     VectorField,
     _pointwise_norm_sq,
     as_metric,
+    as_second_form,
     integrate,
     matrix_to_sym,
     ricci,
@@ -91,19 +96,12 @@ def scalar_curvature(g: SymTensorField) -> ScalarField:
     return trace(g.ricci, g)
 
 
-def _curvature_terms(g: Metric, K: SymTensorField):
-    """(K_ab, H = tr K, K_ac K^c_b), shared by E and the K evolution."""
-    km = sym_to_matrix(K.values)
-    h = np.einsum("...ab,...ab->...", g.inv, km)
-    ksq = km @ g.inv @ km
-    return km, h, ksq
-
-
 def electric_weyl(g: SymTensorField, K: SymTensorField) -> SymTensorField:
     """E_ab = Ric_ab + H K_ab - K_ac K^c_b with H = tr K."""
     g = as_metric(g)
-    km, h, ksq = _curvature_terms(g, K)
-    e = sym_to_matrix(g.ricci.values) + h[..., None, None] * km - ksq
+    K = as_second_form(K, g)
+    km = sym_to_matrix(K.values)
+    e = sym_to_matrix(g.ricci.values) + K.trace[..., None, None] * km - K.squared()
     return SymTensorField(g.grid, matrix_to_sym(e))
 
 
@@ -113,8 +111,9 @@ def magnetic_weyl(K: SymTensorField, g: SymTensorField) -> SymTensorField:
 
 
 def weyl_parts(g: SymTensorField, K: SymTensorField) -> WeylParts:
-    """Electric and magnetic Weyl parts of the slice (g, K), sharing one Metric."""
+    """Electric and magnetic Weyl parts of the slice (g, K), sharing one Metric and SecondForm."""
     g = as_metric(g)
+    K = as_second_form(K, g)
     return WeylParts(E=electric_weyl(g, K), B=magnetic_weyl(K, g))
 
 
@@ -134,16 +133,17 @@ def br_components(E: SymTensorField, B: SymTensorField, g: SymTensorField) -> BR
 def hamiltonian_constraint(g: SymTensorField, K: SymTensorField) -> ScalarField:
     """Vacuum scalar constraint residual R + H^2 - |K|^2."""
     g = as_metric(g)
+    K = as_second_form(K, g)
     r = scalar_curvature(g)
-    h = trace(K, g)
-    return ScalarField(g.grid, r.values + h.values**2 - norm_sq(K, g).values)
+    return ScalarField(g.grid, r.values + K.trace**2 - K.norm_sq)
 
 
 def momentum_constraint(g: SymTensorField, K: SymTensorField) -> VectorField:
     """Vacuum vector constraint residual (div K)_a - d_a H."""
     g = as_metric(g)
+    K = as_second_form(K, g)
     div_k = divergence(K, g)
-    dh = gradient(trace(K, g))
+    dh = gradient(ScalarField(g.grid, K.trace))
     return VectorField(g.grid, div_k.values - dh.values)
 
 
@@ -166,6 +166,7 @@ def static_residual(g: SymTensorField, N: ScalarField) -> tuple[ScalarField, Sym
 def constraint_norms(g: SymTensorField, K: SymTensorField) -> tuple[float, float]:
     """L2(mu_g) norms of the Hamiltonian and momentum constraint residuals."""
     g = as_metric(g)
+    K = as_second_form(K, g)
     ham = hamiltonian_constraint(g, K)
     mom_sq = _pointwise_norm_sq(momentum_constraint(g, K), g.inv)
     ham_norm = np.sqrt(integrate(ScalarField(g.grid, ham.values**2), g))

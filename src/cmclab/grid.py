@@ -14,10 +14,13 @@ is spectrally accurate for smooth periodic integrands.
 
 A Metric is a SymTensorField checked positive definite by construction;
 it derives sqrt(det g), g^-1, the connection Gamma and Ric once each, on
-first use, and every operation reads them through as_metric(g).  Build one
-per computation (a record, an RK stage); a SliceState never stores one.
-Gamma is assembled from the partials of the 6 stored components of g with
-one batched g^-1 matmul, and Ric contracts Gamma by batched 3x3 matmuls on
+first use, and every operation reads them through as_metric(g).  A
+SecondForm is the other half of the slice data: a symmetric K over one
+Metric that derives g^-1 K, tr K, |K|^2_g and nabla K once each, on first
+use, read through as_second_form(K, g).  Build one of each per computation
+(a record, an RK stage); a SliceState never stores either.  Gamma is
+assembled from the partials of the 6 stored components of g with one
+batched g^-1 matmul, and Ric contracts Gamma by batched 3x3 matmuls on
 views of it.
 """
 
@@ -43,6 +46,8 @@ __all__ = [
     "sup_norm",
     "Metric",
     "as_metric",
+    "SecondForm",
+    "as_second_form",
     "metric_determinant",
     "inverse_metric",
     "sym_to_matrix",
@@ -295,6 +300,54 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
     return as_metric(g).inv
 
 
+@dataclass(frozen=True, eq=False)
+class SecondForm(SymTensorField):
+    """A symmetric tensor K over one Metric, as_metric(metric); ValueError on another grid.
+
+    mixed (g^-1 K as (..., 3, 3)), trace (tr K = g^{ab} K_ab), norm_sq
+    (|K|^2_g = K . K) and nabla (nabla_t K_sb as (..., 3, 3, 3), indexed
+    [t, s, b]) are computed once, on first use; all are read-only.
+    """
+
+    metric: Metric
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "metric", as_metric(self.metric))
+        if self.metric.grid != self.grid:
+            raise ValueError("a SecondForm and its Metric must share one grid")
+
+    @cached_property
+    def mixed(self) -> np.ndarray:
+        return _frozen(raise_first_index(self, self.metric.inv))
+
+    @cached_property
+    def trace(self) -> np.ndarray:
+        return _frozen(trace(self, self.metric).values)
+
+    @cached_property
+    def norm_sq(self) -> np.ndarray:
+        return _frozen(_sym_dot(self.mixed, self.mixed))
+
+    @cached_property
+    def nabla(self) -> np.ndarray:
+        return _frozen(covariant_derivative_sym(self, self.metric.gamma))
+
+    def squared(self) -> np.ndarray:
+        """K_ac K^c_b = K g^-1 K as (..., 3, 3), from the cached g^-1 K."""
+        # K and g^-1 are stored exactly symmetric, so the transpose of g^-1 K
+        # holds K g^-1: the same products, summed in the same order
+        return np.swapaxes(self.mixed, -1, -2) @ sym_to_matrix(self.values)
+
+
+def as_second_form(K: SymTensorField, g: SymTensorField) -> SecondForm:
+    """K itself if it is a SecondForm over as_metric(g), else one over the same values."""
+    g = as_metric(g)
+    if isinstance(K, SecondForm) and K.metric is g:
+        return K
+    return SecondForm(K.grid, K.values, g)
+
+
 def _along(axis: int, ndim: int, start, stop) -> tuple:
     """Index selecting [start:stop] along one axis of an ndim array."""
     index = [slice(None)] * ndim
@@ -344,13 +397,24 @@ def _vector_dot(inv: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sum((inv @ v[..., None])[..., 0] * w, axis=-1)
 
 
+def raise_first_index(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
+    """Mixed components A^a_b = g^{ac} A_cb as a full (..., 3, 3) array."""
+    return inv @ sym_to_matrix(A.values)
+
+
+def trace(A: SymTensorField, g: SymTensorField) -> ScalarField:
+    """g-trace g^{ab} A_ab."""
+    values = np.einsum("...ab,...ab->...", as_metric(g).inv, sym_to_matrix(A.values))
+    return ScalarField(A.grid, values)
+
+
 def _pointwise_norm_sq(field, inv: np.ndarray) -> np.ndarray:
     if isinstance(field, ScalarField):
         return field.values**2
     if isinstance(field, VectorField):
         return _vector_dot(inv, field.values, field.values)
     if isinstance(field, SymTensorField):
-        up = inv @ sym_to_matrix(field.values)
+        up = raise_first_index(field, inv)
         return _sym_dot(up, up)
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
@@ -415,6 +479,21 @@ def christoffels(g: SymTensorField) -> Connection:
     half = inv @ lower
     half *= 0.5
     return Connection(g.grid, _frozen(sym_to_matrix(half)))
+
+
+def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray:
+    """nabla_t A_sb as a full (..., 3, 3, 3) array indexed [t, s, b].
+
+    nabla_t A_sb = d_t A_sb - Gamma^m_{ts} A_mb - Gamma^m_{tb} A_sm
+    """
+    dA = sym_to_matrix(_partials(A.values, A.grid))
+    rows = gamma.coefficients.reshape(A.grid.shape + (3, 9))  # rows[..., m, 3t + s] = Gamma^m_ts
+    # x[t, s, b] = Gamma^m_ts A_mb; as A and Gamma's lower pair are symmetric,
+    # the second term Gamma^m_tb A_sm is x[t, b, s]
+    x = (np.swapaxes(rows, -1, -2) @ sym_to_matrix(A.values)).reshape(dA.shape)
+    dA -= x
+    dA -= np.swapaxes(x, -1, -2)
+    return dA
 
 
 def ricci(g: SymTensorField) -> SymTensorField:

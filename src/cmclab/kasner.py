@@ -97,15 +97,15 @@ GENERIC = KasnerParams(-2.0 / 7.0, 3.0 / 7.0, 6.0 / 7.0)
 
 def tau_of_t(t: float) -> float:
     """Proper time of the slice with mean curvature t < 0."""
-    if t >= 0.0:
-        raise ValueError(f"CMC time must be negative, got {t!r}")
+    if not (np.isfinite(t) and t < 0.0):
+        raise ValueError(f"CMC time must be finite and negative, got {t!r}")
     return -1.0 / t
 
 
 def t_of_tau(tau: float) -> float:
     """Mean curvature t = -1/tau of the slice at proper time tau > 0."""
-    if tau <= 0.0:
-        raise ValueError(f"proper time must be positive, got {tau!r}")
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"proper time must be finite and positive, got {tau!r}")
     return -1.0 / tau
 
 

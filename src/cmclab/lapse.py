@@ -44,15 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundViolation, DegenerateZeroOrderTerm, SolverDiverged
-from .grid import (
-    ScalarField,
-    SymTensorField,
-    _pointwise_norm_sq,
-    as_metric,
-    diff_array,
-    sup_norm,
-)
-from .tensor import trace
+from .grid import ScalarField, SymTensorField, as_metric, as_second_form, diff_array
 
 __all__ = [
     "EllipticSolveReport",
@@ -132,7 +124,7 @@ def solve_lapse(
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     g = as_metric(g)
     grid = g.grid
-    ksq = _pointwise_norm_sq(K, g.inv)
+    ksq = as_second_form(K, g).norm_sq
     if np.min(ksq) <= 0.0:
         raise DegenerateZeroOrderTerm(
             f"min |K|^2 = {ksq.min():.3e}; the lapse operator needs |K|^2 > 0"
@@ -210,16 +202,9 @@ def lapse_bound_margins(
     H^2 is taken as the grid supremum of (tr K)^2; for CMC data the trace
     is uniform so the choice is immaterial.
     """
-    g = as_metric(g)
-    return _bound_margins(N, K, g, sup_norm(K, g))
-
-
-def _bound_margins(
-    N: ScalarField, K: SymTensorField, g: SymTensorField, k_sup: float
-) -> tuple[float, float]:
-    """lapse_bound_margins, given k_sup = sup |K|_g."""
-    ksq_sup = k_sup**2
-    h_sup = float(np.max(np.abs(trace(K, g).values)))
+    K = as_second_form(K, g)
+    ksq_sup = float(np.sqrt(np.max(K.norm_sq))) ** 2  # (sup |K|_g)^2, as k_ratio reads it
+    h_sup = float(np.max(np.abs(K.trace)))
     if ksq_sup <= 0.0 or h_sup <= 0.0:
         raise DegenerateZeroOrderTerm("bounds need |K| > 0 and H != 0")
     low = float(np.min(N.values)) - 1.0 / ksq_sup

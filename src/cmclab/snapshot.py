@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .errors import ParseError, SinkError
-from .grid import GridSpec, Metric, ScalarField, SymTensorField, VectorField
+from .grid import GridSpec, Metric, ScalarField, SecondForm, SymTensorField, VectorField
 from .state import SliceState
 
 __all__ = ["FORMAT_TAG", "save_fields", "load_fields", "save_state", "load_state"]
@@ -21,7 +21,8 @@ FORMAT_TAG = "cmclab-snapshot-1"
 
 _KIND_OF_TYPE = {ScalarField: "scalar", VectorField: "vector", SymTensorField: "symtensor"}
 _TYPE_OF_KIND = {kind: cls for cls, kind in _KIND_OF_TYPE.items()}
-_KIND_OF_TYPE[Metric] = "symtensor"  # saved as, and loaded back as, a plain symtensor
+# saved as, and loaded back as, a plain symtensor
+_KIND_OF_TYPE[Metric] = _KIND_OF_TYPE[SecondForm] = "symtensor"
 
 
 def save_fields(path, grid: GridSpec, fields: dict, scalars: dict | None = None) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveLapse
-from .grid import GridSpec, Metric, ScalarField, SymTensorField, _checked_determinant
+from .grid import GridSpec, ScalarField, SymTensorField, _checked_determinant
 
 __all__ = ["SliceState"]
 
@@ -21,7 +21,8 @@ class SliceState:
     in.  How far tr K may drift from t before a step is rejected is owned
     by the evolution loop, not by this container.  States are immutable
     snapshots: operations return new instances and never mutate fields.
-    A Metric g is stored as a plain SymTensorField, without g^-1 and Gamma.
+    A Metric g and a SecondForm K are stored as plain SymTensorFields, so
+    no state keeps g^-1, Gamma or nabla K alive.
     """
 
     t: float
@@ -36,8 +37,10 @@ class SliceState:
         if self.K.grid != grid or self.N.grid != grid:
             raise ValueError("state fields must share one grid")
         _checked_determinant(self.g)
-        if isinstance(self.g, Metric):
-            object.__setattr__(self, "g", SymTensorField(grid, self.g.values))
+        for name in ("g", "K"):
+            field = getattr(self, name)
+            if type(field) is not SymTensorField:
+                object.__setattr__(self, name, SymTensorField(grid, field.values))
         if np.any(self.N.values <= 0.0):
             raise NonPositiveLapse(f"lapse has min {self.N.values.min():.3e} <= 0")
 

@@ -20,14 +20,18 @@ expanding eps_a^{cd} eps_b^{ef} as a determinant of metrics gives
             + (2/3)((tr A)(tr B) - A.B) g.
 
 Gamma (Connection, christoffels) and Ric live in grid.py, so that a
-grid.Metric can derive each once; Gamma is re-exported here.  Every
-operation reads g^-1, sqrt(det g) and Gamma from as_metric(g).
+grid.Metric can derive each once; so do trace, raise_first_index and
+covariant_derivative_sym, so that a grid.SecondForm can derive tr A,
+g^-1 A and nabla A once.  All are re-exported here.  Every operation reads
+g^-1, sqrt(det g) and Gamma from as_metric(g), and curl and divergence
+read nabla A from as_second_form(A, g), so that B = -curl K and div K
+share one nabla K when handed one SecondForm K.  inner and cross raise a
+repeated operand (A . A, A x A) once.
 
-covariant_derivative_sym (shared by curl and divergence) differentiates
-the 6 stored components of A and forms Gamma^m_ts A_mb as one batched
-(9 x 3) @ (3 x 3) matmul; since A and the lower pair of Gamma are both
-symmetric, the other connection term Gamma^m_tb A_sm is the same array
-with its last two axes swapped.
+covariant_derivative_sym differentiates the 6 stored components of A and
+forms Gamma^m_ts A_mb as one batched (9 x 3) @ (3 x 3) matmul; since A and
+the lower pair of Gamma are both symmetric, the other connection term
+Gamma^m_tb A_sm is the same array with its last two axes swapped.
 
 Orientation convention: the alternating symbol is right-handed in the
 coordinate frame ([123] = +1).  Reversing orientation flips the sign of
@@ -47,10 +51,14 @@ from .grid import (
     _partials,
     _sym_dot,
     as_metric,
+    as_second_form,
     christoffels,
+    covariant_derivative_sym,
     diff_array,
     matrix_to_sym,
+    raise_first_index,
     sym_to_matrix,
+    trace,
 )
 
 __all__ = [
@@ -75,17 +83,6 @@ def _dual(m: np.ndarray) -> np.ndarray:
     return np.stack([m[..., b, c] - m[..., c, b] for b, c in ((1, 2), (2, 0), (0, 1))], axis=-1)
 
 
-def raise_first_index(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
-    """Mixed components A^a_b = g^{ac} A_cb as a full (..., 3, 3) array."""
-    return inv @ sym_to_matrix(A.values)
-
-
-def trace(A: SymTensorField, g: SymTensorField) -> ScalarField:
-    """g-trace g^{ab} A_ab."""
-    values = np.einsum("...ab,...ab->...", as_metric(g).inv, sym_to_matrix(A.values))
-    return ScalarField(A.grid, values)
-
-
 def traceless(A: SymTensorField, g: SymTensorField) -> SymTensorField:
     """Traceless part A - (tr A / 3) g."""
     tr = trace(A, g)
@@ -95,8 +92,9 @@ def traceless(A: SymTensorField, g: SymTensorField) -> SymTensorField:
 def inner(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> ScalarField:
     """Full contraction A . B = g^{ac} g^{bd} A_ab B_cd."""
     inv = as_metric(g).inv
-    values = _sym_dot(raise_first_index(A, inv), raise_first_index(B, inv))
-    return ScalarField(A.grid, values)
+    a_up = raise_first_index(A, inv)
+    b_up = a_up if B is A else raise_first_index(B, inv)
+    return ScalarField(A.grid, _sym_dot(a_up, b_up))
 
 
 def norm_sq(A: SymTensorField, g: SymTensorField) -> ScalarField:
@@ -115,7 +113,8 @@ def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorFiel
 def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorField:
     """(A x B)_ab, symmetric and commutative for symmetric inputs."""
     inv = as_metric(g).inv
-    a_up, b_up = raise_first_index(A, inv), raise_first_index(B, inv)
+    a_up = raise_first_index(A, inv)
+    b_up = a_up if B is A else raise_first_index(B, inv)
     tr_a, tr_b = np.einsum("...aa->...", a_up)[..., None], np.einsum("...aa->...", b_up)[..., None]
     dot = _sym_dot(a_up, b_up)[..., None]
     # twice the averaged off-diagonal pair of A g^-1 B is A g^-1 B + B g^-1 A
@@ -124,27 +123,12 @@ def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorF
     return SymTensorField(A.grid, values)
 
 
-def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray:
-    """nabla_t A_sb as a full (..., 3, 3, 3) array indexed [t, s, b].
-
-    nabla_t A_sb = d_t A_sb - Gamma^m_{ts} A_mb - Gamma^m_{tb} A_sm
-    """
-    dA = sym_to_matrix(_partials(A.values, A.grid))
-    rows = gamma.coefficients.reshape(A.grid.shape + (3, 9))  # rows[..., m, 3t + s] = Gamma^m_ts
-    # x[t, s, b] = Gamma^m_ts A_mb; as A and Gamma's lower pair are symmetric,
-    # the second term Gamma^m_tb A_sm is x[t, b, s]
-    x = (np.swapaxes(rows, -1, -2) @ sym_to_matrix(A.values)).reshape(dA.shape)
-    dA -= x
-    dA -= np.swapaxes(x, -1, -2)
-    return dA
-
-
 def curl(A: SymTensorField, g: SymTensorField) -> SymTensorField:
     """Symmetrized metric-weighted curl of a symmetric tensor."""
     g = as_metric(g)
     # nabla A as [..., b, s, t], whose dual is D_pb = [pst] nabla_t A_sb as [..., b, p];
     # (D^T g)_ba = eps_a^{st} nabla_t A_sb sqrt(det g), and matrix_to_sym symmetrizes it
-    d = _dual(np.swapaxes(covariant_derivative_sym(A, g.gamma), -1, -3))
+    d = _dual(np.swapaxes(as_second_form(A, g).nabla, -1, -3))
     values = matrix_to_sym(d @ sym_to_matrix(g.values)) / g.sqrt_det[..., None]
     return SymTensorField(A.grid, values)
 
@@ -152,8 +136,7 @@ def curl(A: SymTensorField, g: SymTensorField) -> SymTensorField:
 def divergence(A: SymTensorField, g: SymTensorField) -> VectorField:
     """(div A)_b = g^{ac} nabla_a A_cb."""
     g = as_metric(g)
-    grad_a = covariant_derivative_sym(A, g.gamma)
-    values = np.einsum("...ac,...acb->...b", g.inv, grad_a)
+    values = np.einsum("...ac,...acb->...b", g.inv, as_second_form(A, g).nabla)
     return VectorField(A.grid, values)
 
 

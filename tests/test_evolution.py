@@ -207,6 +207,12 @@ def test_evolve_states_argument_validation(grid8):
     # next(), not list(): an unchecked -inf or zero cfl would step forever
     with pytest.raises(ValueError, match="cfl"):
         next(evolve_states(s0, -0.5, cfl=0.0))
+    # an infinite dt would otherwise be cut to one step over the whole interval
+    for dt in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            next(evolve_states(s0, -0.5, dt=dt, trace_correction=True))
+        with pytest.raises(ValueError, match="dt must be finite"):
+            time_step(s0, dt)
 
 
 def test_adaptive_steps_follow_the_cfl_bound(grid8):

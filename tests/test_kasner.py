@@ -55,10 +55,14 @@ def test_tau_t_inverse_pair():
         tau = kasner.tau_of_t(t)
         assert tau == pytest.approx(-1.0 / t, rel=1e-15)
         assert kasner.t_of_tau(tau) == pytest.approx(t, rel=1e-15)
-    with pytest.raises(ValueError):
-        kasner.tau_of_t(0.0)
-    with pytest.raises(ValueError):
-        kasner.tau_of_t(1.0)
+    for t in (0.0, 1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            kasner.tau_of_t(t)
+        with pytest.raises(ValueError):
+            kasner.br_energy_rate(AXIAL, t, 1.0)
+    for tau in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            kasner.t_of_tau(tau)
 
 
 def test_mean_curvature_equals_time(rng):

@@ -1,7 +1,7 @@
-"""The checked per-slice Metric: each derived quantity once, never kept by a state."""
+"""The checked per-slice Metric and SecondForm: each derived quantity once, never kept by a state."""
 
 import sys
-from collections import Counter
+from collections import defaultdict
 from contextlib import contextmanager
 
 import numpy as np
@@ -14,25 +14,39 @@ from cmclab import (
     GridSpec,
     Metric,
     NonPositiveMetric,
+    SecondForm,
     SliceState,
     SymTensorField,
     as_metric,
+    as_second_form,
     christoffels,
     constraint_norms,
+    covariant_derivative_sym,
+    divergence,
     electric_weyl,
+    evolution_rhs,
     evolve_states,
     hamiltonian_constraint,
     inverse_metric,
+    lapse_bound_margins,
+    load_fields,
     load_state,
+    magnetic_weyl,
     metric_determinant,
+    momentum_constraint,
+    norm_sq,
     perturb,
+    raise_first_index,
     rescale,
     ricci,
+    save_fields,
     save_state,
     scalar_curvature,
+    solve_lapse,
     static_residual,
     sym_to_matrix,
     time_step,
+    trace,
     warped_kasner_state,
     weyl_parts,
 )
@@ -48,14 +62,18 @@ def perturbed12():
 
 @contextmanager
 def counting(*names):
-    """Count calls of grid-module functions, through every cmclab binding of each."""
-    counts = Counter()
+    """Record the positional arguments of each call of grid-module functions, by name.
+
+    Every cmclab binding of each function is counted, including the
+    module-level ones that grid's own Metric and SecondForm call.
+    """
+    calls = defaultdict(list)
     saved = []
     for name in names:
         original = getattr(grid_module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            calls[_name].append(args)
             return _original(*args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
@@ -66,39 +84,101 @@ def counting(*names):
                     saved.append((module, attr, value))
                     setattr(module, attr, counted)
     try:
-        yield counts
+        yield calls
     finally:
         for module, attr, value in reversed(saved):
             setattr(module, attr, value)
 
 
 DERIVED = ("_inverse", "_checked_determinant", "christoffels", "ricci")
+K_DERIVED = ("raise_first_index", "trace", "covariant_derivative_sym")
+
+
+def _of(calls, K):
+    """How many of the recorded calls took K's values as their first argument."""
+    return sum(np.array_equal(args[0].values, K.values) for args in calls)
 
 
 def test_collector_record_derives_each_quantity_once(perturbed12):
-    with counting(*DERIVED) as counts:
+    K = perturbed12.K
+    with counting(*DERIVED, *K_DERIVED) as calls:
         DiagnosticsCollector().add(perturbed12)
-    assert [counts[name] for name in DERIVED] == [1, 1, 1, 1]
+    assert [len(calls[name]) for name in DERIVED] == [1, 1, 1, 1]
+    # g^-1 K, tr K and nabla K once each; nabla K serves both B and div K
+    assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1, 1]
+    assert len(calls["covariant_derivative_sym"]) == 1
+    # besides K: E and B once each for |.|^2 and the cross products, q_abtt for the flux
+    assert len(calls["raise_first_index"]) == 6
 
 
 def test_rk4_step_derives_once_per_stage(perturbed12):
     # one Metric per stage (inverse, guard, Gamma, Ric) and one for the
     # updated slice (inverse, guard); the new SliceState runs its own guard
-    with counting(*DERIVED) as counts:
+    with counting(*DERIVED, *K_DERIVED) as calls:
         time_step(perturbed12, 1e-3, trace_correction=True)
-    assert [counts[name] for name in DERIVED] == [5, 6, 4, 4]
+    assert [len(calls[name]) for name in DERIVED] == [5, 6, 4, 4]
+    # one SecondForm per stage, whose g^-1 K the lapse solve and evolution_rhs
+    # share, and one for the updated slice (tr K for the drift, g^-1 K for its lapse)
+    assert [len(calls[name]) for name in K_DERIVED] == [5, 5, 0]
 
 
 def test_curvature_ops_share_one_ricci(perturbed12):
     g, K, N = as_metric(perturbed12.g), perturbed12.K, perturbed12.N
-    with counting("ricci") as counts:
+    with counting("ricci") as calls:
         hamiltonian_constraint(g, K)
         electric_weyl(g, K)
         constraint_norms(g, K)
         weyl_parts(g, K)
         static_residual(g, N)
         scalar_curvature(g)
-    assert counts["ricci"] == 1
+    assert len(calls["ricci"]) == 1
+
+
+def test_k_readers_share_one_second_form(perturbed12):
+    g, N = as_metric(perturbed12.g), perturbed12.N
+    K = as_second_form(perturbed12.K, g)
+    with counting(*K_DERIVED) as calls:
+        electric_weyl(g, K)
+        magnetic_weyl(K, g)
+        weyl_parts(g, K)
+        hamiltonian_constraint(g, K)
+        momentum_constraint(g, K)
+        constraint_norms(g, K)
+        divergence(K, g)
+        solve_lapse(g, K)
+        lapse_bound_margins(N, K, g)
+        evolution_rhs(g, K, N)
+    assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1, 1]
+    assert len(calls["raise_first_index"]) == 1
+    assert len(calls["covariant_derivative_sym"]) == 1
+
+
+def test_second_form_caches_read_only_quantities(grid8, rng):
+    g = as_metric(random_metric(grid8, rng))
+    K = SymTensorField(grid8, rng.standard_normal(grid8.shape + (6,)))
+    k = as_second_form(K, g)
+    assert isinstance(k, SecondForm) and k.metric is g
+    assert as_second_form(k, g) is k
+    assert as_second_form(k, SymTensorField(grid8, g.values)).metric is not g
+    assert k.mixed is k.mixed and k.trace is k.trace
+    assert k.norm_sq is k.norm_sq and k.nabla is k.nabla
+    assert np.array_equal(k.mixed, raise_first_index(K, g.inv))
+    assert np.array_equal(k.trace, trace(K, g).values)
+    assert np.array_equal(k.norm_sq, norm_sq(K, g).values)
+    assert np.array_equal(k.nabla, covariant_derivative_sym(K, g.gamma))
+    km = sym_to_matrix(K.values)
+    assert np.array_equal(k.squared(), km @ g.inv @ km)
+    for array in (k.mixed, k.trace, k.norm_sq, k.nabla):
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+
+
+def test_second_form_rejects_a_metric_on_another_grid(grid8):
+    K = SymTensorField.identity(grid8)
+    with pytest.raises(ValueError, match="grid"):
+        as_second_form(K, Metric.identity(GridSpec.cubic(9)))
+    with pytest.raises(ValueError, match="grid"):
+        SecondForm(grid8, K.values, Metric.identity(GridSpec((8, 8, 9))))
 
 
 def test_metric_caches_read_only_quantities(grid8, rng):
@@ -153,10 +233,17 @@ def test_states_keep_plain_metric_fields(perturbed12, tmp_path):
     path = tmp_path / "evolved.npz"
     save_state(evolved[-1], path)
     loaded = load_state(path)
-    handed = SliceState(t=stepped.t, g=Metric(stepped.grid, stepped.g.values),
-                        K=stepped.K, N=stepped.N)
+    g = Metric(stepped.grid, stepped.g.values)
+    K = as_second_form(stepped.K, g)
+    handed = SliceState(t=stepped.t, g=g, K=K, N=stepped.N)
     states = [perturbed12, stepped, *evolved, rescale(stepped, 2.0), loaded, handed]
     assert all(type(s.g) is SymTensorField for s in states)
+    assert all(type(s.K) is SymTensorField for s in states)
     assert loaded.t == evolved[-1].t
     for name in ("g", "K", "N"):
         assert np.array_equal(getattr(loaded, name).values, getattr(evolved[-1], name).values)
+    fields_path = tmp_path / "fields.npz"
+    save_fields(fields_path, g.grid, {"g": g, "K": K})
+    _, fields, _ = load_fields(fields_path)
+    assert all(type(f) is SymTensorField for f in fields.values())
+    assert np.array_equal(fields["K"].values, K.values)
