@@ -26,11 +26,11 @@ import numpy as np
 
 from .errors import EmptyHistory, ParseError, SinkError, ValidationError
 from .geometry import BRComponents, br_components, constraint_norms, weyl_parts
-from .grid import (Metric, ScalarField, SecondForm, VectorField, _sym_dot, _vector_dot,
-                   as_metric, as_second_form, integrate, sup_norm)
+from .grid import (Metric, ScalarField, SecondForm, VectorField, _vector_dot, as_metric,
+                   as_second_form, integrate, sup_norm)
 from .lapse import lapse_bound_margins
 from .state import SliceState
-from .tensor import gradient, raise_first_index
+from .tensor import gradient, inner
 
 __all__ = [
     "DiagnosticsRecord",
@@ -97,9 +97,9 @@ def _trapezoid(t0: float, d0: float, t1: float, d1: float) -> float:
 
 
 def _flux(g: Metric, K: SecondForm, q: BRComponents, N: ScalarField, dn: VectorField) -> float:
-    pressure = _sym_dot(raise_first_index(q.q_abtt, g.inv), K.mixed)  # <q_abtt, K>
+    pressure = -N.values * inner(q.q_abtt, K, g).values
     momentum = _vector_dot(g.inv, q.q_attt.values, dn.values)
-    return -3.0 * integrate(ScalarField(g.grid, -N.values * pressure + momentum), g)
+    return -3.0 * integrate(ScalarField(g.grid, pressure + momentum), g)
 
 
 def _radius(g: Metric, q: BRComponents) -> float:
@@ -168,10 +168,13 @@ def gradient_lapse_estimate_check(
     Returns (lhs, rhs_shape, c_fit) with lhs = r_c sup|grad N|, rhs_shape
     = r_c^2 lambda + 1/H^2 and c_fit their ratio.  Only boundedness of
     c_fit along a run is meaningful; no universal constant is asserted.
+    ValueError unless lambda_threshold is finite and positive.
     """
-    r_c = curvature_radius(state)
-    grad_sup = sup_norm(gradient(state.N), state.g)
-    lhs = r_c * grad_sup
+    if not (np.isfinite(lambda_threshold) and lambda_threshold > 0.0):
+        raise ValueError(f"lambda_threshold must be finite and > 0, got {lambda_threshold!r}")
+    g, _, q = _br_fields(state)
+    r_c = _radius(g, q)
+    lhs = r_c * sup_norm(gradient(state.N), g)
     rhs_shape = r_c * r_c * lambda_threshold + 1.0 / (state.t * state.t)
     return lhs, rhs_shape, lhs / rhs_shape
 
@@ -203,7 +206,7 @@ class DiagnosticsCollector:
             t=state.t,
             e_br=integrate(q.q_tttt, g),
             e_br_spacetime=self._accumulated,
-            k_ratio=float(np.sqrt(np.max(K.norm_sq))) / abs(state.t),
+            k_ratio=sup_norm(K, g) / abs(state.t),
             r_c=r_c,
             r_c_run=self._r_c_run,
             lapse_margin_low=low,
@@ -242,6 +245,8 @@ class MonitorConfig:
             raise ValidationError(
                 f"growth_factor must exceed 1, got {self.growth_factor!r}"
             )
+        if not (np.isfinite(self.e_br_floor) and self.e_br_floor >= 0.0):
+            raise ValidationError(f"e_br_floor must be finite and >= 0, got {self.e_br_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -306,7 +311,7 @@ def emit_records(records, sink) -> None:
 
 
 def parse_records(source) -> list[DiagnosticsRecord]:
-    """Inverse of emit_records; source may be a path, stream, or text."""
+    """Inverse of emit_records (source: a path, stream or text); ParseError on a non-finite cell."""
     if isinstance(source, (str, os.PathLike)) and not (
         isinstance(source, str) and "\n" in source
     ):
@@ -337,5 +342,7 @@ def parse_records(source) -> list[DiagnosticsRecord]:
             values = [float(cell) for cell in cells]
         except ValueError as exc:
             raise ParseError(str(exc), line=number) from exc
+        if not np.all(np.isfinite(values)):
+            raise ParseError(f"non-finite cell in {line!r}", line=number)
         records.append(DiagnosticsRecord(*values))
     return records

@@ -32,9 +32,9 @@ import numpy as np
 
 from . import kasner
 from .errors import CmcDriftExceeded
-from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, as_metric,
-                   as_second_form, matrix_to_sym, sym_to_matrix)
-from .geometry import constraint_norms
+from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, as_second_form,
+                   matrix_to_sym, sym_to_matrix)
+from .geometry import constraint_norms, electric_weyl
 from .kasner import KasnerParams
 from .lapse import DEFAULT_TOL, solve_lapse
 from .state import SliceState
@@ -178,24 +178,17 @@ def evolution_rhs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides (d/dt g, d/dt K) as 6-component value arrays.
 
-    Ric is read from as_metric(g), and H = tr K and K g^-1 K from
-    as_second_form(K, g), so a stage that hands down the SecondForm its
-    lapse solve read raises K once.
+    d/dt K = N (E - K g^-1 K) - nabla^2 N, with E = electric_weyl(g, K), so a
+    stage that hands down the SecondForm its lapse solve read raises K once
+    and forms K g^-1 K once, for E and here.
     """
-    g = as_metric(g)
-    ric = g.ricci  # read before the Hessian: deriving Ric beside its arrays raises peak memory
     K = as_second_form(K, g)
-    ksq = K.squared()
-    hess = sym_to_matrix(hessian(N, g.gamma).values)
-    # dk = -hess + N (Ric + H K - 2 K g^-1 K), accumulated in place
-    dk = sym_to_matrix(ric.values)
-    dk += K.trace[..., None, None] * sym_to_matrix(K.values)
-    ksq *= 2.0
-    dk -= ksq
-    dk *= N.values[..., None, None]
-    dk -= hess
+    # E before the Hessian: deriving Ric beside its arrays raises peak memory
+    dk = electric_weyl(K.metric, K).values - matrix_to_sym(K.squared)
+    dk *= N.values[..., None]
+    dk -= hessian(N, K.metric.gamma).values
     dg = -2.0 * N.values[..., None] * K.values
-    return dg, matrix_to_sym(dk)
+    return dg, dk
 
 
 def time_step(

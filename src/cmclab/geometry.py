@@ -20,10 +20,10 @@ The quadratic energy fields assembled from E and B are
     q_attt = 2 (E ^ B)_a
     q_abtt = -(E x E)_ab - (B x B)_ab + (1/3)(|E|^2 + |B|^2) g_ab
 
-Every reader of K here reads H = tr K, g^-1 K, |K|^2 and nabla K from
-grid.as_second_form(K, g), and Ric from as_metric(g); a caller that hands
-one Metric and one SecondForm over it to several of them (a diagnostics
-record does) derives each quantity once.
+Every reader of K here reads H = tr K, g^-1 K, |K|^2, K g^-1 K and nabla K
+from grid.as_second_form(K, g), and Ric from as_metric(g), so one Metric and
+one SecondForm handed to several of them derive each once; br_components
+raises E, then B, once each through a SecondForm for |.|^2 and the cross.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .tensor import (
     divergence,
     gradient,
     hessian,
-    norm_sq,
     trace,
     wedge,
 )
@@ -100,8 +99,9 @@ def electric_weyl(g: SymTensorField, K: SymTensorField) -> SymTensorField:
     """E_ab = Ric_ab + H K_ab - K_ac K^c_b with H = tr K."""
     g = as_metric(g)
     K = as_second_form(K, g)
-    km = sym_to_matrix(K.values)
-    e = sym_to_matrix(g.ricci.values) + K.trace[..., None, None] * km - K.squared()
+    e = sym_to_matrix(g.ricci.values)  # Ric first: derived beside K's arrays, it raises peak memory
+    e += K.trace[..., None, None] * sym_to_matrix(K.values)
+    e -= K.squared
     return SymTensorField(g.grid, matrix_to_sym(e))
 
 
@@ -120,14 +120,14 @@ def weyl_parts(g: SymTensorField, K: SymTensorField) -> WeylParts:
 def br_components(E: SymTensorField, B: SymTensorField, g: SymTensorField) -> BRComponents:
     """Assemble (q_tttt, q_attt, q_abtt) from the Weyl parts."""
     g = as_metric(g)
-    density = ScalarField(E.grid, norm_sq(E, g).values + norm_sq(B, g).values)
     flux_vec = VectorField(E.grid, 2.0 * wedge(E, B, g).values)
-    stress = (
-        -cross(E, E, g).values
-        - cross(B, B, g).values
-        + (density.values[..., None] / 3.0) * g.values
-    )
-    return BRComponents(density, flux_vec, SymTensorField(E.grid, stress))
+    density = stress = 0.0
+    for part in (E, B):  # one SecondForm at a time: g^-1 E is dropped before B is raised
+        part = as_second_form(part, g)
+        density = density + part.norm_sq
+        stress = stress - cross(part, part, g).values
+    stress += (density[..., None] / 3.0) * g.values
+    return BRComponents(ScalarField(E.grid, density), flux_vec, SymTensorField(E.grid, stress))
 
 
 def hamiltonian_constraint(g: SymTensorField, K: SymTensorField) -> ScalarField:
@@ -168,7 +168,7 @@ def constraint_norms(g: SymTensorField, K: SymTensorField) -> tuple[float, float
     g = as_metric(g)
     K = as_second_form(K, g)
     ham = hamiltonian_constraint(g, K)
-    mom_sq = _pointwise_norm_sq(momentum_constraint(g, K), g.inv)
+    mom_sq = _pointwise_norm_sq(momentum_constraint(g, K), g)
     ham_norm = np.sqrt(integrate(ScalarField(g.grid, ham.values**2), g))
     mom_norm = np.sqrt(integrate(ScalarField(g.grid, mom_sq), g))
     return float(ham_norm), float(mom_norm)

@@ -15,10 +15,11 @@ is spectrally accurate for smooth periodic integrands.
 A Metric is a SymTensorField checked positive definite by construction;
 it derives sqrt(det g), g^-1, the connection Gamma and Ric once each, on
 first use, and every operation reads them through as_metric(g).  A
-SecondForm is the other half of the slice data: a symmetric K over one
-Metric that derives g^-1 K, tr K, |K|^2_g and nabla K once each, on first
-use, read through as_second_form(K, g).  Build one of each per computation
-(a record, an RK stage); a SliceState never stores either.  Gamma is
+SecondForm is a symmetric A over one Metric that derives g^-1 A, tr A,
+|A|^2_g, A g^-1 A and nabla A once each, on first use; as_second_form(A, g)
+is the only path by which a symmetric tensor is contracted against g.
+Build one of each per computation (a record, an RK stage; E and B get one
+each too); a SliceState never stores either.  Gamma is
 assembled from the partials of the 6 stored components of g with one
 batched g^-1 matmul, and Ric contracts Gamma by batched 3x3 matmuls on
 views of it.
@@ -305,8 +306,8 @@ class SecondForm(SymTensorField):
     """A symmetric tensor K over one Metric, as_metric(metric); ValueError on another grid.
 
     mixed (g^-1 K as (..., 3, 3)), trace (tr K = g^{ab} K_ab), norm_sq
-    (|K|^2_g = K . K) and nabla (nabla_t K_sb as (..., 3, 3, 3), indexed
-    [t, s, b]) are computed once, on first use; all are read-only.
+    (|K|^2_g = K . K), squared (K g^-1 K) and nabla (nabla_t K_sb as
+    (..., 3, 3, 3), indexed [t, s, b]) are computed once, on first use; all are read-only.
     """
 
     metric: Metric
@@ -333,11 +334,11 @@ class SecondForm(SymTensorField):
     def nabla(self) -> np.ndarray:
         return _frozen(covariant_derivative_sym(self, self.metric.gamma))
 
+    @cached_property
     def squared(self) -> np.ndarray:
-        """K_ac K^c_b = K g^-1 K as (..., 3, 3), from the cached g^-1 K."""
         # K and g^-1 are stored exactly symmetric, so the transpose of g^-1 K
         # holds K g^-1: the same products, summed in the same order
-        return np.swapaxes(self.mixed, -1, -2) @ sym_to_matrix(self.values)
+        return _frozen(np.swapaxes(self.mixed, -1, -2) @ sym_to_matrix(self.values))
 
 
 def as_second_form(K: SymTensorField, g: SymTensorField) -> SecondForm:
@@ -408,14 +409,13 @@ def trace(A: SymTensorField, g: SymTensorField) -> ScalarField:
     return ScalarField(A.grid, values)
 
 
-def _pointwise_norm_sq(field, inv: np.ndarray) -> np.ndarray:
+def _pointwise_norm_sq(field, g: Metric) -> np.ndarray:
     if isinstance(field, ScalarField):
         return field.values**2
     if isinstance(field, VectorField):
-        return _vector_dot(inv, field.values, field.values)
+        return _vector_dot(g.inv, field.values, field.values)
     if isinstance(field, SymTensorField):
-        up = raise_first_index(field, inv)
-        return _sym_dot(up, up)
+        return as_second_form(field, g).norm_sq
     raise TypeError(f"unsupported field type {type(field).__name__}")
 
 
@@ -425,7 +425,7 @@ def sup_norm(field, g: SymTensorField) -> float:
     Scalars use |f|; vectors and symmetric tensors contract all indices
     with the inverse metric.
     """
-    return float(np.sqrt(np.max(_pointwise_norm_sq(field, as_metric(g).inv))))
+    return float(np.sqrt(np.max(_pointwise_norm_sq(field, as_metric(g)))))
 
 
 @dataclass(frozen=True, eq=False)

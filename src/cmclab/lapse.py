@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundViolation, DegenerateZeroOrderTerm, SolverDiverged
-from .grid import ScalarField, SymTensorField, as_metric, as_second_form, diff_array
+from .grid import ScalarField, SymTensorField, as_metric, as_second_form, diff_array, sup_norm
 
 __all__ = [
     "EllipticSolveReport",
@@ -203,7 +203,7 @@ def lapse_bound_margins(
     is uniform so the choice is immaterial.
     """
     K = as_second_form(K, g)
-    ksq_sup = float(np.sqrt(np.max(K.norm_sq))) ** 2  # (sup |K|_g)^2, as k_ratio reads it
+    ksq_sup = sup_norm(K, K.metric) ** 2  # (sup |K|_g)^2, as k_ratio reads it
     h_sup = float(np.max(np.abs(K.trace)))
     if ksq_sup <= 0.0 or h_sup <= 0.0:
         raise DegenerateZeroOrderTerm("bounds need |K| > 0 and H != 0")

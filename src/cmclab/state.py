@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveLapse
-from .grid import GridSpec, ScalarField, SymTensorField, _checked_determinant
+from .grid import GridSpec, ScalarField, SymTensorField, as_metric
 
 __all__ = ["SliceState"]
 
@@ -36,7 +36,7 @@ class SliceState:
         grid = self.g.grid
         if self.K.grid != grid or self.N.grid != grid:
             raise ValueError("state fields must share one grid")
-        _checked_determinant(self.g)
+        as_metric(self.g)  # the positive-definiteness guard, unless g is already a Metric
         for name in ("g", "K"):
             field = getattr(self, name)
             if type(field) is not SymTensorField:

@@ -23,10 +23,10 @@ Gamma (Connection, christoffels) and Ric live in grid.py, so that a
 grid.Metric can derive each once; so do trace, raise_first_index and
 covariant_derivative_sym, so that a grid.SecondForm can derive tr A,
 g^-1 A and nabla A once.  All are re-exported here.  Every operation reads
-g^-1, sqrt(det g) and Gamma from as_metric(g), and curl and divergence
-read nabla A from as_second_form(A, g), so that B = -curl K and div K
-share one nabla K when handed one SecondForm K.  inner and cross raise a
-repeated operand (A . A, A x A) once.
+g^-1, sqrt(det g) and Gamma from as_metric(g), and each symmetric operand
+A through as_second_form(A, g): g^-1 A for inner, norm_sq and cross, nabla
+A for curl and divergence.  An operand handed in as a SecondForm is raised
+once however many of them read it (B = -curl K and div K share nabla K).
 
 covariant_derivative_sym differentiates the 6 stored components of A and
 forms Gamma^m_ts A_mb as one batched (9 x 3) @ (3 x 3) matmul; since A and
@@ -91,15 +91,13 @@ def traceless(A: SymTensorField, g: SymTensorField) -> SymTensorField:
 
 def inner(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> ScalarField:
     """Full contraction A . B = g^{ac} g^{bd} A_ab B_cd."""
-    inv = as_metric(g).inv
-    a_up = raise_first_index(A, inv)
-    b_up = a_up if B is A else raise_first_index(B, inv)
-    return ScalarField(A.grid, _sym_dot(a_up, b_up))
+    g = as_metric(g)
+    return ScalarField(A.grid, _sym_dot(as_second_form(A, g).mixed, as_second_form(B, g).mixed))
 
 
 def norm_sq(A: SymTensorField, g: SymTensorField) -> ScalarField:
     """Pointwise squared g-norm |A|^2 = A . A."""
-    return inner(A, A, g)
+    return ScalarField(A.grid, as_second_form(A, g).norm_sq)
 
 
 def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorField:
@@ -112,14 +110,15 @@ def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorFiel
 
 def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorField:
     """(A x B)_ab, symmetric and commutative for symmetric inputs."""
-    inv = as_metric(g).inv
-    a_up = raise_first_index(A, inv)
-    b_up = a_up if B is A else raise_first_index(B, inv)
+    g = as_metric(g)
+    a_up, b_up = as_second_form(A, g).mixed, as_second_form(B, g).mixed
     tr_a, tr_b = np.einsum("...aa->...", a_up)[..., None], np.einsum("...aa->...", b_up)[..., None]
     dot = _sym_dot(a_up, b_up)[..., None]
     # twice the averaged off-diagonal pair of A g^-1 B is A g^-1 B + B g^-1 A
-    pair = 2.0 * matrix_to_sym(sym_to_matrix(A.values) @ b_up)
-    values = pair - tr_a * B.values - tr_b * A.values + (2.0 / 3.0) * (tr_a * tr_b - dot) * g.values
+    values = 2.0 * matrix_to_sym(sym_to_matrix(A.values) @ b_up)
+    values -= tr_a * B.values
+    values -= tr_b * A.values
+    values += (2.0 / 3.0) * (tr_a * tr_b - dot) * g.values
     return SymTensorField(A.grid, values)
 
 

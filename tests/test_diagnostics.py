@@ -156,6 +156,13 @@ def test_gradient_estimate_rescaling_laws(grid8, rng):
     assert c2 == pytest.approx(c_fit * r**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_gradient_estimate_rejects_a_bad_threshold(grid8, lam):
+    s = kasner_initial_data(AXIAL, -1.0, grid8)
+    with pytest.raises(ValueError, match="lambda_threshold"):
+        gradient_lapse_estimate_check(s, lam)
+
+
 def _evolved_axial(grid):
     s0 = kasner_initial_data(AXIAL, -1.0, grid)
     return [s0] + list(evolve_states(s0, -0.9, dt=0.02, solver_tol=1e-12))
@@ -261,6 +268,12 @@ def test_monitor_config_validation():
                       growth_factor=0.5)
 
 
+@pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf, -1e-12])
+def test_monitor_config_rejects_a_bad_energy_floor(floor):
+    with pytest.raises(ValidationError, match="e_br_floor"):
+        MonitorConfig(lambda_threshold=2.0, t0=-2.0, t_star=-1.0, e_br_floor=floor)
+
+
 def test_emit_parse_round_trip_is_bitwise(grid8, tmp_path):
     s0 = kasner_initial_data(GENERIC, -1.0, grid8)
     collector = DiagnosticsCollector()
@@ -292,6 +305,19 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_records(header + "\n" + row + "\n" +
                       row.replace("0.5", "spam", 1) + "\n")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, len(RECORD_COLUMNS) - 1])
+def test_parse_rejects_non_finite_cells(cell, column):
+    # a row with t = nan would parse, then fall out of every monitor window
+    good = ["-0.5"] * len(RECORD_COLUMNS)
+    bad = good.copy()
+    bad[column] = cell
+    text = "\n".join([",".join(RECORD_COLUMNS), ",".join(good), ",".join(bad)]) + "\n"
+    with pytest.raises(ParseError, match="non-finite") as err:
+        parse_records(text)
     assert err.value.line == 3
 
 

@@ -26,6 +26,7 @@ from cmclab import (
     electric_weyl,
     evolution_rhs,
     evolve_states,
+    gradient_lapse_estimate_check,
     hamiltonian_constraint,
     inverse_metric,
     lapse_bound_margins,
@@ -107,19 +108,40 @@ def test_collector_record_derives_each_quantity_once(perturbed12):
     # g^-1 K, tr K and nabla K once each; nabla K serves both B and div K
     assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1, 1]
     assert len(calls["covariant_derivative_sym"]) == 1
-    # besides K: E and B once each for |.|^2 and the cross products, q_abtt for the flux
-    assert len(calls["raise_first_index"]) == 6
+    # K, E, B and q_abtt once each: E and B each through one SecondForm that
+    # serves both |.|^2 and the cross product, q_abtt for the flux
+    assert len(calls["raise_first_index"]) == 4
+
+
+@contextmanager
+def counting_squared():
+    """Record each SecondForm whose cached K g^-1 K (squared) is computed."""
+    prop = SecondForm.__dict__["squared"]
+    original = prop.func
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    prop.func = counted
+    try:
+        yield calls
+    finally:
+        prop.func = original
 
 
 def test_rk4_step_derives_once_per_stage(perturbed12):
     # one Metric per stage (inverse, guard, Gamma, Ric) and one for the
-    # updated slice (inverse, guard); the new SliceState runs its own guard
-    with counting(*DERIVED, *K_DERIVED) as calls:
+    # updated slice (inverse, guard), which the new SliceState does not guard again
+    with counting(*DERIVED, *K_DERIVED) as calls, counting_squared() as squared:
         time_step(perturbed12, 1e-3, trace_correction=True)
-    assert [len(calls[name]) for name in DERIVED] == [5, 6, 4, 4]
+    assert [len(calls[name]) for name in DERIVED] == [5, 5, 4, 4]
     # one SecondForm per stage, whose g^-1 K the lapse solve and evolution_rhs
     # share, and one for the updated slice (tr K for the drift, g^-1 K for its lapse)
     assert [len(calls[name]) for name in K_DERIVED] == [5, 5, 0]
+    # K g^-1 K once per stage, shared by E and the rest of dK/dt
+    assert len(squared) == 4
 
 
 def test_curvature_ops_share_one_ricci(perturbed12):
@@ -137,7 +159,7 @@ def test_curvature_ops_share_one_ricci(perturbed12):
 def test_k_readers_share_one_second_form(perturbed12):
     g, N = as_metric(perturbed12.g), perturbed12.N
     K = as_second_form(perturbed12.K, g)
-    with counting(*K_DERIVED) as calls:
+    with counting(*K_DERIVED) as calls, counting_squared() as squared:
         electric_weyl(g, K)
         magnetic_weyl(K, g)
         weyl_parts(g, K)
@@ -151,6 +173,14 @@ def test_k_readers_share_one_second_form(perturbed12):
     assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1, 1]
     assert len(calls["raise_first_index"]) == 1
     assert len(calls["covariant_derivative_sym"]) == 1
+    assert len(squared) == 1
+
+
+def test_gradient_estimate_reads_one_metric(perturbed12):
+    # r_c and sup |grad N|_g both read the one Metric the estimate builds
+    with counting(*DERIVED) as calls:
+        gradient_lapse_estimate_check(perturbed12, 10.0)
+    assert [len(calls[name]) for name in DERIVED] == [1, 1, 1, 1]
 
 
 def test_second_form_caches_read_only_quantities(grid8, rng):
@@ -166,9 +196,10 @@ def test_second_form_caches_read_only_quantities(grid8, rng):
     assert np.array_equal(k.trace, trace(K, g).values)
     assert np.array_equal(k.norm_sq, norm_sq(K, g).values)
     assert np.array_equal(k.nabla, covariant_derivative_sym(K, g.gamma))
+    assert k.squared is k.squared
     km = sym_to_matrix(K.values)
-    assert np.array_equal(k.squared(), km @ g.inv @ km)
-    for array in (k.mixed, k.trace, k.norm_sq, k.nabla):
+    assert np.array_equal(k.squared, km @ g.inv @ km)
+    for array in (k.mixed, k.trace, k.norm_sq, k.squared, k.nabla):
         with pytest.raises(ValueError):
             array[...] = 0.0
 

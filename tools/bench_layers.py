@@ -17,6 +17,14 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
     br_components(E, B, m)    m a Metric whose g^-1 is derived
     DiagnosticsCollector.add  one record of a fresh collector
 
+In a separate pass before the timings, it keeps the tracemalloc peak of
+one call (after one untraced warm-up), in MiB over the traced allocation
+at the start of the call, of:
+
+    DiagnosticsCollector.add  one record of a fresh collector (record_peak_mib)
+    time_step(state, 1e-3, trace_correction=True)           (time_step_peak_mib)
+    perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7)  (perturb_peak_mib)
+
 BLAS and OpenMP pools are pinned to one thread.  The results go under
 runs[NAME] of the output file, which keeps the runs of other labels; when
 it holds both a "parent" and a "change" run, their ratios are written to
@@ -31,10 +39,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (16, 32)
@@ -60,13 +70,34 @@ def best_of(fn, repeats=REPEATS):
     return min(times), result
 
 
+def peak_mib(fn):
+    """Traced peak of one call of fn (after one untraced warm-up), in MiB over its start."""
+    fn()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / 2**20
+
+
 def measure(cmclab, n):
     grid = cmclab.GridSpec.cubic(n)
-    state, _ = cmclab.perturb(cmclab.warped_kasner_state(cmclab.AXIAL, -1.0, grid, 0.02), 1e-4, 7)
+    warped = cmclab.warped_kasner_state(cmclab.AXIAL, -1.0, grid, 0.02)
+    state, _ = cmclab.perturb(warped, 1e-4, 7)
     g, K, N = state.g, state.K, state.N
 
     def fresh():
         return cmclab.Metric(grid, g.values)
+
+    out = {}
+    out["record_peak_mib"] = peak_mib(lambda: cmclab.DiagnosticsCollector().add(state))
+    out["time_step_peak_mib"] = peak_mib(
+        lambda: cmclab.time_step(state, 1e-3, trace_correction=True))
+    out["perturb_peak_mib"] = peak_mib(lambda: cmclab.perturb(warped, 1e-4, 7))
 
     with_inv = fresh()
     with_inv.inv
@@ -74,7 +105,6 @@ def measure(cmclab, n):
     with_gamma.gamma
     weyl = cmclab.weyl_parts(fresh(), K)
 
-    out = {}
     out["christoffels_s"], _ = best_of(lambda: cmclab.christoffels(with_inv))
     out["ricci_s"], _ = best_of(lambda: cmclab.ricci(with_gamma))
     out["evolution_rhs_s"], _ = best_of(lambda: cmclab.evolution_rhs(fresh(), K, N))
@@ -89,7 +119,7 @@ def measure(cmclab, n):
 def ratios(parent, change):
     return {
         size: {k: round(change[size][k] / parent[size][k], 3)
-               for k in parent[size] if k.endswith("_s")}
+               for k in parent[size] if k.endswith(("_s", "_mib"))}
         for size in parent if size in change
     }
 
@@ -111,7 +141,9 @@ def main(argv=None):
     doc["about"] = (
         "Best of five timed calls (s) per layer, after one warm-up, on "
         "perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and 32^3, "
-        "one BLAS thread; written by tools/bench_layers.py, whose docstring defines each call."
+        "one BLAS thread, and the tracemalloc peak (MiB over the start of the call) of one "
+        "record, one time_step and one perturb; written by tools/bench_layers.py, whose "
+        "docstring defines each call."
     )
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
