@@ -32,8 +32,8 @@ import numpy as np
 
 from . import kasner
 from .errors import CmcDriftExceeded
-from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, as_second_form,
-                   matrix_to_sym, sym_to_matrix)
+from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, _shared_grid,
+                   as_second_form, matrix_to_sym, sym_to_matrix)
 from .geometry import constraint_norms, electric_weyl
 from .kasner import KasnerParams
 from .lapse import DEFAULT_TOL, solve_lapse
@@ -183,8 +183,9 @@ def evolution_rhs(
     and forms K g^-1 K once, for E and here.
     """
     K = as_second_form(K, g)
+    _shared_grid(K, N)
     # E before the Hessian: deriving Ric beside its arrays raises peak memory
-    dk = electric_weyl(K.metric, K).values - matrix_to_sym(K.squared)
+    dk = electric_weyl(K.metric, K).values - K.squared
     dk *= N.values[..., None]
     dk -= hessian(N, K.metric.gamma).values
     dg = -2.0 * N.values[..., None] * K.values

@@ -23,7 +23,11 @@ The quadratic energy fields assembled from E and B are
 Every reader of K here reads H = tr K, g^-1 K, |K|^2, K g^-1 K and nabla K
 from grid.as_second_form(K, g), and Ric from as_metric(g), so one Metric and
 one SecondForm handed to several of them derive each once; br_components
-raises E, then B, once each through a SecondForm for |.|^2 and the cross.
+raises E, then B, once each through a SecondForm for |.|^2 and the cross,
+and the wedge reads B's.  E is formed from Ric, H K and K g^-1 K in their
+6-component storage.  R and every other trace read tr A from the
+SecondForm (R raises Ric once for it); R is not taken from tr E, so the
+tr E = ham identity stays a check of two separate computations.
 """
 
 from __future__ import annotations
@@ -38,12 +42,11 @@ from .grid import (
     SymTensorField,
     VectorField,
     _pointwise_norm_sq,
+    _shared_grid,
     as_metric,
     as_second_form,
     integrate,
-    matrix_to_sym,
     ricci,
-    sym_to_matrix,
 )
 from .tensor import (
     cross,
@@ -99,10 +102,10 @@ def electric_weyl(g: SymTensorField, K: SymTensorField) -> SymTensorField:
     """E_ab = Ric_ab + H K_ab - K_ac K^c_b with H = tr K."""
     g = as_metric(g)
     K = as_second_form(K, g)
-    e = sym_to_matrix(g.ricci.values)  # Ric first: derived beside K's arrays, it raises peak memory
-    e += K.trace[..., None, None] * sym_to_matrix(K.values)
+    # Ric first: derived beside K's arrays, it raises peak memory
+    e = g.ricci.values + K.trace[..., None] * K.values
     e -= K.squared
-    return SymTensorField(g.grid, matrix_to_sym(e))
+    return SymTensorField(g.grid, e)
 
 
 def magnetic_weyl(K: SymTensorField, g: SymTensorField) -> SymTensorField:
@@ -120,13 +123,13 @@ def weyl_parts(g: SymTensorField, K: SymTensorField) -> WeylParts:
 def br_components(E: SymTensorField, B: SymTensorField, g: SymTensorField) -> BRComponents:
     """Assemble (q_tttt, q_attt, q_abtt) from the Weyl parts."""
     g = as_metric(g)
-    flux_vec = VectorField(E.grid, 2.0 * wedge(E, B, g).values)
     density = stress = 0.0
     for part in (E, B):  # one SecondForm at a time: g^-1 E is dropped before B is raised
         part = as_second_form(part, g)
         density = density + part.norm_sq
         stress = stress - cross(part, part, g).values
     stress += (density[..., None] / 3.0) * g.values
+    flux_vec = VectorField(E.grid, 2.0 * wedge(E, part, g).values)  # part: B's SecondForm
     return BRComponents(ScalarField(E.grid, density), flux_vec, SymTensorField(E.grid, stress))
 
 
@@ -154,6 +157,7 @@ def static_residual(g: SymTensorField, N: ScalarField) -> tuple[ScalarField, Sym
     Note the system sees only the pair (g, N): any slice with flat metric
     and spatially constant lapse satisfies it regardless of K.
     """
+    _shared_grid(g, N)
     if np.any(N.values <= 0.0):
         raise NonPositiveLapse(f"lapse has min {N.values.min():.3e} <= 0")
     g = as_metric(g)

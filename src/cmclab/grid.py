@@ -12,14 +12,20 @@ read as four slices of one copy padded by two points at each end;
 integration against a metric volume element is a plain Riemann sum, which
 is spectrally accurate for smooth periodic integrands.
 
+Every symmetric result is stored in those 6 components.  A full (..., 3, 3)
+form (sym_to_matrix) exists only as a matmul operand, built once for it;
+matrix_to_sym brings a product back to 6 components.
+
 A Metric is a SymTensorField checked positive definite by construction;
 it derives sqrt(det g), g^-1, the connection Gamma and Ric once each, on
 first use, and every operation reads them through as_metric(g).  A
-SecondForm is a symmetric A over one Metric that derives g^-1 A, tr A,
-|A|^2_g, A g^-1 A and nabla A once each, on first use; as_second_form(A, g)
-is the only path by which a symmetric tensor is contracted against g.
-Build one of each per computation (a record, an RK stage; E and B get one
-each too); a SliceState never stores either.  Gamma is
+SecondForm is a symmetric A over one Metric that derives g^-1 A, tr A
+(the trace of that g^-1 A), |A|^2_g, A g^-1 A and nabla A once each, on
+first use; as_second_form(A, g) is the only path by which a symmetric
+tensor is raised by g, and trace(A, g) reads its tr A.  Build one of each
+per computation (a record, an RK stage; E and B get one each too); a
+SliceState never stores either.  Fields handed to one operation must
+share one grid (ValueError otherwise).  Gamma is
 assembled from the partials of the 6 stored components of g with one
 batched g^-1 matmul, and Ric contracts Gamma by batched 3x3 matmuls on
 views of it.
@@ -133,6 +139,14 @@ def _check_values(grid: GridSpec, values: np.ndarray, comps: tuple[int, ...]) ->
     if not np.all(np.isfinite(values)):
         raise ValueError("field values must be finite")
     return values
+
+
+def _shared_grid(*fields) -> GridSpec:
+    """The one grid of the given fields, skipping None; ValueError unless they share it."""
+    grids = [f.grid for f in fields if f is not None]
+    if any(grid != grids[0] for grid in grids[1:]):
+        raise ValueError(f"fields must share one grid, got {list(dict.fromkeys(grids))}")
+    return grids[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,9 +319,10 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
 class SecondForm(SymTensorField):
     """A symmetric tensor K over one Metric, as_metric(metric); ValueError on another grid.
 
-    mixed (g^-1 K as (..., 3, 3)), trace (tr K = g^{ab} K_ab), norm_sq
-    (|K|^2_g = K . K), squared (K g^-1 K) and nabla (nabla_t K_sb as
-    (..., 3, 3, 3), indexed [t, s, b]) are computed once, on first use; all are read-only.
+    mixed (g^-1 K as (..., 3, 3)), trace (tr K, the trace of mixed), norm_sq
+    (|K|^2_g = K . K), squared (K g^-1 K in 6-component storage) and nabla
+    (nabla_t K_sb as (..., 3, 3, 3), indexed [t, s, b]) are computed once,
+    on first use; all are read-only.
     """
 
     metric: Metric
@@ -315,8 +330,7 @@ class SecondForm(SymTensorField):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "metric", as_metric(self.metric))
-        if self.metric.grid != self.grid:
-            raise ValueError("a SecondForm and its Metric must share one grid")
+        _shared_grid(self, self.metric)
 
     @cached_property
     def mixed(self) -> np.ndarray:
@@ -324,7 +338,7 @@ class SecondForm(SymTensorField):
 
     @cached_property
     def trace(self) -> np.ndarray:
-        return _frozen(trace(self, self.metric).values)
+        return _frozen(np.einsum("...aa->...", self.mixed))
 
     @cached_property
     def norm_sq(self) -> np.ndarray:
@@ -338,7 +352,7 @@ class SecondForm(SymTensorField):
     def squared(self) -> np.ndarray:
         # K and g^-1 are stored exactly symmetric, so the transpose of g^-1 K
         # holds K g^-1: the same products, summed in the same order
-        return _frozen(np.swapaxes(self.mixed, -1, -2) @ sym_to_matrix(self.values))
+        return _frozen(matrix_to_sym(np.swapaxes(self.mixed, -1, -2) @ sym_to_matrix(self.values)))
 
 
 def as_second_form(K: SymTensorField, g: SymTensorField) -> SecondForm:
@@ -385,6 +399,7 @@ def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
 
 def integrate(f: ScalarField, g: SymTensorField) -> float:
     """Integral of f against the metric volume element sqrt(det g) d^3x."""
+    _shared_grid(f, g)
     return float(np.sum(f.values * as_metric(g).sqrt_det) * f.grid.cell_volume)
 
 
@@ -405,8 +420,7 @@ def raise_first_index(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
 
 def trace(A: SymTensorField, g: SymTensorField) -> ScalarField:
     """g-trace g^{ab} A_ab."""
-    values = np.einsum("...ab,...ab->...", as_metric(g).inv, sym_to_matrix(A.values))
-    return ScalarField(A.grid, values)
+    return ScalarField(A.grid, as_second_form(A, g).trace)
 
 
 def _pointwise_norm_sq(field, g: Metric) -> np.ndarray:

@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundViolation, DegenerateZeroOrderTerm, SolverDiverged
-from .grid import ScalarField, SymTensorField, as_metric, as_second_form, diff_array, sup_norm
+from .grid import (ScalarField, SymTensorField, _shared_grid, as_metric, as_second_form,
+                   diff_array, sup_norm)
 
 __all__ = [
     "EllipticSolveReport",
@@ -123,7 +124,7 @@ def solve_lapse(
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     g = as_metric(g)
-    grid = g.grid
+    grid = _shared_grid(g, initial_guess, rhs)
     ksq = as_second_form(K, g).norm_sq
     if np.min(ksq) <= 0.0:
         raise DegenerateZeroOrderTerm(
@@ -203,6 +204,7 @@ def lapse_bound_margins(
     is uniform so the choice is immaterial.
     """
     K = as_second_form(K, g)
+    _shared_grid(K, N)
     ksq_sup = sup_norm(K, K.metric) ** 2  # (sup |K|_g)^2, as k_ratio reads it
     h_sup = float(np.max(np.abs(K.trace)))
     if ksq_sup <= 0.0 or h_sup <= 0.0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveLapse
-from .grid import GridSpec, ScalarField, SymTensorField, as_metric
+from .grid import GridSpec, ScalarField, SymTensorField, _shared_grid, as_metric
 
 __all__ = ["SliceState"]
 
@@ -33,9 +33,7 @@ class SliceState:
     def __post_init__(self):
         if not np.isfinite(self.t) or self.t >= 0.0:
             raise ValueError(f"CMC time must be a negative real, got {self.t!r}")
-        grid = self.g.grid
-        if self.K.grid != grid or self.N.grid != grid:
-            raise ValueError("state fields must share one grid")
+        grid = _shared_grid(self.g, self.K, self.N)
         as_metric(self.g)  # the positive-definiteness guard, unless g is already a Metric
         for name in ("g", "K"):
             field = getattr(self, name)

@@ -24,10 +24,14 @@ grid.Metric can derive each once; so do trace, raise_first_index and
 covariant_derivative_sym, so that a grid.SecondForm can derive tr A,
 g^-1 A and nabla A once.  All are re-exported here.  Every operation reads
 g^-1, sqrt(det g) and Gamma from as_metric(g), and each symmetric operand
-A through as_second_form(A, g): g^-1 A for inner, norm_sq and cross, nabla
-A for curl and divergence.  An operand handed in as a SecondForm is raised
+A through as_second_form(A, g): g^-1 A for inner, norm_sq, cross and the
+B of wedge (A g^-1 B is A @ g^-1 B), tr A for trace and cross, nabla A
+for curl and divergence.  An operand handed in as a SecondForm is raised
 once however many of them read it (B = -curl K and div K share nabla K).
+divergence contracts g^-1 with nabla A, not with A, so it raises nothing.
 
+Symmetric results are stored in 6 components: a (3, 3) form is built only
+as a matmul operand, and hessian fills the 6 stored slots directly.
 covariant_derivative_sym differentiates the 6 stored components of A and
 forms Gamma^m_ts A_mb as one batched (9 x 3) @ (3 x 3) matmul; since A and
 the lower pair of Gamma are both symmetric, the other connection term
@@ -44,11 +48,14 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import (
+    SYM_PAIRS,
     Connection,
     ScalarField,
     SymTensorField,
     VectorField,
+    _SYM_FLAT,
     _partials,
+    _shared_grid,
     _sym_dot,
     as_metric,
     as_second_form,
@@ -103,7 +110,7 @@ def norm_sq(A: SymTensorField, g: SymTensorField) -> ScalarField:
 def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorField:
     """(A ^ B)_a = eps_a^{bc} A_b^d B_{dc} = g_ap dual(A g^-1 B)_p / sqrt(det g)."""
     g = as_metric(g)
-    m = sym_to_matrix(A.values) @ g.inv @ sym_to_matrix(B.values)
+    m = sym_to_matrix(A.values) @ as_second_form(B, g).mixed
     d = _dual(m) / g.sqrt_det[..., None]
     return VectorField(A.grid, np.einsum("...ap,...p->...a", sym_to_matrix(g.values), d))
 
@@ -111,11 +118,11 @@ def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorFiel
 def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorField:
     """(A x B)_ab, symmetric and commutative for symmetric inputs."""
     g = as_metric(g)
-    a_up, b_up = as_second_form(A, g).mixed, as_second_form(B, g).mixed
-    tr_a, tr_b = np.einsum("...aa->...", a_up)[..., None], np.einsum("...aa->...", b_up)[..., None]
-    dot = _sym_dot(a_up, b_up)[..., None]
+    a, b = as_second_form(A, g), as_second_form(B, g)
+    tr_a, tr_b = a.trace[..., None], b.trace[..., None]
+    dot = _sym_dot(a.mixed, b.mixed)[..., None]
     # twice the averaged off-diagonal pair of A g^-1 B is A g^-1 B + B g^-1 A
-    values = 2.0 * matrix_to_sym(sym_to_matrix(A.values) @ b_up)
+    values = 2.0 * matrix_to_sym(sym_to_matrix(A.values) @ b.mixed)
     values -= tr_a * B.values
     values -= tr_b * A.values
     values += (2.0 / 3.0) * (tr_a * tr_b - dot) * g.values
@@ -146,14 +153,12 @@ def gradient(f: ScalarField) -> VectorField:
 
 def hessian(f: ScalarField, gamma: Connection) -> SymTensorField:
     """Covariant Hessian nabla_a nabla_b f = d_a d_b f - Gamma^c_{ab} d_c f."""
+    _shared_grid(f, gamma)
     spacings = f.grid.spacings
     df = _partials(f.values, f.grid)
-    hess = np.empty(f.grid.shape + (3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            hess[..., a, b] = diff_array(df[..., b], a, spacings[a])
-            if b != a:
-                hess[..., b, a] = hess[..., a, b]
+    hess = np.empty(f.grid.shape + (6,))
+    for slot, (a, b) in enumerate(SYM_PAIRS):
+        hess[..., slot] = diff_array(df[..., b], a, spacings[a])
     rows = gamma.coefficients.reshape(f.grid.shape + (3, 9))  # rows[..., c, 3a + b] = Gamma^c_ab
-    hess -= (df[..., None, :] @ rows).reshape(hess.shape)
-    return SymTensorField(f.grid, matrix_to_sym(hess))
+    hess -= (df[..., None, :] @ rows)[..., 0, _SYM_FLAT]
+    return SymTensorField(f.grid, hess)

@@ -1,5 +1,7 @@
 """Run configuration parsing, validation, and round-trip."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,13 @@ grid_n = 8
 t0 = -1.0
 t_end = -0.5
 """
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert cfg.command == "evolve" and cfg.seed == 7
 
 
 def test_parse_minimal_config():

@@ -14,6 +14,7 @@ from cmclab import (
     GridSpec,
     Metric,
     NonPositiveMetric,
+    ScalarField,
     SecondForm,
     SliceState,
     SymTensorField,
@@ -28,11 +29,15 @@ from cmclab import (
     evolve_states,
     gradient_lapse_estimate_check,
     hamiltonian_constraint,
+    hessian,
+    integrate,
     inverse_metric,
+    kasner_initial_data,
     lapse_bound_margins,
     load_fields,
     load_state,
     magnetic_weyl,
+    matrix_to_sym,
     metric_determinant,
     momentum_constraint,
     norm_sq,
@@ -92,7 +97,32 @@ def counting(*names):
 
 
 DERIVED = ("_inverse", "_checked_determinant", "christoffels", "ricci")
-K_DERIVED = ("raise_first_index", "trace", "covariant_derivative_sym")
+K_DERIVED = ("raise_first_index", "covariant_derivative_sym")
+GATHERS = ("sym_to_matrix", "matrix_to_sym")
+
+
+@contextmanager
+def counting_cached(*names):
+    """Record, by name, each SecondForm whose cached property is computed.
+
+    Each entry is a 1-tuple (instance,), shaped like a `counting` entry.
+    """
+    calls = defaultdict(list)
+    saved = []
+    for name in names:
+        prop = SecondForm.__dict__[name]
+
+        def counted(self, _name=name, _original=prop.func):
+            calls[_name].append((self,))
+            return _original(self)
+
+        saved.append((prop, prop.func))
+        prop.func = counted
+    try:
+        yield calls
+    finally:
+        for prop, original in saved:
+            prop.func = original
 
 
 def _of(calls, K):
@@ -102,46 +132,40 @@ def _of(calls, K):
 
 def test_collector_record_derives_each_quantity_once(perturbed12):
     K = perturbed12.K
-    with counting(*DERIVED, *K_DERIVED) as calls:
+    with counting(*DERIVED, *K_DERIVED, *GATHERS) as calls, counting_cached("trace") as cached:
         DiagnosticsCollector().add(perturbed12)
     assert [len(calls[name]) for name in DERIVED] == [1, 1, 1, 1]
     # g^-1 K, tr K and nabla K once each; nabla K serves both B and div K
-    assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1, 1]
+    assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1]
+    assert _of(cached["trace"], K) == 1
     assert len(calls["covariant_derivative_sym"]) == 1
-    # K, E, B and q_abtt once each: E and B each through one SecondForm that
-    # serves both |.|^2 and the cross product, q_abtt for the flux
-    assert len(calls["raise_first_index"]) == 4
-
-
-@contextmanager
-def counting_squared():
-    """Record each SecondForm whose cached K g^-1 K (squared) is computed."""
-    prop = SecondForm.__dict__["squared"]
-    original = prop.func
-    calls = []
-
-    def counted(self):
-        calls.append(self)
-        return original(self)
-
-    prop.func = counted
-    try:
-        yield calls
-    finally:
-        prop.func = original
+    # K, Ric (for R), E, B and q_abtt once each: E and B each through one
+    # SecondForm that serves |.|^2, the cross product and the wedge, q_abtt for the flux
+    assert len(calls["raise_first_index"]) == 5
+    # tr K, tr Ric, tr E and tr B, each the trace of its one g^-1 A
+    assert len(cached["trace"]) == 4
+    # a 3x3 form only as a matmul operand; symmetric results stay in 6 components
+    assert [len(calls[name]) for name in GATHERS] == [15, 5]
 
 
 def test_rk4_step_derives_once_per_stage(perturbed12):
     # one Metric per stage (inverse, guard, Gamma, Ric) and one for the
     # updated slice (inverse, guard), which the new SliceState does not guard again
-    with counting(*DERIVED, *K_DERIVED) as calls, counting_squared() as squared:
+    with counting(*DERIVED, *K_DERIVED, *GATHERS) as calls, \
+            counting_cached("trace", "squared") as cached:
         time_step(perturbed12, 1e-3, trace_correction=True)
     assert [len(calls[name]) for name in DERIVED] == [5, 5, 4, 4]
     # one SecondForm per stage, whose g^-1 K the lapse solve and evolution_rhs
-    # share, and one for the updated slice (tr K for the drift, g^-1 K for its lapse)
-    assert [len(calls[name]) for name in K_DERIVED] == [5, 5, 0]
+    # share, and two for the updated slice (g^-1 K for the drift's tr K, and
+    # for the corrected K's lapse)
+    assert [len(calls[name]) for name in K_DERIVED] == [6, 0]
+    # tr K once per stage (for E) and once for the drift
+    assert len(cached["trace"]) == 5
     # K g^-1 K once per stage, shared by E and the rest of dK/dt
-    assert len(squared) == 4
+    assert len(cached["squared"]) == 4
+    # per stage K is gathered twice (g^-1 K, K g^-1 K), Gamma once and d Gamma once (for Ric),
+    # and K g^-1 K and Ric go back to 6 components; then g^-1 K twice for the updated slice
+    assert [len(calls[name]) for name in GATHERS] == [18, 8]
 
 
 def test_curvature_ops_share_one_ricci(perturbed12):
@@ -159,7 +183,7 @@ def test_curvature_ops_share_one_ricci(perturbed12):
 def test_k_readers_share_one_second_form(perturbed12):
     g, N = as_metric(perturbed12.g), perturbed12.N
     K = as_second_form(perturbed12.K, g)
-    with counting(*K_DERIVED) as calls, counting_squared() as squared:
+    with counting(*K_DERIVED) as calls, counting_cached("trace", "squared") as cached:
         electric_weyl(g, K)
         magnetic_weyl(K, g)
         weyl_parts(g, K)
@@ -170,10 +194,12 @@ def test_k_readers_share_one_second_form(perturbed12):
         solve_lapse(g, K)
         lapse_bound_margins(N, K, g)
         evolution_rhs(g, K, N)
-    assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1, 1]
-    assert len(calls["raise_first_index"]) == 1
+    assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1]
+    assert _of(cached["trace"], K) == 1
+    # K once, and Ric once for each R (hamiltonian_constraint, constraint_norms)
+    assert len(calls["raise_first_index"]) == 3
     assert len(calls["covariant_derivative_sym"]) == 1
-    assert len(squared) == 1
+    assert len(cached["squared"]) == 1
 
 
 def test_gradient_estimate_reads_one_metric(perturbed12):
@@ -198,7 +224,7 @@ def test_second_form_caches_read_only_quantities(grid8, rng):
     assert np.array_equal(k.nabla, covariant_derivative_sym(K, g.gamma))
     assert k.squared is k.squared
     km = sym_to_matrix(K.values)
-    assert np.array_equal(k.squared, km @ g.inv @ km)
+    assert np.array_equal(k.squared, matrix_to_sym(km @ g.inv @ km))
     for array in (k.mixed, k.trace, k.norm_sq, k.squared, k.nabla):
         with pytest.raises(ValueError):
             array[...] = 0.0
@@ -210,6 +236,26 @@ def test_second_form_rejects_a_metric_on_another_grid(grid8):
         as_second_form(K, Metric.identity(GridSpec.cubic(9)))
     with pytest.raises(ValueError, match="grid"):
         SecondForm(grid8, K.values, Metric.identity(GridSpec((8, 8, 9))))
+
+
+_WIDE = ScalarField.constant(GridSpec.cubic(16, 2.0), 1.0)  # same shape, twice the period
+_COARSE = ScalarField.constant(GridSpec.cubic(8), 1.0)
+_CROSS_GRID = {
+    "integrate": lambda s: integrate(_WIDE, s.g),
+    "static_residual": lambda s: static_residual(s.g, _WIDE),
+    "lapse_bound_margins": lambda s: lapse_bound_margins(_COARSE, s.K, s.g),
+    "solve_lapse_rhs": lambda s: solve_lapse(s.g, s.K, rhs=_COARSE),
+    "solve_lapse_initial_guess": lambda s: solve_lapse(s.g, s.K, initial_guess=_COARSE),
+    "evolution_rhs": lambda s: evolution_rhs(s.g, s.K, _COARSE),
+    "hessian": lambda s: hessian(_WIDE, as_metric(s.g).gamma),
+}
+
+
+@pytest.mark.parametrize("call", list(_CROSS_GRID.values()), ids=list(_CROSS_GRID))
+def test_operations_reject_fields_on_another_grid(call):
+    state = kasner_initial_data(AXIAL, -1.0, GridSpec.cubic(16))
+    with pytest.raises(ValueError, match="share one grid"):
+        call(state)
 
 
 def test_metric_caches_read_only_quantities(grid8, rng):

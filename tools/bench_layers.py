@@ -11,6 +11,9 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
     ricci(m)                  m a Metric whose g^-1 and Gamma are derived
     evolution_rhs(g, K, N)    g a fresh Metric, so Gamma and Ric are included,
                               as in one RK4 stage
+    electric_weyl(m, K)       m a Metric whose Ric is derived, K a plain field,
+                              so g^-1 K, tr K and K g^-1 K are included
+    hessian(N, m.gamma)       m a Metric whose Gamma is derived
     solve_lapse(g, K)         g a fresh Metric, cold start; the CG iteration
                               count is kept beside the time
     weyl_parts(g, K)          g a fresh Metric, so Gamma and Ric are included
@@ -103,11 +106,15 @@ def measure(cmclab, n):
     with_inv.inv
     with_gamma = fresh()
     with_gamma.gamma
+    with_ricci = fresh()
+    with_ricci.ricci
     weyl = cmclab.weyl_parts(fresh(), K)
 
     out["christoffels_s"], _ = best_of(lambda: cmclab.christoffels(with_inv))
     out["ricci_s"], _ = best_of(lambda: cmclab.ricci(with_gamma))
     out["evolution_rhs_s"], _ = best_of(lambda: cmclab.evolution_rhs(fresh(), K, N))
+    out["electric_weyl_s"], _ = best_of(lambda: cmclab.electric_weyl(with_ricci, K))
+    out["hessian_s"], _ = best_of(lambda: cmclab.hessian(N, with_gamma.gamma))
     out["solve_lapse_s"], (_, report) = best_of(lambda: cmclab.solve_lapse(fresh(), K))
     out["solve_lapse_cg_iterations"] = report.iterations
     out["weyl_parts_s"], _ = best_of(lambda: cmclab.weyl_parts(fresh(), K))
@@ -119,7 +126,7 @@ def measure(cmclab, n):
 def ratios(parent, change):
     return {
         size: {k: round(change[size][k] / parent[size][k], 3)
-               for k in parent[size] if k.endswith(("_s", "_mib"))}
+               for k in parent[size] if k.endswith(("_s", "_mib")) and k in change[size]}
         for size in parent if size in change
     }
 
