@@ -28,6 +28,8 @@ slice energy integral scales by r.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import kasner
@@ -55,6 +57,10 @@ __all__ = [
 
 DEFAULT_CFL = 0.25
 DEFAULT_CMC_DRIFT_TOL = 1e-6
+
+# The solver_tol at which solve_lapse produced a state's N on exactly that
+# state's (g, K), for the states time_step and perturb return.
+_LAPSE_SOLVED_AT: weakref.WeakKeyDictionary[SliceState, float] = weakref.WeakKeyDictionary()
 
 
 def kasner_initial_data(p: KasnerParams, t0: float, grid: GridSpec) -> SliceState:
@@ -170,6 +176,7 @@ def perturb(
     K = SecondForm(state.grid, k_vals + (defect[..., None] / 3.0) * g_vals, g)
     N, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=state.N)
     new_state = SliceState(t=state.t, g=g, K=K, N=N)
+    _LAPSE_SOLVED_AT[new_state] = solver_tol
     return new_state, constraint_norms(g, K)
 
 
@@ -203,10 +210,15 @@ def time_step(
 
     The lapse equation is re-solved at every stage, warm-started from the
     previous stage; the stage's one Metric and one SecondForm serve both
-    the solve and evolution_rhs.  After the update the sup-norm drift of
-    tr K from the new time label is either projected into the pure-trace
-    part of K (trace_correction) or required to stay below cmc_drift_tol.
-    Raises ValueError unless dt is finite.
+    the solve and evolution_rhs.  Stage 1 takes state.N as it is when
+    time_step or perturb solved that N on this very state's (g, K) at
+    this solver_tol: re-solving it would start at the solution and return
+    it bitwise after 0 CG iterations.  Any other state (built directly,
+    loaded, rescaled) or another solver_tol gets the stage-1 solve.
+    After the update the sup-norm drift of tr K from the new time label
+    is either projected into the pure-trace part of K (trace_correction)
+    or required to stay below cmc_drift_tol.  Raises ValueError unless dt
+    is finite.
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
@@ -214,15 +226,15 @@ def time_step(
     g0, k0 = state.g.values, state.K.values
     n_prev = state.N
 
-    def stage(g_vals: np.ndarray, k_vals: np.ndarray):
+    def stage(g_vals: np.ndarray, k_vals: np.ndarray, solved: bool = False):
         nonlocal n_prev
         g = Metric(grid, g_vals)
         K = SecondForm(grid, k_vals, g)
-        N, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=n_prev)
-        n_prev = N
-        return evolution_rhs(g, K, N)
+        if not solved:
+            n_prev, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=n_prev)
+        return evolution_rhs(g, K, n_prev)
 
-    dg1, dk1 = stage(g0, k0)
+    dg1, dk1 = stage(g0, k0, solved=_LAPSE_SOLVED_AT.get(state) == solver_tol)
     dg2, dk2 = stage(g0 + 0.5 * dt * dg1, k0 + 0.5 * dt * dk1)
     dg3, dk3 = stage(g0 + 0.5 * dt * dg2, k0 + 0.5 * dt * dk2)
     dg4, dk4 = stage(g0 + dt * dg3, k0 + dt * dk3)
@@ -241,7 +253,9 @@ def time_step(
             f"(tol {cmc_drift_tol:.1e})"
         )
     n_new, _ = solve_lapse(g_new, k_new, tol=solver_tol, initial_guess=n_prev)
-    return SliceState(t=t_new, g=g_new, K=k_new, N=n_new)
+    new_state = SliceState(t=t_new, g=g_new, K=k_new, N=n_new)
+    _LAPSE_SOLVED_AT[new_state] = solver_tol
+    return new_state
 
 
 def max_stable_dt(state: SliceState, cfl: float = DEFAULT_CFL) -> float:

@@ -25,9 +25,10 @@ from grid.as_second_form(K, g), and Ric from as_metric(g), so one Metric and
 one SecondForm handed to several of them derive each once; br_components
 raises E, then B, once each through a SecondForm for |.|^2 and the cross,
 and the wedge reads B's.  E is formed from Ric, H K and K g^-1 K in their
-6-component storage.  R and every other trace read tr A from the
-SecondForm (R raises Ric once for it); R is not taken from tr E, so the
-tr E = ham identity stays a check of two separate computations.
+6-component storage.  Every trace reads tr A from the SecondForm; R is
+cached on the Metric, which raises Ric once for it.  R is not taken from
+tr E, so the tr E = ham identity stays a check of two separate
+computations.
 """
 
 from __future__ import annotations
@@ -93,9 +94,8 @@ class BRComponents:
 
 
 def scalar_curvature(g: SymTensorField) -> ScalarField:
-    """Scalar curvature R = g^{ab} Ric_ab."""
-    g = as_metric(g)
-    return trace(g.ricci, g)
+    """Scalar curvature R = g^{ab} Ric_ab, as cached on as_metric(g)."""
+    return as_metric(g).scalar_curvature
 
 
 def electric_weyl(g: SymTensorField, K: SymTensorField) -> SymTensorField:
@@ -171,8 +171,9 @@ def constraint_norms(g: SymTensorField, K: SymTensorField) -> tuple[float, float
     """L2(mu_g) norms of the Hamiltonian and momentum constraint residuals."""
     g = as_metric(g)
     K = as_second_form(K, g)
-    ham = hamiltonian_constraint(g, K)
+    # momentum first: building nabla K sets the peak, so R is not yet cached beside it
     mom_sq = _pointwise_norm_sq(momentum_constraint(g, K), g)
+    ham = hamiltonian_constraint(g, K)
     ham_norm = np.sqrt(integrate(ScalarField(g.grid, ham.values**2), g))
     mom_norm = np.sqrt(integrate(ScalarField(g.grid, mom_sq), g))
     return float(ham_norm), float(mom_norm)

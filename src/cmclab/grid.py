@@ -17,8 +17,8 @@ form (sym_to_matrix) exists only as a matmul operand, built once for it;
 matrix_to_sym brings a product back to 6 components.
 
 A Metric is a SymTensorField checked positive definite by construction;
-it derives sqrt(det g), g^-1, the connection Gamma and Ric once each, on
-first use, and every operation reads them through as_metric(g).  A
+it derives sqrt(det g), g^-1, the connection Gamma, Ric and R once each,
+on first use, and every operation reads them through as_metric(g).  A
 SecondForm is a symmetric A over one Metric that derives g^-1 A, tr A
 (the trace of that g^-1 A), |A|^2_g, A g^-1 A and nabla A once each, on
 first use; as_second_form(A, g) is the only path by which a symmetric
@@ -280,8 +280,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Metric(SymTensorField):
     """A metric checked positive definite (else NonPositiveMetric), keeping det.
 
-    sqrt_det, inv (g^-1 as (..., 3, 3)), gamma (the Levi-Civita Connection)
-    and ricci (Ric) are computed once, on first use; all are read-only.
+    sqrt_det, inv (g^-1 as (..., 3, 3)), gamma (the Levi-Civita Connection),
+    ricci (Ric) and scalar_curvature (R = tr Ric) are computed once, on
+    first use; all are read-only.  R keeps only its scalar array: the
+    SecondForm that raises Ric for it is dropped, since one kept here
+    would refer back to this Metric.
     """
 
     def __post_init__(self):
@@ -303,6 +306,10 @@ class Metric(SymTensorField):
     @cached_property
     def ricci(self) -> SymTensorField:
         return ricci(self)
+
+    @cached_property
+    def scalar_curvature(self) -> ScalarField:
+        return ScalarField(self.grid, as_second_form(self.ricci, self).trace)
 
 
 def as_metric(g: SymTensorField) -> Metric:

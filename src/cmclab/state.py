@@ -20,9 +20,13 @@ class SliceState:
     slice, so t < 0 throughout the expanding regime this package works
     in.  How far tr K may drift from t before a step is rejected is owned
     by the evolution loop, not by this container.  States are immutable
-    snapshots: operations return new instances and never mutate fields.
-    A Metric g and a SecondForm K are stored as plain SymTensorFields, so
-    no state keeps g^-1, Gamma or nabla K alive.
+    snapshots: operations return new instances and never mutate fields,
+    and the g, K and N value arrays are made read-only on construction
+    (the caller's arrays themselves, not copies), so one state object
+    always means one set of values and a reader may key what it derives
+    from a slice on the object.  A Metric g and a SecondForm K are stored
+    as plain SymTensorFields, so no state keeps g^-1, Gamma or nabla K
+    alive.
     """
 
     t: float
@@ -41,6 +45,8 @@ class SliceState:
                 object.__setattr__(self, name, SymTensorField(grid, field.values))
         if np.any(self.N.values <= 0.0):
             raise NonPositiveLapse(f"lapse has min {self.N.values.min():.3e} <= 0")
+        for field in (self.g, self.K, self.N):
+            field.values.flags.writeable = False
 
     @property
     def grid(self) -> GridSpec:

@@ -1,5 +1,6 @@
 """The checked per-slice Metric and SecondForm: each derived quantity once, never kept by a state."""
 
+import gc
 import sys
 from collections import defaultdict
 from contextlib import contextmanager
@@ -20,9 +21,12 @@ from cmclab import (
     SymTensorField,
     as_metric,
     as_second_form,
+    br_energy,
+    br_flux,
     christoffels,
     constraint_norms,
     covariant_derivative_sym,
+    curvature_radius,
     divergence,
     electric_weyl,
     evolution_rhs,
@@ -49,6 +53,7 @@ from cmclab import (
     save_state,
     scalar_curvature,
     solve_lapse,
+    spacetime_br_energy,
     static_residual,
     sym_to_matrix,
     time_step,
@@ -56,7 +61,10 @@ from cmclab import (
     warped_kasner_state,
     weyl_parts,
 )
+from cmclab import diagnostics as diagnostics_module
+from cmclab import geometry as geometry_module
 from cmclab import grid as grid_module
+from cmclab import lapse as lapse_module
 from cmclab.checks import random_metric
 
 
@@ -66,9 +74,14 @@ def perturbed12():
     return perturb(state, 1e-3, seed=11)[0]
 
 
+def _fresh(state):
+    """A new state object over the same arrays, which no per-state memo has seen."""
+    return SliceState(t=state.t, g=state.g, K=state.K, N=state.N)
+
+
 @contextmanager
-def counting(*names):
-    """Record the positional arguments of each call of grid-module functions, by name.
+def counting(*names, module=grid_module):
+    """Record, by name, the positional arguments of each call of functions of module.
 
     Every cmclab binding of each function is counted, including the
     module-level ones that grid's own Metric and SecondForm call.
@@ -76,24 +89,24 @@ def counting(*names):
     calls = defaultdict(list)
     saved = []
     for name in names:
-        original = getattr(grid_module, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name].append(args)
             return _original(*args, **kwargs)
 
-        for module_name, module in list(sys.modules.items()):
-            if module is None or not module_name.startswith("cmclab"):
+        for binder_name, binder in list(sys.modules.items()):
+            if binder is None or not binder_name.startswith("cmclab"):
                 continue
-            for attr, value in list(vars(module).items()):
+            for attr, value in list(vars(binder).items()):
                 if value is original:
-                    saved.append((module, attr, value))
-                    setattr(module, attr, counted)
+                    saved.append((binder, attr, value))
+                    setattr(binder, attr, counted)
     try:
         yield calls
     finally:
-        for module, attr, value in reversed(saved):
-            setattr(module, attr, value)
+        for binder, attr, value in reversed(saved):
+            setattr(binder, attr, value)
 
 
 DERIVED = ("_inverse", "_checked_determinant", "christoffels", "ricci")
@@ -131,9 +144,9 @@ def _of(calls, K):
 
 
 def test_collector_record_derives_each_quantity_once(perturbed12):
-    K = perturbed12.K
+    K, state = perturbed12.K, _fresh(perturbed12)
     with counting(*DERIVED, *K_DERIVED, *GATHERS) as calls, counting_cached("trace") as cached:
-        DiagnosticsCollector().add(perturbed12)
+        DiagnosticsCollector().add(state)
     assert [len(calls[name]) for name in DERIVED] == [1, 1, 1, 1]
     # g^-1 K, tr K and nabla K once each; nabla K serves both B and div K
     assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1]
@@ -196,17 +209,97 @@ def test_k_readers_share_one_second_form(perturbed12):
         evolution_rhs(g, K, N)
     assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1]
     assert _of(cached["trace"], K) == 1
-    # K once, and Ric once for each R (hamiltonian_constraint, constraint_norms)
-    assert len(calls["raise_first_index"]) == 3
+    # K once, and Ric once for R, which the Metric caches for both
+    # hamiltonian_constraint and constraint_norms
+    assert len(calls["raise_first_index"]) == 2
     assert len(calls["covariant_derivative_sym"]) == 1
     assert len(cached["squared"]) == 1
 
 
 def test_gradient_estimate_reads_one_metric(perturbed12):
     # r_c and sup |grad N|_g both read the one Metric the estimate builds
+    state = _fresh(perturbed12)
     with counting(*DERIVED) as calls:
-        gradient_lapse_estimate_check(perturbed12, 10.0)
+        gradient_lapse_estimate_check(state, 10.0)
     assert [len(calls[name]) for name in DERIVED] == [1, 1, 1, 1]
+
+
+def test_br_readers_share_one_derivation(perturbed12):
+    # the record lends its Metric, so constraint_norms' Ric is the one E used
+    state = _fresh(perturbed12)
+    with counting("ricci") as calls, counting("weyl_parts", module=geometry_module) as weyl:
+        record = DiagnosticsCollector().add(state)
+        scalars = (br_energy(state), br_flux(state), curvature_radius(state))
+        lhs, _, _ = gradient_lapse_estimate_check(state, 10.0)
+        assert spacetime_br_energy([state, state]) == 0.0
+    assert len(calls["ricci"]) == 1 and len(weyl["weyl_parts"]) == 1
+    assert scalars == (record.e_br, record.flux, record.r_c)
+    assert lhs == record.r_c * record.grad_n_sup
+    # each reader, first on a new state, derives the same bits as the record
+    assert scalars == tuple(read(_fresh(state)) for read in (br_energy, br_flux, curvature_radius))
+
+
+def test_step_and_br_readers_run_ricci_five_times(perturbed12):
+    # Ric once per RK4 stage, then once for the new slice, shared by both readers
+    with counting("ricci") as calls:
+        stepped = time_step(perturbed12, 1e-3, trace_correction=True)
+        br_energy(stepped)
+        br_flux(stepped)
+    assert len(calls["ricci"]) == 5
+
+
+def test_br_memo_is_per_state_object(perturbed12):
+    state = _fresh(perturbed12)
+    with counting("weyl_parts", module=geometry_module) as calls:
+        energy = br_energy(state)
+        assert br_energy(state) == energy
+        assert len(calls["weyl_parts"]) == 1
+        assert br_energy(_fresh(state)) == energy
+        br_energy(rescale(state, 2.0))
+    assert len(calls["weyl_parts"]) == 3
+
+
+def test_br_memo_holds_floats_that_die_with_the_state(perturbed12):
+    state = _fresh(perturbed12)
+    br_flux(state)
+    memo = diagnostics_module._BR_SCALARS
+    held = vars(memo[state])
+    assert len(held) == 5 and all(type(value) is float for value in held.values())
+    size = len(memo)
+    del state
+    gc.collect()
+    assert len(memo) == size - 1
+
+
+def _step_solves(state, **kwargs):
+    """(the RK4 step from state, how many lapse solves it ran)."""
+    with counting("solve_lapse", module=lapse_module) as calls:
+        stepped = time_step(state, 1e-3, trace_correction=True, **kwargs)
+    return stepped, len(calls["solve_lapse"])
+
+
+def _bits(state):
+    return (state.t, *(getattr(state, name).values.tobytes() for name in ("g", "K", "N")))
+
+
+def test_stage_one_reuses_a_lapse_solved_on_the_slice(perturbed12):
+    # perturb and time_step solved their states' N on exactly (g, K) at the default tol
+    assert _step_solves(perturbed12)[1] == 4
+    stepped = time_step(perturbed12, 1e-3, trace_correction=True)
+    reused, solves = _step_solves(stepped)
+    resolved, resolves = _step_solves(_fresh(stepped))
+    assert (solves, resolves) == (4, 5)
+    assert _bits(reused) == _bits(resolved)
+
+
+def test_stage_one_solves_a_lapse_it_cannot_vouch_for(perturbed12, tmp_path):
+    stepped = time_step(perturbed12, 1e-3, trace_correction=True)
+    path = tmp_path / "stepped.npz"
+    save_state(stepped, path)
+    unvouched = (kasner_initial_data(AXIAL, -1.0, stepped.grid), rescale(stepped, 2.0),
+                 load_state(path))
+    assert [_step_solves(state)[1] for state in unvouched] == [5, 5, 5]
+    assert _step_solves(stepped, solver_tol=1e-9)[1] == 5
 
 
 def test_second_form_caches_read_only_quantities(grid8, rng):

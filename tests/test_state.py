@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from cmclab import (
+    AXIAL,
     GridSpec,
     NonPositiveLapse,
     NonPositiveMetric,
     ScalarField,
     SliceState,
     SymTensorField,
+    kasner_initial_data,
 )
 
 
@@ -59,3 +61,11 @@ def test_lapse_must_be_positive(grid8):
     vals[2, 3, 4] = 0.0
     with pytest.raises(NonPositiveLapse):
         SliceState(t=-1.0, g=g, K=k, N=ScalarField(grid8, vals))
+
+
+def test_state_arrays_are_read_only(grid8):
+    # one state object means one set of values, which per-state memos rely on
+    state = kasner_initial_data(AXIAL, -1.0, grid8)
+    for field in (state.g, state.K, state.N):
+        with pytest.raises(ValueError):
+            field.values[0, 0, 0] = 1.0

@@ -18,13 +18,24 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               count is kept beside the time
     weyl_parts(g, K)          g a fresh Metric, so Gamma and Ric are included
     br_components(E, B, m)    m a Metric whose g^-1 is derived
-    DiagnosticsCollector.add  one record of a fresh collector
+    DiagnosticsCollector.add  one record of a fresh collector (collector_add_s)
+    time_step(s, 1e-3, trace_correction=True)
+                              s made by the same step from the slice, so its
+                              lapse was solved on it (time_step_s)
+    br_energy(s), br_flux(s)  both on one state s (br_energy_flux_s)
+
+Each record and each br_energy/br_flux pair gets a new SliceState over
+the slice's arrays, and each step a new state made by time_step from the
+slice, built untimed before the call.  The Bel-Robinson readers derive a
+state object at most once, so a call repeated on one object would time a
+memo lookup.
 
 In a separate pass before the timings, it keeps the tracemalloc peak of
 one call (after one untraced warm-up), in MiB over the traced allocation
 at the start of the call, of:
 
-    DiagnosticsCollector.add  one record of a fresh collector (record_peak_mib)
+    DiagnosticsCollector.add  one record of a fresh collector on a new
+                              state (record_peak_mib)
     time_step(state, 1e-3, trace_correction=True)           (time_step_peak_mib)
     perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7)  (perturb_peak_mib)
 
@@ -62,25 +73,38 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def best_of(fn, repeats=REPEATS):
-    """(best wall time in s, last result) of `repeats` calls after one warm-up."""
-    result = fn()
+def _args(setup):
+    """The arguments of one call: none, or a new setup() result."""
+    return () if setup is None else (setup(),)
+
+
+def best_of(fn, repeats=REPEATS, setup=None):
+    """(best wall time in s, last result) of `repeats` calls after one warm-up.
+
+    With setup, each call is fn(setup()), and setup runs untimed.
+    """
+    result = fn(*_args(setup))
     times = []
     for _ in range(repeats):
+        args = _args(setup)
         start = time.perf_counter()
-        result = fn()
+        result = fn(*args)
         times.append(time.perf_counter() - start)
     return min(times), result
 
 
-def peak_mib(fn):
-    """Traced peak of one call of fn (after one untraced warm-up), in MiB over its start."""
-    fn()
+def peak_mib(fn, setup=None):
+    """Traced peak of one call of fn (after one untraced warm-up), in MiB over its start.
+
+    With setup, each call is fn(setup()), and setup runs untraced.
+    """
+    fn(*_args(setup))
+    args = _args(setup)
     gc.collect()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        fn()
+        fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -96,10 +120,18 @@ def measure(cmclab, n):
     def fresh():
         return cmclab.Metric(grid, g.values)
 
+    def new_state():
+        return cmclab.SliceState(t=state.t, g=g, K=K, N=N)
+
+    def step(s):
+        return cmclab.time_step(s, 1e-3, trace_correction=True)
+
+    def record(s):
+        return cmclab.DiagnosticsCollector().add(s)
+
     out = {}
-    out["record_peak_mib"] = peak_mib(lambda: cmclab.DiagnosticsCollector().add(state))
-    out["time_step_peak_mib"] = peak_mib(
-        lambda: cmclab.time_step(state, 1e-3, trace_correction=True))
+    out["record_peak_mib"] = peak_mib(record, setup=new_state)
+    out["time_step_peak_mib"] = peak_mib(lambda: step(state))
     out["perturb_peak_mib"] = peak_mib(lambda: cmclab.perturb(warped, 1e-4, 7))
 
     with_inv = fresh()
@@ -119,7 +151,10 @@ def measure(cmclab, n):
     out["solve_lapse_cg_iterations"] = report.iterations
     out["weyl_parts_s"], _ = best_of(lambda: cmclab.weyl_parts(fresh(), K))
     out["br_components_s"], _ = best_of(lambda: cmclab.br_components(weyl.E, weyl.B, with_inv))
-    out["collector_add_s"], _ = best_of(lambda: cmclab.DiagnosticsCollector().add(state))
+    out["collector_add_s"], _ = best_of(record, setup=new_state)
+    out["time_step_s"], _ = best_of(step, setup=lambda: step(state))
+    out["br_energy_flux_s"], _ = best_of(
+        lambda s: (cmclab.br_energy(s), cmclab.br_flux(s)), setup=new_state)
     return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in out.items()}
 
 
@@ -149,7 +184,8 @@ def main(argv=None):
         "Best of five timed calls (s) per layer, after one warm-up, on "
         "perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and 32^3, "
         "one BLAS thread, and the tracemalloc peak (MiB over the start of the call) of one "
-        "record, one time_step and one perturb; written by tools/bench_layers.py, whose "
+        "record, one time_step and one perturb; records, br_energy_flux_s and time_step_s "
+        "each run on a new state object; written by tools/bench_layers.py, whose "
         "docstring defines each call."
     )
     doc.setdefault("runs", {})[args.label] = {
