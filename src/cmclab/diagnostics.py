@@ -23,11 +23,19 @@ DiagnosticsCollector.add, which lends the Metric and SecondForm it also
 reads for the other columns.  The rest read them back.  A state's arrays
 are read-only, so the object identifies its values, and the memo is
 keyed weakly on it: it holds five floats per live state and dies with
-the state.  No array derived from a slice is kept between calls.  A
-one-entry cache that kept the last slice's Metric, SecondForm and q for
-the next reader made the 16^3 Kasner benchmark 34% faster but raised its
-peak RSS from 46.5 to 49.6 MB, and that of the 32^3 warped diagnostics
-sweep from 90.5 to 107.7 MB.
+the state.
+
+Both readers get the slice's SecondForm, over its Metric, from
+state._second_form.  Only for the head, the state time_step returned
+last, does it outlive the reader: it waits, with g^-1, Gamma, Ric, g^-1 K
+and K g^-1 K, for the next time_step's stage 1, which takes it instead of
+deriving them again.  Any other state's arrays die with the call.  Two
+wider variants were measured and rejected: letting every state's first
+reader lend (a one-entry slot, replaced by the next derived state) raised
+the 32^3 warped diagnostics sweep's peak RSS from 90.6 to 104.1 MB,
+since the slot lived on between records; and having time_step also lend
+its own final Metric and SecondForm raised the 32^3 perturbed
+evolution's from 94.6 to 104.0 MB without making it faster.
 """
 
 from __future__ import annotations
@@ -41,10 +49,9 @@ import numpy as np
 
 from .errors import EmptyHistory, ParseError, SinkError, ValidationError
 from .geometry import BRComponents, br_components, constraint_norms, weyl_parts
-from .grid import (Metric, ScalarField, SecondForm, _vector_dot, as_second_form, integrate,
-                   sup_norm)
+from .grid import Metric, ScalarField, SecondForm, _vector_dot, integrate, sup_norm
 from .lapse import lapse_bound_margins
-from .state import SliceState
+from .state import SliceState, _second_form
 from .tensor import gradient, inner
 
 __all__ = [
@@ -132,7 +139,7 @@ def _br_scalars(state: SliceState, K: SecondForm | None = None) -> _BRScalars:
     if scalars is not None:
         return scalars
     if K is None:
-        K = as_second_form(state.K, state.g)
+        K = _second_form(state)
     g, N = K.metric, state.N
     weyl = weyl_parts(g, K)
     q = br_components(weyl.E, weyl.B, g)
@@ -226,7 +233,7 @@ class DiagnosticsCollector:
 
     def add(self, state: SliceState) -> DiagnosticsRecord:
         N = state.N
-        K = as_second_form(state.K, state.g)
+        K = _second_form(state)
         g = K.metric
         scalars = _br_scalars(state, K)
         if self._prev_t is not None:

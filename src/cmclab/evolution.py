@@ -39,7 +39,7 @@ from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, _s
 from .geometry import constraint_norms, electric_weyl
 from .kasner import KasnerParams
 from .lapse import DEFAULT_TOL, solve_lapse
-from .state import SliceState
+from .state import SliceState, _mark_head, _take_second_form
 from .tensor import hessian, trace
 
 __all__ = [
@@ -215,26 +215,35 @@ def time_step(
     this solver_tol: re-solving it would start at the solution and return
     it bitwise after 0 CG iterations.  Any other state (built directly,
     loaded, rescaled) or another solver_tol gets the stage-1 solve.
+    Likewise, when state is the one the previous time_step returned, stage
+    1 takes the SecondForm and Metric that its first reader (a record or a
+    Bel-Robinson scalar) derived, with their g^-1, Gamma, Ric, g^-1 K,
+    tr K, |K|^2 and K g^-1 K, instead of deriving the same arrays again.
+    A step from any other state drops what was left and derives its own.
+    The state returned here takes that role for the next call.
     After the update the sup-norm drift of tr K from the new time label
     is either projected into the pure-trace part of K (trace_correction)
     or required to stay below cmc_drift_tol.  Raises ValueError unless dt
-    is finite.
+    is finite and cmc_drift_tol is finite and nonnegative.
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
+    _check_drift_tol(cmc_drift_tol)
     grid = state.grid
     g0, k0 = state.g.values, state.K.values
     n_prev = state.N
 
-    def stage(g_vals: np.ndarray, k_vals: np.ndarray, solved: bool = False):
+    def stage(g_vals: np.ndarray, k_vals: np.ndarray, K: SecondForm | None = None,
+              solved: bool = False):
         nonlocal n_prev
-        g = Metric(grid, g_vals)
-        K = SecondForm(grid, k_vals, g)
+        if K is None:
+            K = SecondForm(grid, k_vals, Metric(grid, g_vals))
         if not solved:
-            n_prev, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=n_prev)
-        return evolution_rhs(g, K, n_prev)
+            n_prev, _ = solve_lapse(K.metric, K, tol=solver_tol, initial_guess=n_prev)
+        return evolution_rhs(K.metric, K, n_prev)
 
-    dg1, dk1 = stage(g0, k0, solved=_LAPSE_SOLVED_AT.get(state) == solver_tol)
+    dg1, dk1 = stage(g0, k0, _take_second_form(state),
+                     solved=_LAPSE_SOLVED_AT.get(state) == solver_tol)
     dg2, dk2 = stage(g0 + 0.5 * dt * dg1, k0 + 0.5 * dt * dk1)
     dg3, dk3 = stage(g0 + 0.5 * dt * dg2, k0 + 0.5 * dt * dk2)
     dg4, dk4 = stage(g0 + dt * dg3, k0 + dt * dk3)
@@ -255,7 +264,15 @@ def time_step(
     n_new, _ = solve_lapse(g_new, k_new, tol=solver_tol, initial_guess=n_prev)
     new_state = SliceState(t=t_new, g=g_new, K=k_new, N=n_new)
     _LAPSE_SOLVED_AT[new_state] = solver_tol
+    _mark_head(new_state)
     return new_state
+
+
+def _check_drift_tol(cmc_drift_tol: float) -> None:
+    # NaN and +inf would silently switch the drift check off, and a negative
+    # tolerance would fail every step
+    if not (np.isfinite(cmc_drift_tol) and cmc_drift_tol >= 0.0):
+        raise ValueError(f"cmc_drift_tol must be finite and >= 0, got {cmc_drift_tol!r}")
 
 
 def max_stable_dt(state: SliceState, cfl: float = DEFAULT_CFL) -> float:
@@ -285,12 +302,14 @@ def evolve_states(
 
     A fixed dt is used as given (it must be finite and its sign must point
     at t_end); with dt=None each step takes the CFL-limited size.  The
-    final step is shortened to land on t_end exactly.
+    final step is shortened to land on t_end exactly.  Raises ValueError
+    before the first step unless cmc_drift_tol is finite and nonnegative.
     """
     if not (np.isfinite(t_end) and t_end < 0.0):
         raise ValueError(f"t_end must be a finite negative real, got {t_end!r}")
     if dt is not None and not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
+    _check_drift_tol(cmc_drift_tol)
     direction = np.sign(t_end - state.t)
     if direction == 0.0:
         return

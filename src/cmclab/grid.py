@@ -24,8 +24,10 @@ SecondForm is a symmetric A over one Metric that derives g^-1 A, tr A
 first use; as_second_form(A, g) is the only path by which a symmetric
 tensor is raised by g, and trace(A, g) reads its tr A.  Build one of each
 per computation (a record, an RK stage; E and B get one each too); a
-SliceState never stores either.  Fields handed to one operation must
-share one grid (ValueError otherwise).  Gamma is
+SliceState never stores either, though the next RK step may take the
+pair a reader built for the state the last step returned (state.py).
+Fields handed to one operation must share one grid (ValueError
+otherwise).  Gamma is
 assembled from the partials of the 6 stored components of g with one
 batched g^-1 matmul, and Ric contracts Gamma by batched 3x3 matmuls on
 views of it.

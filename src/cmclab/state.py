@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveLapse
-from .grid import GridSpec, ScalarField, SymTensorField, _shared_grid, as_metric
+from .grid import (GridSpec, ScalarField, SecondForm, SymTensorField, _shared_grid, as_metric,
+                   as_second_form)
 
 __all__ = ["SliceState"]
 
@@ -25,8 +27,12 @@ class SliceState:
     (the caller's arrays themselves, not copies), so one state object
     always means one set of values and a reader may key what it derives
     from a slice on the object.  A Metric g and a SecondForm K are stored
-    as plain SymTensorFields, so no state keeps g^-1, Gamma or nabla K
-    alive.
+    as plain SymTensorFields, so a state never holds g^-1, Gamma, Ric or
+    nabla K itself.  One state at a time lends them to the next step: the
+    state time_step returned last (the head), whose first reader leaves
+    its SecondForm, over its Metric, for that time_step's stage 1 (see
+    _second_form).  Every other state (built directly, loaded, rescaled,
+    perturbed, Kasner data) keeps nothing alive.
     """
 
     t: float
@@ -51,3 +57,36 @@ class SliceState:
     @property
     def grid(self) -> GridSpec:
         return self.g.grid
+
+
+# The head, the state time_step returned last, mapped to the SecondForm over
+# its Metric that its first reader derived (None until then).  Keyed weakly,
+# so the entry dies with the head; marking a new head drops the old entry.
+_HEAD: weakref.WeakKeyDictionary[SliceState, SecondForm | None] = weakref.WeakKeyDictionary()
+
+
+def _mark_head(state: SliceState) -> None:
+    _HEAD.clear()
+    _HEAD[state] = None
+
+
+def _second_form(state: SliceState) -> SecondForm:
+    """state.K as a SecondForm over a Metric of state.g, for a reader of the slice.
+
+    The head's first reader leaves it in the registry and later readers of
+    the head get the same one; for any other state it is built anew and
+    nothing keeps it.
+    """
+    K = _HEAD.get(state)
+    if K is None:
+        K = as_second_form(state.K, state.g)
+        if state in _HEAD:
+            _HEAD[state] = K
+    return K
+
+
+def _take_second_form(state: SliceState) -> SecondForm | None:
+    """The SecondForm a reader left for state if it is the head, else None; empties the registry."""
+    K = _HEAD.pop(state, None)
+    _HEAD.clear()
+    return K

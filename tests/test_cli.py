@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from cmclab import AXIAL, load_state, parse_records
-from cmclab import kasner
+from cmclab import (AXIAL, DiagnosticsCollector, GridSpec, SliceState, emit_records,
+                    kasner_initial_data, load_state, parse_records, perturb, time_step)
+from cmclab import evolution, kasner
 from cmclab.cli import build_parser, load_config, main
 
 
@@ -78,6 +79,45 @@ def test_evolve_writes_parsable_deterministic_records(capsys, tmp_path):
     assert len(records) == 4
     want = kasner.br_energy(AXIAL, -1.0, 1.0)
     assert records[0].e_br == pytest.approx(want, rel=1e-12)
+
+
+def test_evolve_records_equal_a_loop_that_lends_nothing(capsys, tmp_path, monkeypatch):
+    # each record of the head leaves its SecondForm and Metric for the next
+    # step; fresh state objects are never the head, so the loop below
+    # derives every stage-1 quantity itself
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(
+        "command = evolve\ngrid_n = 12\nt0 = -1.0\nt_end = -0.99\ndt = 0.004\n"
+        "cadence = 1\nperturb_amplitude = 1e-3\nseed = 5\ntrace_correction = true\n"
+    )
+    taken, take = [], evolution._take_second_form
+
+    def counted_take(state):
+        lent = take(state)
+        taken.append(lent is not None)
+        return lent
+
+    monkeypatch.setattr(evolution, "_take_second_form", counted_take)
+    code, _, _ = _main(capsys, "evolve", "--config", str(cfg),
+                       "--output", str(tmp_path / "cli.csv"))
+    assert code == 0
+    assert taken == [False, True, True]  # -1.0 -> -0.996 -> -0.992 -> -0.99
+
+    def fresh(state):
+        return SliceState(t=state.t, g=state.g, K=state.K, N=state.N)
+
+    tol = 1e-10  # the RunConfig default
+    state, _ = perturb(kasner_initial_data(AXIAL, -1.0, GridSpec.cubic(12)), 1e-3, 5, tol)
+    collector = DiagnosticsCollector()
+    collector.add(fresh(state))
+    while state.t < -0.99:
+        state = time_step(fresh(state), min(0.004, -0.99 - state.t), solver_tol=tol,
+                          trace_correction=True)
+        collector.add(fresh(state))
+    buffer = tmp_path / "loop.csv"
+    emit_records(collector.records, buffer)
+    assert (tmp_path / "cli.csv").read_bytes() == buffer.read_bytes()
+    assert len(collector.records) == 4
 
 
 def test_evolve_snapshot_round_trip(capsys, tmp_path):

@@ -254,6 +254,22 @@ def test_drift_policy_raises_or_projects(grid8):
     assert np.max(np.abs(trace(fixed.K, fixed.g).values - fixed.t)) < 1e-13
 
 
+def test_drift_tolerance_is_checked_before_any_work(grid8, monkeypatch):
+    # NaN and +inf would switch the drift check off, and -inf or -1 would
+    # fail every step; each is rejected before a lapse solve
+    noisy, _ = perturb(kasner_initial_data(GENERIC, -1.0, grid8), 1e-3, seed=11)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_lapse ran before cmc_drift_tol was checked")
+
+    monkeypatch.setattr("cmclab.evolution.solve_lapse", no_solve)
+    for tol in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="cmc_drift_tol"):
+            time_step(noisy, 0.01, cmc_drift_tol=tol)
+        with pytest.raises(ValueError, match="cmc_drift_tol"):
+            next(evolve_states(noisy, -0.9, dt=0.01, cmc_drift_tol=tol))
+
+
 def test_rescale_transforms_fields_and_keeps_lapse(grid8):
     s = kasner_initial_data(GENERIC, -1.2, grid8)
     r = 2.5

@@ -1,7 +1,12 @@
-"""The checked per-slice Metric and SecondForm: each derived quantity once, never kept by a state."""
+"""The checked per-slice Metric and SecondForm: each derived quantity once.
+
+A state never holds them; only the one a reader derived for the state
+time_step returned last waits in a registry for the next step.
+"""
 
 import gc
 import sys
+import weakref
 from collections import defaultdict
 from contextlib import contextmanager
 
@@ -65,6 +70,7 @@ from cmclab import diagnostics as diagnostics_module
 from cmclab import geometry as geometry_module
 from cmclab import grid as grid_module
 from cmclab import lapse as lapse_module
+from cmclab import state as state_module
 from cmclab.checks import random_metric
 
 
@@ -246,6 +252,69 @@ def test_step_and_br_readers_run_ricci_five_times(perturbed12):
         br_energy(stepped)
         br_flux(stepped)
     assert len(calls["ricci"]) == 5
+
+
+def test_next_step_takes_what_a_reader_derived_for_the_head(perturbed12):
+    # Ric once per RK4 stage and once for the new slice, as above; the
+    # next step's stage 1 then takes the readers' Metric and SecondForm
+    registry = state_module._HEAD
+    with counting("ricci") as calls:
+        stepped = time_step(perturbed12, 1e-3, trace_correction=True)
+        br_energy(stepped)
+        br_flux(stepped)
+        assert isinstance(registry[stepped], SecondForm)
+        lent = time_step(stepped, 1e-3, trace_correction=True)
+    assert len(calls["ricci"]) == 8
+    assert list(registry.items()) == [(lent, None)]
+    assert _bits(lent) == _bits(time_step(_fresh(stepped), 1e-3, trace_correction=True))
+
+
+def test_the_head_entry_holds_one_state_and_dies_with_it(perturbed12):
+    registry = state_module._HEAD
+    first = time_step(perturbed12, 1e-3, trace_correction=True)
+    br_energy(first)
+    second = time_step(_fresh(first), 1e-3, trace_correction=True)
+    assert list(registry.items()) == [(second, None)]
+    with counting("ricci") as calls:
+        br_energy(second)
+        record = DiagnosticsCollector().add(second)
+    # the record reads the SecondForm and Metric the energy left for the step
+    assert len(calls["ricci"]) == 1
+    assert list(registry.keys()) == [second]
+    held = weakref.ref(registry[second])
+    assert held().values is second.K.values and held().metric.values is second.g.values
+    assert record.e_br == br_energy(_fresh(second))
+    del second
+    gc.collect()
+    assert len(registry) == 0 and held() is None
+
+
+def test_collector_record_on_the_head_fills_the_entry(perturbed12):
+    stepped = time_step(perturbed12, 1e-3, trace_correction=True)
+    assert state_module._HEAD[stepped] is None
+    DiagnosticsCollector().add(stepped)
+    K = state_module._HEAD[stepped]
+    assert isinstance(K, SecondForm) and K.values is stepped.K.values
+    with counting("ricci") as calls:
+        time_step(stepped, 1e-3, trace_correction=True)
+    assert len(calls["ricci"]) == 3
+
+
+def test_only_the_head_lends(perturbed12, tmp_path):
+    stepped = time_step(perturbed12, 1e-3, trace_correction=True)
+    path = tmp_path / "stepped.npz"
+    save_state(stepped, path)
+    registry = state_module._HEAD
+    registry.clear()
+    grid = perturbed12.grid
+    homogeneous = kasner_initial_data(AXIAL, -1.0, grid)
+    states = (homogeneous, warped_kasner_state(AXIAL, -1.0, grid),
+              perturb(homogeneous, 1e-3, seed=3)[0], rescale(stepped, 2.0), load_state(path),
+              _fresh(stepped))
+    for state in states:
+        DiagnosticsCollector().add(state)
+        br_flux(_fresh(state))
+        assert len(registry) == 0
 
 
 def test_br_memo_is_per_state_object(perturbed12):

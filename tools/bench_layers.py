@@ -23,6 +23,10 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               s made by the same step from the slice, so its
                               lapse was solved on it (time_step_s)
     br_energy(s), br_flux(s)  both on one state s (br_energy_flux_s)
+    time_step(s, 1e-3, trace_correction=True)
+                              s made by the same step from the slice, right
+                              after an untimed record of s
+                              (step_after_record_s): the run loop's step
 
 Each record and each br_energy/br_flux pair gets a new SliceState over
 the slice's arrays, and each step a new state made by time_step from the
@@ -38,6 +42,12 @@ at the start of the call, of:
                               state (record_peak_mib)
     time_step(state, 1e-3, trace_correction=True)           (time_step_peak_mib)
     perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7)  (perturb_peak_mib)
+    a record of s, then time_step(s, 1e-3, trace_correction=True), with s
+                              made by that step from the slice
+                              (record_step_peak_mib)
+
+and the traced memory still held after that record of s, before its step
+(held_after_record_mib).
 
 BLAS and OpenMP pools are pinned to one thread.  The results go under
 runs[NAME] of the output file, which keeps the runs of other labels; when
@@ -93,10 +103,12 @@ def best_of(fn, repeats=REPEATS, setup=None):
     return min(times), result
 
 
-def peak_mib(fn, setup=None):
-    """Traced peak of one call of fn (after one untraced warm-up), in MiB over its start.
+def traced_mib(fn, setup=None):
+    """(peak, held) of one call of fn after one untraced warm-up, in MiB over its start.
 
-    With setup, each call is fn(setup()), and setup runs untraced.
+    peak is the traced peak during the call, held the traced memory still
+    allocated once it returned and its result was dropped.  With setup,
+    each call is fn(setup()), and setup runs untraced.
     """
     fn(*_args(setup))
     args = _args(setup)
@@ -105,10 +117,10 @@ def peak_mib(fn, setup=None):
     try:
         start = tracemalloc.get_traced_memory()[0]
         fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return (peak - start) / 2**20
+    return (peak - start) / 2**20, (held - start) / 2**20
 
 
 def measure(cmclab, n):
@@ -129,10 +141,24 @@ def measure(cmclab, n):
     def record(s):
         return cmclab.DiagnosticsCollector().add(s)
 
+    def stepped():
+        return step(state)
+
+    def recorded():
+        s = stepped()
+        record(s)
+        return s
+
+    def record_then_step(s):
+        record(s)
+        return step(s)
+
     out = {}
-    out["record_peak_mib"] = peak_mib(record, setup=new_state)
-    out["time_step_peak_mib"] = peak_mib(lambda: step(state))
-    out["perturb_peak_mib"] = peak_mib(lambda: cmclab.perturb(warped, 1e-4, 7))
+    out["record_peak_mib"], _ = traced_mib(record, setup=new_state)
+    out["time_step_peak_mib"], _ = traced_mib(stepped)
+    out["perturb_peak_mib"], _ = traced_mib(lambda: cmclab.perturb(warped, 1e-4, 7))
+    out["record_step_peak_mib"], _ = traced_mib(record_then_step, setup=stepped)
+    _, out["held_after_record_mib"] = traced_mib(record, setup=stepped)
 
     with_inv = fresh()
     with_inv.inv
@@ -152,7 +178,8 @@ def measure(cmclab, n):
     out["weyl_parts_s"], _ = best_of(lambda: cmclab.weyl_parts(fresh(), K))
     out["br_components_s"], _ = best_of(lambda: cmclab.br_components(weyl.E, weyl.B, with_inv))
     out["collector_add_s"], _ = best_of(record, setup=new_state)
-    out["time_step_s"], _ = best_of(step, setup=lambda: step(state))
+    out["time_step_s"], _ = best_of(step, setup=stepped)
+    out["step_after_record_s"], _ = best_of(step, setup=recorded)
     out["br_energy_flux_s"], _ = best_of(
         lambda s: (cmclab.br_energy(s), cmclab.br_flux(s)), setup=new_state)
     return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in out.items()}
@@ -161,7 +188,7 @@ def measure(cmclab, n):
 def ratios(parent, change):
     return {
         size: {k: round(change[size][k] / parent[size][k], 3)
-               for k in parent[size] if k.endswith(("_s", "_mib")) and k in change[size]}
+               for k in parent[size] if k.endswith(("_s", "_peak_mib")) and k in change[size]}
         for size in parent if size in change
     }
 
@@ -184,9 +211,10 @@ def main(argv=None):
         "Best of five timed calls (s) per layer, after one warm-up, on "
         "perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and 32^3, "
         "one BLAS thread, and the tracemalloc peak (MiB over the start of the call) of one "
-        "record, one time_step and one perturb; records, br_energy_flux_s and time_step_s "
-        "each run on a new state object; written by tools/bench_layers.py, whose "
-        "docstring defines each call."
+        "record, one time_step, one perturb and a record then a step of one stepped state, "
+        "with the memory held between the two; records, br_energy_flux_s, time_step_s and "
+        "step_after_record_s each run on a new state object; written by "
+        "tools/bench_layers.py, whose docstring defines each call."
     )
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
