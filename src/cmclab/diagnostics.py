@@ -25,8 +25,8 @@ are read-only, so the object identifies its values, and the memo is
 keyed weakly on it: it holds five floats per live state and dies with
 the state.
 
-Both readers get the slice's SecondForm, over its Metric, from
-state._second_form.  Only for the head, the state time_step returned
+Both readers, and k_ratio, get the slice's SecondForm, over its Metric,
+from state._second_form.  Only for the head, the state time_step returned
 last, does it outlive the reader: it waits, with g^-1, Gamma, Ric, g^-1 K
 and K g^-1 K, for the next time_step's stage 1, which takes it instead of
 deriving them again.  Any other state's arrays die with the call.  Two
@@ -199,7 +199,8 @@ def curvature_radius(state: SliceState) -> float:
 
 def k_ratio(state: SliceState) -> float:
     """sup |K|_g divided by |H|; >= 1/sqrt(3) since |K|^2 >= H^2/3."""
-    return sup_norm(state.K, state.g) / abs(state.t)
+    K = _second_form(state)
+    return sup_norm(K, K.metric) / abs(state.t)
 
 
 def gradient_lapse_estimate_check(

@@ -35,6 +35,22 @@ operator depends on how far the coefficients vary, not on the grid
 spacing, so iteration counts stay flat under refinement.  The iteration
 schedule is fixed by the inputs alone, so repeated solves are bitwise
 identical.
+
+Each solve builds one operator workspace and allocates nothing per
+iteration but the preconditioner's FFT output.  One block holds six
+contiguous planes of sqrt(g) g^ab (g^-1 is stored exactly symmetric, so
+the other three are copies), the partials dN, the flux, a temporary, a
+padded copy per axis for the stencil, and the CG vectors b, r, p, Ap and
+a scratch plane.  The stencil runs diff_array's operations in its order
+into those buffers, each flux is accumulated term by term in place, and
+the CG updates (x += alpha p, r -= alpha Ap, p = beta p + z) and the
+products fed to np.sum and np.linalg.norm go through the scratch plane,
+so every iterate is bitwise that of the plain formulas; the reductions
+stay np.sum and norm, since a BLAS dot sums in another order.  Only the
+returned lapse lies outside the block.  The preconditioner's c^ab is the
+mean over the (..., 3, 3) product sqrt(g) g^-1, not over the six planes:
+numpy's pairwise sum follows the memory layout, and per-plane means
+differ by a few 1e-15, which moves every CG iterate.
 """
 
 from __future__ import annotations
@@ -44,8 +60,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundViolation, DegenerateZeroOrderTerm, SolverDiverged
-from .grid import (ScalarField, SymTensorField, _shared_grid, as_metric, as_second_form,
-                   diff_array, sup_norm)
+from .grid import (SYM_PAIRS, ScalarField, SymTensorField, _along, _shared_grid, as_metric,
+                   as_second_form, sup_norm, sym_index)
 
 __all__ = [
     "EllipticSolveReport",
@@ -73,15 +89,74 @@ class EllipticSolveReport:
     residual_history: list[float] = field(default_factory=list)
 
 
+class _Operator:
+    """sqrt(g)-weighted operator -d_a(c^ab d_b N) + w N, with every buffer allocated once.
+
+    c^ab = sqrt(g) g^ab is kept as six contiguous planes in SYM_PAIRS
+    order (g^-1 is stored exactly symmetric), w = sqrt(g)|K|^2 by
+    reference.  The planes, the partials dN, the flux, a temporary, one
+    padded copy per axis and `spare` further planes for the caller share
+    one workspace block.  Each term is formed in the order of the plain
+    formula, so results are bitwise those of diff_array and a freshly
+    allocated sum.
+    """
+
+    def __init__(self, flux_coeff: np.ndarray, weight_v: np.ndarray, spacings, spare: int = 0):
+        shape = weight_v.shape
+        size = weight_v.size
+        padded_shapes = [shape[:a] + (shape[a] + 4,) + shape[a + 1:] for a in range(3)]
+        sizes = [(11 + spare) * size] + [int(np.prod(s)) for s in padded_shapes]
+        block = np.empty(sum(sizes))
+        planes = block[:sizes[0]].reshape((11 + spare,) + shape)
+        self.coeff = planes[:6]
+        for slot, (a, b) in enumerate(SYM_PAIRS):
+            self.coeff[slot] = flux_coeff[..., a, b]
+        self.dn, self.flux, self.tmp = tuple(planes[6:9]), planes[9], planes[10]
+        self.spare = planes[11:]
+        self.weight = weight_v
+        self.axes = []
+        offset = sizes[0]
+        for a, (padded_shape, padded_size) in enumerate(zip(padded_shapes, sizes[1:])):
+            n = shape[a]
+            padded = block[offset:offset + padded_size].reshape(padded_shape)
+            offset += padded_size
+            self.axes.append((
+                padded, _along(a, 3, n - 2, None), _along(a, 3, None, 2),
+                padded[_along(a, 3, 3, n + 3)], padded[_along(a, 3, 1, n + 1)],
+                padded[_along(a, 3, 4, n + 4)], padded[_along(a, 3, 0, n)],
+                12.0 * spacings[a],
+            ))
+        # the planes c^a0, c^a1, c^a2 of each flux row a
+        self.rows = [[self.coeff[sym_index(a, b)] for b in range(3)] for a in range(3)]
+
+    def stencil(self, values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """diff_array(values, axis, h) into out, with its operations in its order."""
+        padded, tail, head, plus1, minus1, plus2, minus2, scale = self.axes[axis]
+        np.concatenate((values[tail], values, values[head]), axis=axis, out=padded)
+        np.subtract(plus1, minus1, out=out)
+        out *= 8.0
+        out -= np.subtract(plus2, minus2, out=self.tmp)
+        out /= scale
+        return out
+
+    def apply(self, n_vals: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(self.weight, n_vals, out=out)
+        for b in range(3):
+            self.stencil(n_vals, b, self.dn[b])
+        flux, tmp = self.flux, self.tmp
+        for a, row in enumerate(self.rows):
+            np.multiply(row[0], self.dn[0], out=flux)
+            flux += np.multiply(row[1], self.dn[1], out=tmp)
+            flux += np.multiply(row[2], self.dn[2], out=tmp)
+            # the padded copy holds flux, so its derivative may overwrite it
+            out -= self.stencil(flux, a, flux)
+        return out
+
+
 def _apply_operator(n_vals: np.ndarray, flux_coeff: np.ndarray, weight_v: np.ndarray,
                     spacings) -> np.ndarray:
     """sqrt(g)-weighted operator: -d_a(sqrt(g) g^{ab} d_b N) + sqrt(g)|K|^2 N."""
-    out = weight_v * n_vals
-    dn = [diff_array(n_vals, b, spacings[b]) for b in range(3)]
-    for a in range(3):
-        flux = sum(flux_coeff[..., a, b] * dn[b] for b in range(3))
-        out -= diff_array(flux, a, spacings[a])
-    return out
+    return _Operator(flux_coeff, weight_v, spacings).apply(n_vals, np.empty_like(weight_v))
 
 
 def _constant_coefficient_inverse(flux_coeff: np.ndarray, weight_v: np.ndarray,
@@ -93,13 +168,16 @@ def _constant_coefficient_inverse(flux_coeff: np.ndarray, weight_v: np.ndarray,
               2.0 * np.pi * np.fft.rfftfreq(shape[2])]
     s = np.meshgrid(*((8.0 * np.sin(th) - np.sin(2.0 * th)) / (6.0 * h)
                       for th, h in zip(thetas, spacings)), indexing="ij", sparse=True)
+    # over the (..., 3, 3) array: per-plane means differ in the last bits
     c_mean = np.mean(flux_coeff, axis=axes)
     symbol = np.mean(weight_v) + sum(c_mean[a, b] * s[a] * s[b]
                                      for a in range(3) for b in range(3))
     inv_symbol = 1.0 / symbol
 
     def apply(res: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(np.fft.rfftn(res, axes=axes) * inv_symbol, s=shape, axes=axes)
+        modes = np.fft.rfftn(res, axes=axes)
+        modes *= inv_symbol
+        return np.fft.irfftn(modes, s=shape, axes=axes)
 
     return apply
 
@@ -115,14 +193,18 @@ def solve_lapse(
 ) -> tuple[ScalarField, EllipticSolveReport]:
     """Solve -Delta N + |K|^2 N = rhs (default rhs = 1) to relative residual tol.
 
-    Returns the lapse and a solve report.  Raises ValueError unless tol is
-    finite and positive, DegenerateZeroOrderTerm when min |K|^2 <= 0 (an
-    H = 0 slice) and SolverDiverged when the budget 10 * sqrt(num_points)
-    runs out above tolerance.  `callback(values)` is invoked with each CG
+    Returns the lapse and a solve report.  Raises ValueError, before any
+    other work, unless tol is finite and positive, or when rhs is
+    identically zero (its solution is N = 0, and the relative residual
+    has no scale); DegenerateZeroOrderTerm when min |K|^2 <= 0 (an H = 0
+    slice); and SolverDiverged when the budget 10 * sqrt(num_points) runs
+    out above tolerance.  `callback(values)` is invoked with each CG
     iterate, for convergence instrumentation.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if rhs is not None and not np.any(rhs.values):
+        raise ValueError("rhs must not be identically zero")
     g = as_metric(g)
     grid = _shared_grid(g, initial_guess, rhs)
     ksq = as_second_form(K, g).norm_sq
@@ -135,25 +217,30 @@ def solve_lapse(
     flux_coeff = sqrt_g[..., None, None] * g.inv
     weight_v = sqrt_g * ksq
     spacings = grid.spacings
+    precondition = _constant_coefficient_inverse(flux_coeff, weight_v, spacings)
+    # b, r, p, A p and a scratch plane ride in the operator's workspace block
+    op = _Operator(flux_coeff, weight_v, spacings, spare=5)
+    b, r, p, ap, tmp = op.spare
+    del flux_coeff
 
     rhs_vals = np.ones(grid.shape) if rhs is None else rhs.values
-    b = sqrt_g * rhs_vals
+    np.multiply(sqrt_g, rhs_vals, out=b)
     rhs_scale = float(np.linalg.norm(rhs_vals))
-
-    precondition = _constant_coefficient_inverse(flux_coeff, weight_v, spacings)
 
     if max_iterations is None:
         max_iterations = int(10 * np.sqrt(grid.num_points)) + 1
 
-    x = (1.0 / ksq).copy() if initial_guess is None else initial_guess.values.copy()
-    r = b - _apply_operator(x, flux_coeff, weight_v, spacings)
-    z = precondition(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
+    # x is the returned lapse, so it is the one array outside the block
+    x = 1.0 / ksq if initial_guess is None else initial_guess.values.copy()
 
     def rel_residual(res: np.ndarray) -> float:
         # Residual of the original equation: r = sqrt(g) (rhs - L_orig N).
-        return float(np.linalg.norm(res / sqrt_g)) / rhs_scale
+        return float(np.linalg.norm(np.divide(res, sqrt_g, out=tmp))) / rhs_scale
+
+    np.subtract(b, op.apply(x, ap), out=r)
+    z = precondition(r)
+    p[...] = z
+    rz = float(np.sum(np.multiply(r, z, out=tmp)))
 
     history = [rel_residual(r)]
     iterations = 0
@@ -161,14 +248,15 @@ def solve_lapse(
         callback(x.copy())
     while True:
         while history[-1] > tol and iterations < max_iterations:
-            ap = _apply_operator(p, flux_coeff, weight_v, spacings)
-            alpha = rz / float(np.sum(p * ap))
-            x = x + alpha * p
-            r = r - alpha * ap
+            op.apply(p, ap)
+            alpha = rz / float(np.sum(np.multiply(p, ap, out=tmp)))
+            x += np.multiply(p, alpha, out=tmp)
+            r -= np.multiply(ap, alpha, out=tmp)
             z = precondition(r)
-            rz_next = float(np.sum(r * z))
+            rz_next = float(np.sum(np.multiply(r, z, out=tmp)))
             beta = rz_next / rz
-            p = z + beta * p
+            p *= beta
+            p += z
             rz = rz_next
             iterations += 1
             history.append(rel_residual(r))
@@ -177,14 +265,14 @@ def solve_lapse(
 
         # The CG recurrence can drift from the true residual near tol;
         # verify, and restart on the recomputed residual while budget lasts.
-        r = b - _apply_operator(x, flux_coeff, weight_v, spacings)
+        np.subtract(b, op.apply(x, ap), out=r)
         final = rel_residual(r)
         converged = final <= tol
         if converged or iterations >= max_iterations:
             break
         z = precondition(r)
-        p = z.copy()
-        rz = float(np.sum(r * z))
+        p[...] = z
+        rz = float(np.sum(np.multiply(r, z, out=tmp)))
         history[-1] = final
     report = EllipticSolveReport(iterations, final, converged, history)
     if not converged:

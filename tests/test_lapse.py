@@ -24,7 +24,9 @@ from cmclab import (
     warped_kasner_state,
 )
 from cmclab import kasner
+from cmclab import lapse as lapse_module
 from cmclab.checks import random_metric
+from cmclab.grid import diff_array
 from cmclab.lapse import BOUND_TOL_COEFF, _apply_operator
 
 
@@ -170,6 +172,86 @@ def test_initial_guess_at_solution_converges_immediately(grid8, rng):
     again, report = solve_lapse(g, K, tol=1e-10, initial_guess=N)
     assert report.iterations == 0
     assert np.array_equal(again.values, N.values)
+
+
+def _literal_operator(n_vals, flux_coeff, weight_v, spacings):
+    # the operator as a plain formula, with a new array for every term
+    out = weight_v * n_vals
+    dn = [diff_array(n_vals, b, spacings[b]) for b in range(3)]
+    for a in range(3):
+        flux = sum(flux_coeff[..., a, b] * dn[b] for b in range(3))
+        out -= diff_array(flux, a, spacings[a])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(9, 12, 16), (16, 12, 9)])
+def test_operator_workspace_is_bitwise_the_plain_formula(shape, rng):
+    grid = GridSpec(shape, (1.0, 2.0, 0.5))
+    g = random_metric(grid, rng)
+    K = SymTensorField(grid, (1.0 + 0.2 * rng.random(shape))[..., None] * g.values)
+    _, flux, weight = _operator_pieces(g, K)
+    n_vals = 1.0 + 0.1 * rng.standard_normal(shape)
+    expected = _literal_operator(n_vals, flux, weight, grid.spacings)
+    assert np.array_equal(_apply_operator(n_vals, flux, weight, grid.spacings), expected)
+
+
+def _perturbed_slice(grid, seed=7):
+    state, _ = perturb(warped_kasner_state(AXIAL, -1.0, grid, 0.02), 1e-2, seed)
+    return state
+
+
+def test_solve_leaves_its_inputs_unchanged(grid16):
+    s = _perturbed_slice(grid16)
+    guess = ScalarField(grid16, s.N.values + 1e-3 * np.cos(2 * np.pi * grid16.meshes()[0]))
+    rhs = ScalarField(grid16, 1.0 + 0.1 * np.sin(2 * np.pi * grid16.meshes()[2]))
+    guess_bits, rhs_bits = guess.values.tobytes(), rhs.values.tobytes()
+    _, report = solve_lapse(s.g, s.K, initial_guess=guess, rhs=rhs)
+    assert report.iterations > 0
+    assert guess.values.tobytes() == guess_bits and rhs.values.tobytes() == rhs_bits
+
+
+def test_returned_lapse_shares_no_memory_with_a_workspace(grid16, monkeypatch):
+    built = []
+
+    class Recorded(lapse_module._Operator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    s, other = _perturbed_slice(grid16), _perturbed_slice(grid16, seed=3)
+    monkeypatch.setattr(lapse_module, "_Operator", Recorded)
+    first, _ = solve_lapse(s.g, s.K)
+    kept = first.values.copy()
+    second, report = solve_lapse(other.g, other.K)
+    assert report.iterations > 0 and len(built) == 2
+    assert np.array_equal(first.values, kept)
+    for op in built:
+        block = op.spare
+        while block.base is not None:
+            block = block.base
+        assert not np.shares_memory(first.values, block)
+        assert not np.shares_memory(second.values, block)
+
+
+def test_callback_iterates_are_distinct_arrays(grid16):
+    s = _perturbed_slice(grid16)
+    iterates = []
+    _, report = solve_lapse(s.g, s.K, initial_guess=s.N, tol=1e-12,
+                            callback=lambda v: iterates.append((v, v.copy())))
+    assert len(iterates) == report.iterations + 1 > 2
+    for i, (v, seen) in enumerate(iterates):
+        assert np.array_equal(v, seen)  # not written to after the callback
+        assert not any(np.shares_memory(v, w) for w, _ in iterates[i + 1:])
+    assert np.array_equal(iterates[0][0], s.N.values)
+
+
+def test_zero_rhs_is_rejected_before_any_work(grid8):
+    # a metric that is not positive definite would raise if the solve got that far
+    vals = np.zeros(grid8.shape + (6,))
+    vals[..., 0], vals[..., 3], vals[..., 5] = 1.0, -1.0, 1.0
+    with pytest.raises(ValueError, match="rhs"):
+        solve_lapse(SymTensorField(grid8, vals), SymTensorField.identity(grid8),
+                    rhs=ScalarField.constant(grid8, 0.0))
 
 
 def test_degenerate_zero_order_term_raises(grid8):

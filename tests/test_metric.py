@@ -41,6 +41,7 @@ from cmclab import (
     hessian,
     integrate,
     inverse_metric,
+    k_ratio,
     kasner_initial_data,
     lapse_bound_margins,
     load_fields,
@@ -60,6 +61,7 @@ from cmclab import (
     solve_lapse,
     spacetime_br_energy,
     static_residual,
+    sup_norm,
     sym_to_matrix,
     time_step,
     trace,
@@ -287,6 +289,16 @@ def test_the_head_entry_holds_one_state_and_dies_with_it(perturbed12):
     del second
     gc.collect()
     assert len(registry) == 0 and held() is None
+
+
+def test_k_ratio_reads_the_second_form_left_for_the_head(perturbed12):
+    stepped = time_step(perturbed12, 1e-3, trace_correction=True)
+    expected = sup_norm(stepped.K, stepped.g) / abs(stepped.t)
+    br_energy(stepped)
+    with counting("_inverse") as calls:
+        ratio = k_ratio(stepped)
+    assert len(calls["_inverse"]) == 0
+    assert ratio == expected
 
 
 def test_collector_record_on_the_head_fills_the_entry(perturbed12):

@@ -16,6 +16,16 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
     hessian(N, m.gamma)       m a Metric whose Gamma is derived
     solve_lapse(g, K)         g a fresh Metric, cold start; the CG iteration
                               count is kept beside the time
+    solve_lapse(g1, K1, initial_guess=N)
+                              (g1, K1) the slice stepped by the time_step
+                              below, g1 a fresh Metric, warm-started from
+                              the slice's N as RK4 stages 2-4 start from the
+                              stage before (solve_lapse_warm_s); its CG
+                              count is kept beside the time
+    one lapse operator apply  on N, with the operator's coefficients and
+                              buffers built untimed (lapse_apply_s); code
+                              without lapse._Operator times its
+                              _apply_operator, which builds nothing ahead
     weyl_parts(g, K)          g a fresh Metric, so Gamma and Ric are included
     br_components(E, B, m)    m a Metric whose g^-1 is derived
     DiagnosticsCollector.add  one record of a fresh collector (collector_add_s)
@@ -123,6 +133,21 @@ def traced_mib(fn, setup=None):
     return (peak - start) / 2**20, (held - start) / 2**20
 
 
+def lapse_apply(cmclab, g, K, N):
+    """A call applying the lapse operator of (g, K) to N once, its set-up done here."""
+    import numpy as np
+
+    lapse = sys.modules["cmclab.lapse"]
+    m = cmclab.as_metric(g)
+    flux_coeff = m.sqrt_det[..., None, None] * m.inv
+    weight = m.sqrt_det * cmclab.norm_sq(K, m).values
+    spacings = g.grid.spacings
+    if not hasattr(lapse, "_Operator"):
+        return lambda: lapse._apply_operator(N.values, flux_coeff, weight, spacings)
+    op, out = lapse._Operator(flux_coeff, weight, spacings), np.empty_like(weight)
+    return lambda: op.apply(N.values, out)
+
+
 def measure(cmclab, n):
     grid = cmclab.GridSpec.cubic(n)
     warped = cmclab.warped_kasner_state(cmclab.AXIAL, -1.0, grid, 0.02)
@@ -175,6 +200,11 @@ def measure(cmclab, n):
     out["hessian_s"], _ = best_of(lambda: cmclab.hessian(N, with_gamma.gamma))
     out["solve_lapse_s"], (_, report) = best_of(lambda: cmclab.solve_lapse(fresh(), K))
     out["solve_lapse_cg_iterations"] = report.iterations
+    moved = stepped()
+    out["solve_lapse_warm_s"], (_, report) = best_of(lambda: cmclab.solve_lapse(
+        cmclab.Metric(grid, moved.g.values), moved.K, initial_guess=N))
+    out["solve_lapse_warm_cg_iterations"] = report.iterations
+    out["lapse_apply_s"], _ = best_of(lapse_apply(cmclab, g, K, N))
     out["weyl_parts_s"], _ = best_of(lambda: cmclab.weyl_parts(fresh(), K))
     out["br_components_s"], _ = best_of(lambda: cmclab.br_components(weyl.E, weyl.B, with_inv))
     out["collector_add_s"], _ = best_of(record, setup=new_state)
@@ -213,7 +243,9 @@ def main(argv=None):
         "one BLAS thread, and the tracemalloc peak (MiB over the start of the call) of one "
         "record, one time_step, one perturb and a record then a step of one stepped state, "
         "with the memory held between the two; records, br_energy_flux_s, time_step_s and "
-        "step_after_record_s each run on a new state object; written by "
+        "step_after_record_s each run on a new state object; solve_lapse_warm_s solves the "
+        "stepped slice from the slice's N, and lapse_apply_s is one operator apply with its "
+        "set-up untimed; written by "
         "tools/bench_layers.py, whose docstring defines each call."
     )
     doc.setdefault("runs", {})[args.label] = {
