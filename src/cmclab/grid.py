@@ -14,7 +14,13 @@ is spectrally accurate for smooth periodic integrands.
 
 Every symmetric result is stored in those 6 components.  A full (..., 3, 3)
 form (sym_to_matrix) exists only as a matmul operand, built once for it;
-matrix_to_sym brings a product back to 6 components.
+matrix_to_sym brings a product back to 6 components.  The connection is
+kept once, as the (3, 6, n1, n2, n3) planes of a Connection: Gamma^a on
+each stored lower pair (b, c) is one contiguous plane.  christoffels,
+ricci, covariant_derivative_sym and hessian work on such components-first
+planes: each stencil is diff_array along axis t + 1 of a contiguous block,
+and each contraction a short fixed sum of plane products written in place,
+with no gather and no batched 3x3 matmul.
 
 A Metric is a SymTensorField checked positive definite by construction;
 it derives sqrt(det g), g^-1, the connection Gamma, Ric and R once each,
@@ -27,10 +33,7 @@ per computation (a record, an RK stage; E and B get one each too); a
 SliceState never stores either, though the next RK step may take the
 pair a reader built for the state the last step returned (state.py).
 Fields handed to one operation must share one grid (ValueError
-otherwise).  Gamma is
-assembled from the partials of the 6 stored components of g with one
-batched g^-1 matmul, and Ric contracts Gamma by batched 3x3 matmuls on
-views of it.
+otherwise).
 """
 
 from __future__ import annotations
@@ -453,70 +456,98 @@ def sup_norm(field, g: SymTensorField) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Connection:
-    """Christoffel symbols Gamma^a_{bc} of a metric, shape (*grid, 3, 3, 3).
+    """Christoffel symbols Gamma^a_{bc} of a metric, symmetric in the lower pair.
 
-    Symmetric in the lower index pair by construction.
+    planes keeps each Gamma^a_bc once, as one (3, 6, *grid.shape) block
+    indexed [a, slot(b, c)], so every Gamma^a on a stored pair is a
+    contiguous plane.  coefficients expands it on each call to a read-only
+    (*grid.shape, 3, 3, 3) array indexed [..., a, b, c], for tests and
+    oracles; no kernel reads it.
     """
 
     grid: GridSpec
-    coefficients: np.ndarray
+    planes: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.shape != self.grid.shape + (3, 3, 3):
-            raise ValueError(f"connection coefficients shaped {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
+        planes = np.asarray(self.planes, dtype=float)
+        if planes.shape != (3, 6) + self.grid.shape:
+            raise ValueError(f"connection planes shaped {planes.shape}, "
+                             f"expected {(3, 6) + self.grid.shape}")
+        if not np.all(np.isfinite(planes)):
             raise ValueError("connection coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "planes", planes)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        full = np.moveaxis(self.planes[:, _MATRIX_SLOTS], (0, 1, 2), (-3, -2, -1))
+        return _frozen(np.ascontiguousarray(full))
 
 
-def _partials(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coordinate partials d[:, :, :, t, ...] = partial_t values, for grid-shaped values."""
-    spacings = grid.spacings
-    d = np.empty(grid.shape + (3,) + values.shape[3:])
-    for t in range(3):
-        d[:, :, :, t] = diff_array(values, t, spacings[t])
-    return d
+def _planes(values: np.ndarray) -> np.ndarray:
+    """Components-first contiguous copy (k, *grid) of grid-shaped values (*grid, k)."""
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
 
 
-# lower[..., d, slot(b, c)] = d_b g_dc + d_c g_bd - d_d g_bc takes its first two
-# terms from the flattened partials dg[..., t * 6 + slot] = d_t g_slot at these indices
-_LOWER_FIRST = np.array([[6 * b + sym_index(d, c) for b, c in SYM_PAIRS] for d in range(3)])
-_LOWER_SECOND = np.array([[6 * c + sym_index(b, d) for b, c in SYM_PAIRS] for d in range(3)])
-# flat index a * 3 + b of each SYM_PAIRS entry in a (3, 3) block
-_SYM_FLAT = np.array([3 * a + b for a, b in SYM_PAIRS])
+def _plane_sum(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The sum of x * y over the pairs (x, y) of planes, in their order, into out."""
+    (x, y), *rest = pairs
+    np.multiply(x, y, out=out)
+    for x, y in rest:
+        out += np.multiply(x, y, out=tmp)
+    return out
 
 
 def christoffels(g: SymTensorField) -> Connection:
     """Levi-Civita connection of g via 4th-order finite differences.
 
-    Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc), assembled
-    on the 6 stored (b, c) pairs and expanded to the full lower pair.
+    Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc), formed
+    plane by plane on the 6 stored (b, c) pairs from the planes of g^-1
+    and of the partials of g.
     """
     inv = as_metric(g).inv
-    dg = _partials(g.values, g.grid)  # dg[..., t, slot] = d_t g_slot
-    flat = dg.reshape(g.grid.shape + (18,))
-    lower = np.take(flat, _LOWER_FIRST, axis=-1)
-    lower += np.take(flat, _LOWER_SECOND, axis=-1)
-    lower -= dg
-    half = inv @ lower
-    half *= 0.5
-    return Connection(g.grid, _frozen(sym_to_matrix(half)))
+    shape, spacings = g.grid.shape, g.grid.spacings
+    # (1/2) g^ad on its stored pairs; halving is exact, so it may come first
+    half_inv = np.empty((6,) + shape)
+    for slot, (a, d) in enumerate(SYM_PAIRS):
+        np.multiply(inv[..., a, d], 0.5, out=half_inv[slot])
+    values = _planes(g.values)
+    dg = [diff_array(values, t + 1, spacings[t]) for t in range(3)]  # dg[t][slot] = d_t g_slot
+    del values
+    planes = np.empty((3, 6) + shape)
+    lower, tmp = np.empty((3,) + shape), np.empty(shape)
+    for slot, (b, c) in enumerate(SYM_PAIRS):
+        for d in range(3):
+            np.add(dg[b][sym_index(d, c)], dg[c][sym_index(b, d)], out=lower[d])
+            lower[d] -= dg[d][slot]
+        for a in range(3):
+            _plane_sum([(half_inv[sym_index(a, d)], lower[d]) for d in range(3)],
+                       planes[a, slot], tmp)
+    return Connection(g.grid, _frozen(planes))
 
 
 def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray:
     """nabla_t A_sb as a full (..., 3, 3, 3) array indexed [t, s, b].
 
-    nabla_t A_sb = d_t A_sb - Gamma^m_{ts} A_mb - Gamma^m_{tb} A_sm
+    nabla_t A_sb = d_t A_sb - Gamma^m_{ts} A_mb - Gamma^m_{tb} A_sm,
+    formed plane by plane on the 6 stored (s, b) pairs of each t, whose
+    planes are then written to both (s, b) and (b, s) at once.
     """
-    dA = sym_to_matrix(_partials(A.values, A.grid))
-    rows = gamma.coefficients.reshape(A.grid.shape + (3, 9))  # rows[..., m, 3t + s] = Gamma^m_ts
-    # x[t, s, b] = Gamma^m_ts A_mb; as A and Gamma's lower pair are symmetric,
-    # the second term Gamma^m_tb A_sm is x[t, b, s]
-    x = (np.swapaxes(rows, -1, -2) @ sym_to_matrix(A.values)).reshape(dA.shape)
-    dA -= x
-    dA -= np.swapaxes(x, -1, -2)
-    return dA
+    shape, spacings = A.grid.shape, A.grid.spacings
+    gam, values = gamma.planes, _planes(A.values)
+    out = np.empty(shape + (3, 3, 3))
+    term, tmp = np.empty(shape), np.empty(shape)
+    for t in range(3):
+        dA = diff_array(values, t + 1, spacings[t])  # dA[slot] = d_t A_slot
+        for slot, (s, b) in enumerate(SYM_PAIRS):
+            # Gamma^m_ts A_mb, then Gamma^m_tb A_sm, the same sum when s == b
+            dA[slot] -= _plane_sum([(gam[m, sym_index(t, s)], values[sym_index(m, b)])
+                                    for m in range(3)], term, tmp)
+            if s != b:
+                _plane_sum([(gam[m, sym_index(t, b)], values[sym_index(m, s)])
+                            for m in range(3)], term, tmp)
+            dA[slot] -= term
+        out[..., t, :, :] = np.moveaxis(dA[_MATRIX_SLOTS], (0, 1), (-2, -1))
+    return out
 
 
 def ricci(g: SymTensorField) -> SymTensorField:
@@ -525,23 +556,31 @@ def ricci(g: SymTensorField) -> SymTensorField:
     Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
              + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb
 
-    The divergence term is differentiated on the 6 stored (a, b) pairs, and
-    both products are batched 3x3 matmuls on views of Gamma.
+    Every term is formed on the 6 stored (a, b) pairs from the Connection's
+    planes: the divergence term differentiates the block Gamma^c along
+    axis c, d_a Gamma^c_cb is symmetrized by averaging (a, b) with (b, a),
+    and both products are sums of plane products.
     """
-    gam = as_metric(g).gamma.coefficients
-    grid = g.grid
-    spacings = grid.spacings
-    rows = gam.reshape(grid.shape + (3, 9))  # rows[..., d, 3a + b] = Gamma^d_ab
-
-    div = 0.0  # d_c Gamma^c_ab on the stored (a, b) pairs, each Gamma^c taken contiguous
-    for c in range(3):
-        div = div + diff_array(np.take(rows[..., c, :], _SYM_FLAT, axis=-1), c, spacings[c])
-    term = sym_to_matrix(div)
-
-    gtrace = gam[..., 0, 0, :] + gam[..., 1, 1, :] + gam[..., 2, 2, :]  # Gamma^c_{cb}
-    term -= _partials(gtrace, grid)  # [a, b] = d_a Gamma^c_cb
-
-    term += (gtrace[..., None, :] @ rows).reshape(term.shape)
-    for c in range(3):
-        term -= gam[..., c, :, :] @ gam[..., :, c, :]
-    return SymTensorField(grid, _frozen(matrix_to_sym(term)))
+    gam = as_metric(g).gamma.planes
+    shape, spacings = g.grid.shape, g.grid.spacings
+    ric = diff_array(gam[0], 1, spacings[0])
+    for c in (1, 2):
+        ric += diff_array(gam[c], c + 1, spacings[c])
+    gtrace = np.empty((3,) + shape)  # gtrace[b] = Gamma^c_cb
+    for b in range(3):
+        np.add(gam[0, sym_index(0, b)], gam[1, sym_index(1, b)], out=gtrace[b])
+        gtrace[b] += gam[2, sym_index(2, b)]
+    dtrace = [diff_array(gtrace, a + 1, spacings[a]) for a in range(3)]  # [a][b] = d_a Gamma^c_cb
+    block = np.empty(gam.shape[1:])
+    for d in range(3):  # Gamma^c_cd Gamma^d_ab on all 6 pairs at once
+        ric += np.multiply(gtrace[d], gam[d], out=block)
+    term, tmp = block[0], block[1]
+    for slot, (a, b) in enumerate(SYM_PAIRS):
+        out = ric[slot]
+        if a == b:
+            out -= dtrace[a][a]
+        else:
+            out -= np.multiply(np.add(dtrace[a][b], dtrace[b][a], out=tmp), 0.5, out=tmp)
+        out -= _plane_sum([(gam[c, sym_index(a, d)], gam[d, sym_index(c, b)])
+                           for c in range(3) for d in range(3)], term, tmp)
+    return SymTensorField(g.grid, _frozen(np.ascontiguousarray(np.moveaxis(ric, 0, -1))))

@@ -31,11 +31,14 @@ once however many of them read it (B = -curl K and div K share nabla K).
 divergence contracts g^-1 with nabla A, not with A, so it raises nothing.
 
 Symmetric results are stored in 6 components: a (3, 3) form is built only
-as a matmul operand, and hessian fills the 6 stored slots directly.
-covariant_derivative_sym differentiates the 6 stored components of A and
-forms Gamma^m_ts A_mb as one batched (9 x 3) @ (3 x 3) matmul; since A and
-the lower pair of Gamma are both symmetric, the other connection term
-Gamma^m_tb A_sm is the same array with its last two axes swapped.
+as a matmul operand.  hessian and covariant_derivative_sym read Gamma from
+its Connection's planes, one contiguous plane per Gamma^c_ab on a stored
+pair.  hessian fills the 6 stored slots directly, each d_a d_b f less the
+plane sum over c of d_c f Gamma^c_ab.  covariant_derivative_sym
+differentiates a components-first copy of A's 6 planes and, per t and
+stored pair (s, b), subtracts the plane sums Gamma^m_ts A_mb and
+Gamma^m_tb A_sm; each result is written to both (s, b) and (b, s) of its
+(..., 3, 3, 3) output, which curl and divergence read.
 
 Orientation convention: the alternating symbol is right-handed in the
 coordinate frame ([123] = +1).  Reversing orientation flips the sign of
@@ -53,8 +56,7 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
-    _SYM_FLAT,
-    _partials,
+    _plane_sum,
     _shared_grid,
     _sym_dot,
     as_metric,
@@ -148,17 +150,18 @@ def divergence(A: SymTensorField, g: SymTensorField) -> VectorField:
 
 def gradient(f: ScalarField) -> VectorField:
     """Covector gradient (nabla f)_a = d_a f."""
-    return VectorField(f.grid, _partials(f.values, f.grid))
+    partials = [diff_array(f.values, t, h) for t, h in enumerate(f.grid.spacings)]
+    return VectorField(f.grid, np.stack(partials, axis=-1))
 
 
 def hessian(f: ScalarField, gamma: Connection) -> SymTensorField:
     """Covariant Hessian nabla_a nabla_b f = d_a d_b f - Gamma^c_{ab} d_c f."""
     _shared_grid(f, gamma)
-    spacings = f.grid.spacings
-    df = _partials(f.values, f.grid)
+    spacings, gam = f.grid.spacings, gamma.planes
+    df = [diff_array(f.values, t, h) for t, h in enumerate(spacings)]  # df[t] = d_t f
     hess = np.empty(f.grid.shape + (6,))
+    term, tmp = np.empty(f.grid.shape), np.empty(f.grid.shape)
     for slot, (a, b) in enumerate(SYM_PAIRS):
-        hess[..., slot] = diff_array(df[..., b], a, spacings[a])
-    rows = gamma.coefficients.reshape(f.grid.shape + (3, 9))  # rows[..., c, 3a + b] = Gamma^c_ab
-    hess -= (df[..., None, :] @ rows)[..., 0, _SYM_FLAT]
+        _plane_sum([(df[c], gam[c, slot]) for c in range(3)], term, tmp)
+        np.subtract(diff_array(df[b], a, spacings[a]), term, out=hess[..., slot])
     return SymTensorField(f.grid, hess)

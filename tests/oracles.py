@@ -193,6 +193,19 @@ def brute_cov_deriv(amat, gam, spacings):
     return out
 
 
+def brute_hessian(f, gam, spacings):
+    """nabla_a nabla_b f = d_a d_b f - Gam^c_ab d_c f as (..., a, b)."""
+    df = [diff4(f, c, spacings[c]) for c in range(3)]
+    out = np.zeros(f.shape + (3, 3))
+    for a in range(3):
+        for b in range(3):
+            acc = diff4(df[b], a, spacings[a])
+            for c in range(3):
+                acc = acc - gam[..., c, a, b] * df[c]
+            out[..., a, b] = acc
+    return out
+
+
 def brute_curl(amat, gmat, spacings):
     """(curl A)_ab = (eps_a^{st} nabla_t A_sb + eps_b^{st} nabla_t A_sa)/2."""
     det = brute_det(gmat)

@@ -12,9 +12,11 @@ import pytest
 import oracles as orc
 from cmclab import (
     GridSpec,
+    ScalarField,
     SymTensorField,
     christoffels,
     covariant_derivative_sym,
+    hessian,
     ricci,
     sym_to_matrix,
 )
@@ -30,6 +32,11 @@ GRIDS = (
 @pytest.fixture(params=GRIDS, ids=lambda grid: "x".join(map(str, grid.shape)))
 def grid(request):
     return request.param
+
+
+# Relative bound for the kernels on Gamma's (3, 6, *grid) planes against the
+# brute-force loops: both differ only in the order of their roundings.
+PLANE_BOUND = 1e-12
 
 
 def _scale(want):
@@ -48,6 +55,34 @@ def test_connection_coefficients_layout_off_cube(grid, rng):
     assert gam.shape == grid.shape + (3, 3, 3)
     assert not gam.flags.writeable
     assert np.array_equal(gam, np.swapaxes(gam, -1, -2))
+
+
+def test_plane_kernels_match_brute_off_cube(grid, rng):
+    g = random_metric(grid, rng)
+    gamma = christoffels(g)
+    brute_gamma = orc.brute_christoffels(orc.sym_to_mat(g.values), grid.spacings)
+    # planes[a, slot(b, c)] is the contiguous plane Gamma^a_bc, in the oracle's pair order
+    assert gamma.planes.shape == (3, 6) + grid.shape
+    for a in range(3):
+        for slot, (b, c) in enumerate(orc.SYM_PAIRS):
+            want = brute_gamma[..., a, b, c]
+            assert gamma.planes[a, slot].flags.c_contiguous
+            assert np.max(np.abs(gamma.planes[a, slot] - want)) < PLANE_BOUND * _scale(brute_gamma)
+    assert np.max(np.abs(gamma.coefficients - brute_gamma)) < PLANE_BOUND * _scale(brute_gamma)
+
+    want = orc.brute_ricci(orc.sym_to_mat(g.values), grid.spacings)
+    got = orc.sym_to_mat(ricci(g).values)
+    assert np.max(np.abs(got - want)) < PLANE_BOUND * _scale(want)
+
+    f = ScalarField(grid, rng.standard_normal(grid.shape))
+    want = orc.brute_hessian(f.values, brute_gamma, grid.spacings)
+    got = orc.sym_to_mat(hessian(f, gamma).values)
+    assert np.max(np.abs(got - want)) < PLANE_BOUND * _scale(want)
+
+    a = SymTensorField(grid, rng.standard_normal(grid.shape + (6,)))
+    want = orc.brute_cov_deriv(orc.sym_to_mat(a.values), brute_gamma, grid.spacings)
+    got = covariant_derivative_sym(a, gamma)
+    assert np.max(np.abs(got - want)) < PLANE_BOUND * _scale(want)
 
 
 def test_ricci_matches_brute_off_cube(grid, rng):

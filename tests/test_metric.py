@@ -165,8 +165,9 @@ def test_collector_record_derives_each_quantity_once(perturbed12):
     assert len(calls["raise_first_index"]) == 5
     # tr K, tr Ric, tr E and tr B, each the trace of its one g^-1 A
     assert len(cached["trace"]) == 4
-    # a 3x3 form only as a matmul operand; symmetric results stay in 6 components
-    assert [len(calls[name]) for name in GATHERS] == [15, 5]
+    # a 3x3 form only as a matmul operand, and none in Gamma, Ric or nabla K,
+    # which work on planes; symmetric results stay in 6 components
+    assert [len(calls[name]) for name in GATHERS] == [11, 4]
 
 
 def test_rk4_step_derives_once_per_stage(perturbed12):
@@ -184,9 +185,9 @@ def test_rk4_step_derives_once_per_stage(perturbed12):
     assert len(cached["trace"]) == 5
     # K g^-1 K once per stage, shared by E and the rest of dK/dt
     assert len(cached["squared"]) == 4
-    # per stage K is gathered twice (g^-1 K, K g^-1 K), Gamma once and d Gamma once (for Ric),
-    # and K g^-1 K and Ric go back to 6 components; then g^-1 K twice for the updated slice
-    assert [len(calls[name]) for name in GATHERS] == [18, 8]
+    # per stage K is gathered twice (g^-1 K, K g^-1 K) and K g^-1 K goes back to
+    # 6 components, while Gamma and Ric work on planes; then g^-1 K twice for the updated slice
+    assert [len(calls[name]) for name in GATHERS] == [10, 4]
 
 
 def test_curvature_ops_share_one_ricci(perturbed12):

@@ -260,3 +260,15 @@ def test_curl_divergence_hessian_converge_to_symbolic():
 def test_connection_shape_validation(grid8):
     with pytest.raises(ValueError):
         Connection(grid8, np.zeros(grid8.shape + (3, 3)))
+
+
+def test_connection_rejects_old_layout_and_non_finite_planes(grid8):
+    # the planes are (3, 6, *grid); a full (*grid, 3, 3, 3) array is refused
+    with pytest.raises(ValueError):
+        Connection(grid8, np.zeros(grid8.shape + (3, 3, 3)))
+    planes = np.zeros((3, 6) + grid8.shape)
+    planes[1, 4, 2, 3, 5] = np.nan
+    with pytest.raises(ValueError):
+        Connection(grid8, planes)
+    full = Connection(grid8, np.zeros((3, 6) + grid8.shape)).coefficients
+    assert full.shape == grid8.shape + (3, 3, 3)

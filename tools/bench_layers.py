@@ -1,14 +1,21 @@
 """Per-layer timings of the cmclab kernels, written to a BENCH_*.json file.
 
-    python3 tools/bench_layers.py --label NAME [--src DIR] [--out BENCH_layers.json]
+    python3 tools/bench_layers.py [--label NAME --src DIR]... [--out BENCH_layers.json]
 
-Imports cmclab from DIR (default: ./src beside this script), builds the
+Each --label names the run of the cmclab imported from the --src given
+with it; with neither, ./src beside this script is run as "change".  The
+sources are measured in ROUNDS rounds, each round in a new process per
+source, in an order that alternates from round to round, so that a drift
+of the host's speed falls on every source alike.  A round builds the
 perturbed warped AXIAL Kasner slice
 perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
 32^3, and keeps the best of five timed calls (after one warm-up) of:
 
     christoffels(m)           m a Metric whose g^-1 is derived
     ricci(m)                  m a Metric whose g^-1 and Gamma are derived
+    covariant_derivative_sym(K, m.gamma)
+                              m a Metric whose Gamma is derived, K a plain
+                              field (nabla_k_s)
     evolution_rhs(g, K, N)    g a fresh Metric, so Gamma and Ric are included,
                               as in one RK4 stage
     electric_weyl(m, K)       m a Metric whose Ric is derived, K a plain field,
@@ -44,9 +51,9 @@ slice, built untimed before the call.  The Bel-Robinson readers derive a
 state object at most once, so a call repeated on one object would time a
 memo lookup.
 
-In a separate pass before the timings, it keeps the tracemalloc peak of
-one call (after one untraced warm-up), in MiB over the traced allocation
-at the start of the call, of:
+In a separate pass before the timings, a round keeps the tracemalloc peak
+of one call (after one untraced warm-up), in MiB over the traced
+allocation at the start of the call, of:
 
     DiagnosticsCollector.add  one record of a fresh collector on a new
                               state (record_peak_mib)
@@ -59,11 +66,13 @@ at the start of the call, of:
 and the traced memory still held after that record of s, before its step
 (held_after_record_mib).
 
-BLAS and OpenMP pools are pinned to one thread.  The results go under
-runs[NAME] of the output file, which keeps the runs of other labels; when
-it holds both a "parent" and a "change" run, their ratios are written to
-"change_over_parent".  Compare only runs made on one host, one after the
-other.
+BLAS and OpenMP pools are pinned to one thread.  Every number goes under
+runs[NAME] of the output file, which keeps the runs of other labels, as
+its quartiles [p25, p50, p75] over the rounds.  When one invocation runs
+both a "parent" and a "change", "change_over_parent" holds the quartiles
+of the per-round ratios change / parent of each time and memory figure:
+a ratio whose quartiles all lie on one side of 1 is a change the host's
+drift does not explain.  Compare only runs made on one host.
 """
 
 import os
@@ -75,7 +84,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
+import multiprocessing  # noqa: E402
 import platform  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -83,14 +94,20 @@ import tracemalloc  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (16, 32)
 REPEATS = 5
+ROUNDS = 5
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding cmclab")
+    parser.add_argument("--label", action="append", help="key of one run in the output file")
+    parser.add_argument("--src", action="append", help="directory holding that run's cmclab")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    args.label = args.label or ["change"]
+    args.src = args.src or [os.path.join(ROOT, "src")]
+    if len(args.label) != len(args.src) or len(set(args.label)) != len(args.label):
+        parser.error("give one distinct --label per --src")
+    return args
 
 
 def _args(setup):
@@ -195,6 +212,7 @@ def measure(cmclab, n):
 
     out["christoffels_s"], _ = best_of(lambda: cmclab.christoffels(with_inv))
     out["ricci_s"], _ = best_of(lambda: cmclab.ricci(with_gamma))
+    out["nabla_k_s"], _ = best_of(lambda: cmclab.covariant_derivative_sym(K, with_gamma.gamma))
     out["evolution_rhs_s"], _ = best_of(lambda: cmclab.evolution_rhs(fresh(), K, N))
     out["electric_weyl_s"], _ = best_of(lambda: cmclab.electric_weyl(with_ricci, K))
     out["hessian_s"], _ = best_of(lambda: cmclab.hessian(N, with_gamma.gamma))
@@ -215,52 +233,80 @@ def measure(cmclab, n):
     return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in out.items()}
 
 
-def ratios(parent, change):
-    return {
-        size: {k: round(change[size][k] / parent[size][k], 3)
-               for k in parent[size] if k.endswith(("_s", "_peak_mib")) and k in change[size]}
-        for size in parent if size in change
-    }
-
-
-def main(argv=None):
-    args = parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
+def run_round(src):
+    """One round of measure() at each size, for the cmclab under src, in this process."""
+    sys.path.insert(0, os.path.abspath(src))
     sys.dont_write_bytecode = True
     import numpy as np
 
     import cmclab
 
-    run = {str(n): measure(cmclab, n) for n in SIZES}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "sizes": {str(n): measure(cmclab, n) for n in SIZES}}
+
+
+def quartiles(values, digits=6):
+    p25, p50, p75 = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(p25, digits), round(p50, digits), round(p75, digits)]
+
+
+def summary(rounds):
+    """Each number of the rounds as its quartiles over them."""
+    return {size: {k: quartiles([r["sizes"][size][k] for r in rounds]) for k in numbers}
+            for size, numbers in rounds[0]["sizes"].items()}
+
+
+def ratios(parent, change):
+    """Quartiles of the per-round ratios change / parent of each time and memory figure."""
+    return {size: {k: quartiles([c["sizes"][size][k] / p["sizes"][size][k]
+                                 for p, c in zip(parent, change)], 3)
+                   for k in numbers if k.endswith(("_s", "_mib"))}
+            for size, numbers in parent[0]["sizes"].items()}
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    runs = {label: [] for label in args.label}
+    sources = list(zip(args.label, args.src))
+    # a new process per round and source: each imports its own cmclab
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        for i in range(ROUNDS):
+            for label, src in (sources if i % 2 == 0 else sources[::-1]):
+                runs[label].append(pool.apply(run_round, (src,)))
     try:
         with open(args.out) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         doc = {}
     doc["about"] = (
-        "Best of five timed calls (s) per layer, after one warm-up, on "
+        "Quartiles [p25, p50, p75] over five rounds, each the best of five timed calls (s) "
+        "per layer after one warm-up, on "
         "perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and 32^3, "
-        "one BLAS thread, and the tracemalloc peak (MiB over the start of the call) of one "
+        "one BLAS thread, and of the tracemalloc peak (MiB over the start of the call) of one "
         "record, one time_step, one perturb and a record then a step of one stepped state, "
         "with the memory held between the two; records, br_energy_flux_s, time_step_s and "
         "step_after_record_s each run on a new state object; solve_lapse_warm_s solves the "
         "stepped slice from the slice's N, and lapse_apply_s is one operator apply with its "
-        "set-up untimed; written by "
-        "tools/bench_layers.py, whose docstring defines each call."
+        "set-up untimed; the rounds alternate the sources of one invocation, each in a new "
+        "process, and change_over_parent holds the quartiles of the per-round ratios; "
+        "written by tools/bench_layers.py, whose docstring defines each call."
     )
-    doc.setdefault("runs", {})[args.label] = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "nproc": os.cpu_count(),
-        "sizes": run,
-    }
-    runs = doc["runs"]
+    for label, rounds in runs.items():
+        doc.setdefault("runs", {})[label] = {
+            "python": rounds[0]["python"],
+            "numpy": rounds[0]["numpy"],
+            "nproc": os.cpu_count(),
+            "rounds": len(rounds),
+            "sizes": summary(rounds),
+        }
     if "parent" in runs and "change" in runs:
-        doc["change_over_parent"] = ratios(runs["parent"]["sizes"], runs["change"]["sizes"])
+        doc["change_over_parent"] = ratios(runs["parent"], runs["change"])
+    else:  # ratios of runs from separate invocations would not be paired
+        doc.pop("change_over_parent", None)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(json.dumps(run, indent=1))
+    print(json.dumps({label: doc["runs"][label]["sizes"] for label in runs}, indent=1))
 
 
 if __name__ == "__main__":
