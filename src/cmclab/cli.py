@@ -4,8 +4,9 @@ Usage: cmclab <command> [--config PATH] [--output PATH] [--grid N]
 [--seed S].  Flags override the corresponding config keys.  Failures exit
 nonzero after printing a machine-readable "ERROR <Type>: <message>" line
 to stderr; check commands print one PASS/FAIL line per check and exit 0
-only when everything passed.  Identical config and seed give bitwise
-identical output files.
+only when everything passed.  An evolve run that fails part way writes
+the records it collected before the error, then prints that line.
+Identical config and seed give bitwise identical output files.
 """
 
 from __future__ import annotations
@@ -117,7 +118,14 @@ def _run_oracle(config: RunConfig) -> int:
     return 0
 
 
+def _deliver_records(records, config: RunConfig) -> None:
+    buffer = io.StringIO()
+    emit_records(records, buffer)
+    _deliver(buffer.getvalue(), config)
+
+
 def _run_evolve(config: RunConfig) -> int:
+    """Evolve and deliver the records; on a CmcLabError, deliver those collected, then re-raise."""
     grid = GridSpec.cubic(config.grid_n, config.period)
     state = kasner_initial_data(config.kasner, config.t0, grid)
     if config.perturb_amplitude > 0.0:
@@ -125,28 +133,30 @@ def _run_evolve(config: RunConfig) -> int:
             state, config.perturb_amplitude, config.seed, config.solver_tol
         )
     collector = DiagnosticsCollector()
-    collector.add(state)
-    last = state
-    for index, last in enumerate(
-        evolve_states(
-            state,
-            config.t_end,
-            dt=config.dt,
-            cfl=config.cfl,
-            solver_tol=config.solver_tol,
-            trace_correction=config.trace_correction,
-        ),
-        start=1,
-    ):
-        if index % config.cadence == 0:
+    try:
+        collector.add(state)
+        last = state
+        for index, last in enumerate(
+            evolve_states(
+                state,
+                config.t_end,
+                dt=config.dt,
+                cfl=config.cfl,
+                solver_tol=config.solver_tol,
+                trace_correction=config.trace_correction,
+            ),
+            start=1,
+        ):
+            if index % config.cadence == 0:
+                collector.add(last)
+        if collector.records[-1].t != last.t:
             collector.add(last)
-    if collector.records[-1].t != last.t:
-        collector.add(last)
-    if config.snapshot_path:
-        save_state(last, config.snapshot_path)
-    buffer = io.StringIO()
-    emit_records(collector.records, buffer)
-    _deliver(buffer.getvalue(), config)
+        if config.snapshot_path:
+            save_state(last, config.snapshot_path)
+    except CmcLabError:
+        _deliver_records(collector.records, config)
+        raise
+    _deliver_records(collector.records, config)
     return 0
 
 

@@ -23,19 +23,23 @@ DiagnosticsCollector.add, which lends the Metric and SecondForm it also
 reads for the other columns.  The rest read them back.  A state's arrays
 are read-only, so the object identifies its values, and the memo is
 keyed weakly on it: it holds five floats per live state and dies with
-the state.
+the state.  Every contraction behind them reads planes: the flux
+integrand's <q_abtt, K> is inner on the 9 planes of g^-1 q_abtt and of
+g^-1 K, and g^ab q_a d_b N and sup |grad N|_g contract the covectors with
+the Metric's 6 planes of g^-1, so a record builds no (..., 3, 3) array.
 
 Both readers, and k_ratio, get the slice's SecondForm, over its Metric,
 from state._second_form.  Only for the head, the state time_step returned
-last, does it outlive the reader: it waits, with g^-1, Gamma, Ric, g^-1 K
-and K g^-1 K, for the next time_step's stage 1, which takes it instead of
-deriving them again.  Any other state's arrays die with the call.  Two
-wider variants were measured and rejected: letting every state's first
-reader lend (a one-entry slot, replaced by the next derived state) raised
-the 32^3 warped diagnostics sweep's peak RSS from 90.6 to 104.1 MB,
-since the slot lived on between records; and having time_step also lend
-its own final Metric and SecondForm raised the 32^3 perturbed
-evolution's from 94.6 to 104.0 MB without making it faster.
+last, does it outlive the reader: it waits, with the planes of g^-1,
+Gamma, g^-1 K and nabla K, and with Ric and K g^-1 K, for the next
+time_step's stage 1, which takes it instead of deriving them again.  Any
+other state's arrays die with the call.  Two wider variants were measured
+and rejected: letting every state's first reader lend (a one-entry slot,
+replaced by the next derived state) raised the 32^3 warped diagnostics
+sweep's peak RSS from 90.6 to 104.1 MB, since the slot lived on between
+records; and having time_step also lend its own final Metric and
+SecondForm raised the 32^3 perturbed evolution's from 94.6 to 104.0 MB
+without making it faster.
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ def _br_scalars(state: SliceState, K: SecondForm | None = None) -> _BRScalars:
     del weyl  # free E and B before the flux integrand is built
     dn = gradient(N)
     pressure = -N.values * inner(q.q_abtt, K, g).values
-    momentum = _vector_dot(g.inv, q.q_attt.values, dn.values)
+    momentum = _vector_dot(g._inv_planes, q.q_attt.values, dn.values)
     scalars = _BRScalars(
         e_br=integrate(q.q_tttt, g),
         density=integrate(ScalarField(g.grid, N.values * q.q_tttt.values), g),

@@ -242,14 +242,25 @@ def time_step(
             n_prev, _ = solve_lapse(K.metric, K, tol=solver_tol, initial_guess=n_prev)
         return evolution_rhs(K.metric, K, n_prev)
 
-    dg1, dk1 = stage(g0, k0, _take_second_form(state),
-                     solved=_LAPSE_SOLVED_AT.get(state) == solver_tol)
-    dg2, dk2 = stage(g0 + 0.5 * dt * dg1, k0 + 0.5 * dt * dk1)
-    dg3, dk3 = stage(g0 + 0.5 * dt * dg2, k0 + 0.5 * dt * dk2)
-    dg4, dk4 = stage(g0 + dt * dg3, k0 + dt * dk3)
+    # the weighted sums dg1 + 2 dg2 + 2 dg3 + dg4 (and likewise for K) are
+    # accumulated stage by stage, in that order, so each stage's derivatives
+    # die once the next stage has read them
+    dg, dk = stage(g0, k0, _take_second_form(state),
+                   solved=_LAPSE_SOLVED_AT.get(state) == solver_tol)
+    sum_g, sum_k = dg, dk
+    dg, dk = stage(g0 + 0.5 * dt * dg, k0 + 0.5 * dt * dk)
+    sum_g, sum_k = sum_g + 2.0 * dg, sum_k + 2.0 * dk
+    dg, dk = stage(g0 + 0.5 * dt * dg, k0 + 0.5 * dt * dk)
+    sum_g += 2.0 * dg
+    sum_k += 2.0 * dk
+    dg, dk = stage(g0 + dt * dg, k0 + dt * dk)
+    sum_g += dg
+    sum_k += dk
+    del dg, dk
 
-    g_new = Metric(grid, g0 + (dt / 6.0) * (dg1 + 2.0 * dg2 + 2.0 * dg3 + dg4))
-    k_vals = k0 + (dt / 6.0) * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
+    g_new = Metric(grid, g0 + (dt / 6.0) * sum_g)
+    k_vals = k0 + (dt / 6.0) * sum_k
+    del sum_g, sum_k
     t_new = state.t + dt
 
     k_new = SecondForm(grid, k_vals, g_new)

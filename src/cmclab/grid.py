@@ -12,28 +12,31 @@ read as four slices of one copy padded by two points at each end;
 integration against a metric volume element is a plain Riemann sum, which
 is spectrally accurate for smooth periodic integrands.
 
-Every symmetric result is stored in those 6 components.  A full (..., 3, 3)
-form (sym_to_matrix) exists only as a matmul operand, built once for it;
-matrix_to_sym brings a product back to 6 components.  The connection is
-kept once, as the (3, 6, n1, n2, n3) planes of a Connection: Gamma^a on
-each stored lower pair (b, c) is one contiguous plane.  christoffels,
-ricci, covariant_derivative_sym and hessian work on such components-first
-planes: each stencil is diff_array along axis t + 1 of a contiguous block,
-and each contraction a short fixed sum of plane products written in place,
-with no gather and no batched 3x3 matmul.
+Every symmetric result is stored in those 6 components, and every
+kernel works on contiguous components-first planes: g^-1 is kept as 6
+planes (one per stored pair), g^-1 A as 9 (one per A^a_b) and the
+connection as the (3, 6, n1, n2, n3) planes of a Connection, Gamma^a on
+each stored lower pair (b, c); nabla A has the same (3, 6, ...) layout,
+indexed [t, slot(s, b)].  Each stencil is diff_array along axis t + 1 of
+a contiguous block, and each contraction a short fixed sum of plane
+products written in place (_plane_sum), with no gather and no batched
+3x3 matmul.  The (..., 3, 3) forms (Metric.inv, SecondForm.mixed,
+SecondForm.nabla, Connection.coefficients, sym_to_matrix) are built on
+each call, for tests, oracles and set-up code; no kernel reads them.
 
 A Metric is a SymTensorField checked positive definite by construction;
-it derives sqrt(det g), g^-1, the connection Gamma, Ric and R once each,
-on first use, and every operation reads them through as_metric(g).  A
-SecondForm is a symmetric A over one Metric that derives g^-1 A, tr A
-(the trace of that g^-1 A), |A|^2_g, A g^-1 A and nabla A once each, on
-first use; as_second_form(A, g) is the only path by which a symmetric
-tensor is raised by g, and trace(A, g) reads its tr A.  Build one of each
-per computation (a record, an RK stage; E and B get one each too); a
-SliceState never stores either, though the next RK step may take the
-pair a reader built for the state the last step returned (state.py).
-Fields handed to one operation must share one grid (ValueError
-otherwise).
+it derives sqrt(det g), g^-1 (from the closed-form cofactors), the
+connection Gamma, Ric and R once each, on first use, and every operation
+reads them through as_metric(g).  A SecondForm is a symmetric A over one
+Metric that derives g^-1 A, tr A (the sum of its diagonal planes),
+|A|^2_g, A g^-1 A and nabla A once each, on first use; as_second_form(A,
+g) is the only path by which a symmetric tensor is raised by g, and
+trace(A, g) reads its tr A.  A components-first copy of A itself lives
+only inside the kernel that reads it.  Build one of each per computation
+(a record, an RK stage; E and B get one each too); a SliceState never
+stores either, though the next RK step may take the pair a reader built
+for the state the last step returned (state.py).  Fields handed to one
+operation must share one grid (ValueError otherwise).
 """
 
 from __future__ import annotations
@@ -259,21 +262,15 @@ def _checked_determinant(g: SymTensorField) -> np.ndarray:
     return det
 
 
-def _inverse(v: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Closed-form inverse (..., 3, 3) of 6-component storage v with determinant det."""
-    xx, xy, xz = v[..., 0], v[..., 1], v[..., 2]
-    yy, yz, zz = v[..., 3], v[..., 4], v[..., 5]
-    inv = np.empty(v.shape[:-1] + (3, 3), dtype=v.dtype)
-    inv[..., 0, 0] = yy * zz - yz * yz
-    inv[..., 0, 1] = xz * yz - xy * zz
-    inv[..., 0, 2] = xy * yz - xz * yy
-    inv[..., 1, 1] = xx * zz - xz * xz
-    inv[..., 1, 2] = xy * xz - xx * yz
-    inv[..., 2, 2] = xx * yy - xy * xy
-    inv[..., 1, 0] = inv[..., 0, 1]
-    inv[..., 2, 0] = inv[..., 0, 2]
-    inv[..., 2, 1] = inv[..., 1, 2]
-    inv /= det[..., None, None]
+def _inverse_planes(v: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """g^-1 as 6 contiguous planes in SYM_PAIRS order: the closed-form cofactors of v over det."""
+    xx, xy, xz, yy, yz, zz = (v[..., slot] for slot in range(6))
+    inv, tmp = np.empty((6,) + det.shape), np.empty(det.shape)
+    for plane, (p, q, r, s) in zip(inv, ((yy, zz, yz, yz), (xz, yz, xy, zz), (xy, yz, xz, yy),
+                                         (xx, zz, xz, xz), (xy, xz, xx, yz), (xx, yy, xy, xy))):
+        np.multiply(p, q, out=plane)  # p q - r s
+        plane -= np.multiply(r, s, out=tmp)
+    inv /= det
     return inv
 
 
@@ -282,12 +279,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _grid_last(block: np.ndarray, lead: int) -> np.ndarray:
+    """A contiguous copy of block with its first `lead` axes moved after the grid's."""
+    return np.ascontiguousarray(np.moveaxis(block, tuple(range(lead)), tuple(range(-lead, 0))))
+
+
 class Metric(SymTensorField):
     """A metric checked positive definite (else NonPositiveMetric), keeping det.
 
-    sqrt_det, inv (g^-1 as (..., 3, 3)), gamma (the Levi-Civita Connection),
-    ricci (Ric) and scalar_curvature (R = tr Ric) are computed once, on
-    first use; all are read-only.  R keeps only its scalar array: the
+    sqrt_det, g^-1 (as 6 planes in SYM_PAIRS order), gamma (the
+    Levi-Civita Connection), ricci (Ric) and scalar_curvature (R = tr Ric)
+    are computed once, on first use; all are read-only.  inv expands g^-1
+    on each call to a read-only (..., 3, 3) array, for tests and set-up
+    code; no kernel reads it.  R keeps only its scalar array: the
     SecondForm that raises Ric for it is dropped, since one kept here
     would refer back to this Metric.
     """
@@ -301,8 +305,12 @@ class Metric(SymTensorField):
         return _frozen(np.sqrt(self.det))
 
     @cached_property
+    def _inv_planes(self) -> np.ndarray:
+        return _frozen(_inverse_planes(self.values, self.det))
+
+    @property
     def inv(self) -> np.ndarray:
-        return _frozen(_inverse(self.values, self.det))
+        return _frozen(_grid_last(self._inv_planes[_MATRIX_SLOTS], 2))
 
     @cached_property
     def gamma(self) -> Connection:
@@ -331,10 +339,13 @@ def inverse_metric(g: SymTensorField) -> np.ndarray:
 class SecondForm(SymTensorField):
     """A symmetric tensor K over one Metric, as_metric(metric); ValueError on another grid.
 
-    mixed (g^-1 K as (..., 3, 3)), trace (tr K, the trace of mixed), norm_sq
-    (|K|^2_g = K . K), squared (K g^-1 K in 6-component storage) and nabla
-    (nabla_t K_sb as (..., 3, 3, 3), indexed [t, s, b]) are computed once,
-    on first use; all are read-only.
+    g^-1 K (9 planes indexed [a, b] for K^a_b), trace (tr K, the sum of
+    its 3 diagonal planes), norm_sq (|K|^2_g = K . K), squared (K g^-1 K
+    in 6-component storage) and nabla K (a (3, 6, *grid) block indexed
+    [t, slot(s, b)]) are computed once, on first use; all are read-only.
+    mixed and nabla expand g^-1 K and nabla K on each call to read-only
+    (..., 3, 3) and (..., 3, 3, 3) arrays, for tests and oracles; no
+    kernel reads them.
     """
 
     metric: Metric
@@ -345,26 +356,38 @@ class SecondForm(SymTensorField):
         _shared_grid(self, self.metric)
 
     @cached_property
+    def _mixed_planes(self) -> np.ndarray:
+        return _frozen(_raise_planes(self, self.metric._inv_planes))
+
+    @property
     def mixed(self) -> np.ndarray:
-        return _frozen(raise_first_index(self, self.metric.inv))
+        return _frozen(_grid_last(self._mixed_planes, 2))
 
     @cached_property
     def trace(self) -> np.ndarray:
-        return _frozen(np.einsum("...aa->...", self.mixed))
+        m = self._mixed_planes
+        return _frozen(m[0, 0] + m[1, 1] + m[2, 2])
 
     @cached_property
     def norm_sq(self) -> np.ndarray:
-        return _frozen(_sym_dot(self.mixed, self.mixed))
+        return _frozen(_sym_dot(self._mixed_planes, self._mixed_planes))
 
     @cached_property
+    def _nabla_planes(self) -> np.ndarray:
+        return _frozen(_covariant_derivative_planes(self, self.metric.gamma))
+
+    @property
     def nabla(self) -> np.ndarray:
-        return _frozen(covariant_derivative_sym(self, self.metric.gamma))
+        return _frozen(_grid_last(self._nabla_planes[:, _MATRIX_SLOTS], 3))
 
     @cached_property
     def squared(self) -> np.ndarray:
-        # K and g^-1 are stored exactly symmetric, so the transpose of g^-1 K
-        # holds K g^-1: the same products, summed in the same order
-        return _frozen(matrix_to_sym(np.swapaxes(self.mixed, -1, -2) @ sym_to_matrix(self.values)))
+        # (K g^-1 K)_ab = (g^-1 K)^c_a K_cb on the stored pairs (a, b)
+        m, k = self._mixed_planes, _planes(self.values)
+        out, tmp = np.empty(k.shape), np.empty(k.shape[1:])
+        for slot, (a, b) in enumerate(SYM_PAIRS):
+            _plane_sum([(m[c, a], k[sym_index(c, b)]) for c in range(3)], out[slot], tmp)
+        return _frozen(_grid_last(out, 1))
 
 
 def as_second_form(K: SymTensorField, g: SymTensorField) -> SecondForm:
@@ -416,18 +439,37 @@ def integrate(f: ScalarField, g: SymTensorField) -> float:
 
 
 def _sym_dot(a_up: np.ndarray, b_up: np.ndarray) -> np.ndarray:
-    """A . B = g^{ac} g^{bd} A_ab B_cd = tr(g^-1 A g^-1 B), from the mixed g^-1 A and g^-1 B."""
-    return np.einsum("...ab,...ba->...", a_up, b_up)
+    """A . B = g^{ac} g^{bd} A_ab B_cd = tr(g^-1 A g^-1 B), from the planes of g^-1 A and g^-1 B."""
+    out, tmp = np.empty(a_up.shape[2:]), np.empty(a_up.shape[2:])
+    return _plane_sum([(a_up[a, b], b_up[b, a]) for a in range(3) for b in range(3)], out, tmp)
 
 
 def _vector_dot(inv: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """g^{ab} v_a w_b, from g^-1 and two (..., 3) covector arrays."""
-    return np.sum((inv @ v[..., None])[..., 0] * w, axis=-1)
+    """g^{ab} v_a w_b, from the planes of g^-1 and two (..., 3) covector arrays."""
+    v_planes = _planes(v)
+    w_planes = v_planes if w is v else _planes(w)
+    up, out, tmp = np.empty(v_planes.shape), np.empty(inv.shape[1:]), np.empty(inv.shape[1:])
+    for a in range(3):  # up[a] = g^{ab} v_b
+        _plane_sum([(inv[sym_index(a, b)], v_planes[b]) for b in range(3)], up[a], tmp)
+    return _plane_sum([(up[a], w_planes[a]) for a in range(3)], out, tmp)
+
+
+def _raise_planes(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
+    """The 9 planes (3, 3, *grid) of A^a_b = g^{ac} A_cb, from the 6 planes of g^-1."""
+    out = np.empty((3, 3) + A.grid.shape)  # first: it outlives the copy of A
+    values = _planes(A.values)
+    tmp = np.empty(A.grid.shape)
+    for a in range(3):
+        for b in range(3):
+            _plane_sum([(inv[sym_index(a, c)], values[sym_index(c, b)]) for c in range(3)],
+                       out[a, b], tmp)
+    return out
 
 
 def raise_first_index(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
-    """Mixed components A^a_b = g^{ac} A_cb as a full (..., 3, 3) array."""
-    return inv @ sym_to_matrix(A.values)
+    """Mixed components A^a_b = g^{ac} A_cb as a read-only (..., 3, 3) array, from g^-1 alike."""
+    inv_planes = np.stack([inv[..., a, b] for a, b in SYM_PAIRS])
+    return _frozen(_grid_last(_raise_planes(A, inv_planes), 2))
 
 
 def trace(A: SymTensorField, g: SymTensorField) -> ScalarField:
@@ -439,7 +481,7 @@ def _pointwise_norm_sq(field, g: Metric) -> np.ndarray:
     if isinstance(field, ScalarField):
         return field.values**2
     if isinstance(field, VectorField):
-        return _vector_dot(g.inv, field.values, field.values)
+        return _vector_dot(g._inv_planes, field.values, field.values)
     if isinstance(field, SymTensorField):
         return as_second_form(field, g).norm_sq
     raise TypeError(f"unsupported field type {type(field).__name__}")
@@ -479,8 +521,7 @@ class Connection:
 
     @property
     def coefficients(self) -> np.ndarray:
-        full = np.moveaxis(self.planes[:, _MATRIX_SLOTS], (0, 1, 2), (-3, -2, -1))
-        return _frozen(np.ascontiguousarray(full))
+        return _frozen(_grid_last(self.planes[:, _MATRIX_SLOTS], 3))
 
 
 def _planes(values: np.ndarray) -> np.ndarray:
@@ -504,12 +545,9 @@ def christoffels(g: SymTensorField) -> Connection:
     plane by plane on the 6 stored (b, c) pairs from the planes of g^-1
     and of the partials of g.
     """
-    inv = as_metric(g).inv
     shape, spacings = g.grid.shape, g.grid.spacings
     # (1/2) g^ad on its stored pairs; halving is exact, so it may come first
-    half_inv = np.empty((6,) + shape)
-    for slot, (a, d) in enumerate(SYM_PAIRS):
-        np.multiply(inv[..., a, d], 0.5, out=half_inv[slot])
+    half_inv = np.multiply(as_metric(g)._inv_planes, 0.5)
     values = _planes(g.values)
     dg = [diff_array(values, t + 1, spacings[t]) for t in range(3)]  # dg[t][slot] = d_t g_slot
     del values
@@ -525,16 +563,15 @@ def christoffels(g: SymTensorField) -> Connection:
     return Connection(g.grid, _frozen(planes))
 
 
-def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray:
-    """nabla_t A_sb as a full (..., 3, 3, 3) array indexed [t, s, b].
+def _covariant_derivative_planes(A: SymTensorField, gamma: Connection) -> np.ndarray:
+    """nabla_t A_sb as a (3, 6, *grid) block indexed [t, slot(s, b)].
 
     nabla_t A_sb = d_t A_sb - Gamma^m_{ts} A_mb - Gamma^m_{tb} A_sm,
-    formed plane by plane on the 6 stored (s, b) pairs of each t, whose
-    planes are then written to both (s, b) and (b, s) at once.
+    formed plane by plane on the 6 stored (s, b) pairs of each t.
     """
     shape, spacings = A.grid.shape, A.grid.spacings
+    out = np.empty((3, 6) + shape)  # first: it outlives the copy of A
     gam, values = gamma.planes, _planes(A.values)
-    out = np.empty(shape + (3, 3, 3))
     term, tmp = np.empty(shape), np.empty(shape)
     for t in range(3):
         dA = diff_array(values, t + 1, spacings[t])  # dA[slot] = d_t A_slot
@@ -545,9 +582,13 @@ def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray
             if s != b:
                 _plane_sum([(gam[m, sym_index(t, b)], values[sym_index(m, s)])
                             for m in range(3)], term, tmp)
-            dA[slot] -= term
-        out[..., t, :, :] = np.moveaxis(dA[_MATRIX_SLOTS], (0, 1), (-2, -1))
+            np.subtract(dA[slot], term, out=out[t, slot])
     return out
+
+
+def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray:
+    """nabla_t A_sb as a read-only (..., 3, 3, 3) array indexed [t, s, b], for tests and oracles."""
+    return _frozen(_grid_last(_covariant_derivative_planes(A, gamma)[:, _MATRIX_SLOTS], 3))
 
 
 def ricci(g: SymTensorField) -> SymTensorField:
@@ -583,4 +624,4 @@ def ricci(g: SymTensorField) -> SymTensorField:
             out -= np.multiply(np.add(dtrace[a][b], dtrace[b][a], out=tmp), 0.5, out=tmp)
         out -= _plane_sum([(gam[c, sym_index(a, d)], gam[d, sym_index(c, b)])
                            for c in range(3) for d in range(3)], term, tmp)
-    return SymTensorField(g.grid, _frozen(np.ascontiguousarray(np.moveaxis(ric, 0, -1))))
+    return SymTensorField(g.grid, _frozen(_grid_last(ric, 1)))

@@ -38,19 +38,22 @@ identical.
 
 Each solve builds one operator workspace and allocates nothing per
 iteration but the preconditioner's FFT output.  One block holds six
-contiguous planes of sqrt(g) g^ab (g^-1 is stored exactly symmetric, so
-the other three are copies), the partials dN, the flux, a temporary, a
-padded copy per axis for the stencil, and the CG vectors b, r, p, Ap and
-a scratch plane.  The stencil runs diff_array's operations in its order
-into those buffers, each flux is accumulated term by term in place, and
-the CG updates (x += alpha p, r -= alpha Ap, p = beta p + z) and the
-products fed to np.sum and np.linalg.norm go through the scratch plane,
-so every iterate is bitwise that of the plain formulas; the reductions
-stay np.sum and norm, since a BLAS dot sums in another order.  Only the
-returned lapse lies outside the block.  The preconditioner's c^ab is the
-mean over the (..., 3, 3) product sqrt(g) g^-1, not over the six planes:
-numpy's pairwise sum follows the memory layout, and per-plane means
-differ by a few 1e-15, which moves every CG iterate.
+contiguous planes of sqrt(g) g^ab, each sqrt(g) times the Metric's plane
+of g^-1 on that stored pair (g^-1 is symmetric, so the other three are
+not kept), the partials dN, the flux, a temporary, a padded copy per axis
+for the stencil, and the CG vectors b, r, p, Ap and a scratch plane.  The
+stencil runs diff_array's operations in its order into those buffers,
+each flux is accumulated term by term in place, and the CG updates
+(x += alpha p, r -= alpha Ap, p = beta p + z) and the products fed to
+np.sum and np.linalg.norm go through the scratch plane, so every iterate
+is bitwise that of the plain formulas; the reductions stay np.sum and
+norm, since a BLAS dot sums in another order.  Only the returned lapse
+lies outside the block.  The preconditioner's c^ab is the mean of each
+contiguous coefficient plane.  A mean over a (..., 3, 3) array would sum
+in another order and differ by a few 1e-15; that moves every CG iterate
+at the same level, far below the solve tolerance, and leaves the
+iteration counts unchanged, since the preconditioner only has to be
+symmetric positive definite and close to the operator.
 """
 
 from __future__ import annotations
@@ -92,16 +95,16 @@ class EllipticSolveReport:
 class _Operator:
     """sqrt(g)-weighted operator -d_a(c^ab d_b N) + w N, with every buffer allocated once.
 
-    c^ab = sqrt(g) g^ab is kept as six contiguous planes in SYM_PAIRS
-    order (g^-1 is stored exactly symmetric), w = sqrt(g)|K|^2 by
-    reference.  The planes, the partials dN, the flux, a temporary, one
-    padded copy per axis and `spare` further planes for the caller share
-    one workspace block.  Each term is formed in the order of the plain
-    formula, so results are bitwise those of diff_array and a freshly
-    allocated sum.
+    c^ab = scale g^ab, scale = sqrt(g), is kept as six contiguous planes,
+    each the product of scale with the plane of g^-1 on that stored pair
+    (SYM_PAIRS order), and w = sqrt(g)|K|^2 by reference.  The planes, the
+    partials dN, the flux, a temporary, one padded copy per axis and
+    `spare` further planes for the caller share one workspace block.  Each
+    term is formed in the order of the plain formula, so results are
+    bitwise those of diff_array and a freshly allocated sum.
     """
 
-    def __init__(self, flux_coeff: np.ndarray, weight_v: np.ndarray, spacings, spare: int = 0):
+    def __init__(self, scale, inv_planes, weight_v: np.ndarray, spacings, spare: int = 0):
         shape = weight_v.shape
         size = weight_v.size
         padded_shapes = [shape[:a] + (shape[a] + 4,) + shape[a + 1:] for a in range(3)]
@@ -109,8 +112,8 @@ class _Operator:
         block = np.empty(sum(sizes))
         planes = block[:sizes[0]].reshape((11 + spare,) + shape)
         self.coeff = planes[:6]
-        for slot, (a, b) in enumerate(SYM_PAIRS):
-            self.coeff[slot] = flux_coeff[..., a, b]
+        for slot in range(6):
+            np.multiply(scale, inv_planes[slot], out=self.coeff[slot])
         self.dn, self.flux, self.tmp = tuple(planes[6:9]), planes[9], planes[10]
         self.spare = planes[11:]
         self.weight = weight_v
@@ -155,22 +158,21 @@ class _Operator:
 
 def _apply_operator(n_vals: np.ndarray, flux_coeff: np.ndarray, weight_v: np.ndarray,
                     spacings) -> np.ndarray:
-    """sqrt(g)-weighted operator: -d_a(sqrt(g) g^{ab} d_b N) + sqrt(g)|K|^2 N."""
-    return _Operator(flux_coeff, weight_v, spacings).apply(n_vals, np.empty_like(weight_v))
+    """sqrt(g)-weighted operator -d_a(c^ab d_b N) + w N, c^ab = flux_coeff[..., a, b] symmetric."""
+    coeff = [flux_coeff[..., a, b] for a, b in SYM_PAIRS]
+    return _Operator(1.0, coeff, weight_v, spacings).apply(n_vals, np.empty_like(weight_v))
 
 
-def _constant_coefficient_inverse(flux_coeff: np.ndarray, weight_v: np.ndarray,
-                                  spacings):
-    """r -> M^-1 r for _apply_operator with its coefficients frozen at their grid means."""
+def _constant_coefficient_inverse(coeff: np.ndarray, weight_v: np.ndarray, spacings):
+    """r -> M^-1 r for the operator with c^ab planes coeff and w frozen at their grid means."""
     shape, axes = weight_v.shape, (0, 1, 2)
     thetas = [2.0 * np.pi * np.fft.fftfreq(shape[0]),
               2.0 * np.pi * np.fft.fftfreq(shape[1]),
               2.0 * np.pi * np.fft.rfftfreq(shape[2])]
     s = np.meshgrid(*((8.0 * np.sin(th) - np.sin(2.0 * th)) / (6.0 * h)
                       for th, h in zip(thetas, spacings)), indexing="ij", sparse=True)
-    # over the (..., 3, 3) array: per-plane means differ in the last bits
-    c_mean = np.mean(flux_coeff, axis=axes)
-    symbol = np.mean(weight_v) + sum(c_mean[a, b] * s[a] * s[b]
+    c_mean = [np.mean(plane) for plane in coeff]
+    symbol = np.mean(weight_v) + sum(c_mean[sym_index(a, b)] * s[a] * s[b]
                                      for a in range(3) for b in range(3))
     inv_symbol = 1.0 / symbol
 
@@ -213,15 +215,16 @@ def solve_lapse(
             f"min |K|^2 = {ksq.min():.3e}; the lapse operator needs |K|^2 > 0"
         )
 
+    # x is the returned lapse, so it is the one array outside the block; made
+    # first, it does not outlive the block from above the space the block frees
+    x = 1.0 / ksq if initial_guess is None else initial_guess.values.copy()
     sqrt_g = g.sqrt_det
-    flux_coeff = sqrt_g[..., None, None] * g.inv
     weight_v = sqrt_g * ksq
     spacings = grid.spacings
-    precondition = _constant_coefficient_inverse(flux_coeff, weight_v, spacings)
     # b, r, p, A p and a scratch plane ride in the operator's workspace block
-    op = _Operator(flux_coeff, weight_v, spacings, spare=5)
+    op = _Operator(sqrt_g, g._inv_planes, weight_v, spacings, spare=5)
     b, r, p, ap, tmp = op.spare
-    del flux_coeff
+    precondition = _constant_coefficient_inverse(op.coeff, weight_v, spacings)
 
     rhs_vals = np.ones(grid.shape) if rhs is None else rhs.values
     np.multiply(sqrt_g, rhs_vals, out=b)
@@ -229,9 +232,6 @@ def solve_lapse(
 
     if max_iterations is None:
         max_iterations = int(10 * np.sqrt(grid.num_points)) + 1
-
-    # x is the returned lapse, so it is the one array outside the block
-    x = 1.0 / ksq if initial_guess is None else initial_guess.values.copy()
 
     def rel_residual(res: np.ndarray) -> float:
         # Residual of the original equation: r = sqrt(g) (rhs - L_orig N).

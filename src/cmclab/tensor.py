@@ -25,20 +25,26 @@ covariant_derivative_sym, so that a grid.SecondForm can derive tr A,
 g^-1 A and nabla A once.  All are re-exported here.  Every operation reads
 g^-1, sqrt(det g) and Gamma from as_metric(g), and each symmetric operand
 A through as_second_form(A, g): g^-1 A for inner, norm_sq, cross and the
-B of wedge (A g^-1 B is A @ g^-1 B), tr A for trace and cross, nabla A
-for curl and divergence.  An operand handed in as a SecondForm is raised
-once however many of them read it (B = -curl K and div K share nabla K).
-divergence contracts g^-1 with nabla A, not with A, so it raises nothing.
+B of wedge, tr A for trace and cross, nabla A for curl and divergence.
+An operand handed in as a SecondForm is raised once however many of them
+read it (B = -curl K and div K share nabla K).  divergence contracts g^-1
+with nabla A, not with A, so it raises nothing.
 
-Symmetric results are stored in 6 components: a (3, 3) form is built only
-as a matmul operand.  hessian and covariant_derivative_sym read Gamma from
-its Connection's planes, one contiguous plane per Gamma^c_ab on a stored
-pair.  hessian fills the 6 stored slots directly, each d_a d_b f less the
-plane sum over c of d_c f Gamma^c_ab.  covariant_derivative_sym
-differentiates a components-first copy of A's 6 planes and, per t and
-stored pair (s, b), subtracts the plane sums Gamma^m_ts A_mb and
-Gamma^m_tb A_sm; each result is written to both (s, b) and (b, s) of its
-(..., 3, 3, 3) output, which curl and divergence read.
+Every operation works on contiguous components-first planes and forms
+each component as a short fixed sum of plane products (grid._plane_sum):
+the 6 planes of g^-1, the 9 of g^-1 A (indexed [a, b] for A^a_b), the
+(3, 6, ...) blocks of Gamma and nabla A (indexed [t, slot(s, b)]), and a
+components-first copy of A or g made inside the operation that reads it.
+cross sums (A g^-1 B)_ij + (A g^-1 B)_ji on the stored pairs, each three
+products of A's planes with g^-1 B's; wedge forms the three antisymmetric
+differences of A g^-1 B that its dual reads, then lowers with g's planes;
+curl takes the same differences of nabla A's planes, contracts them with
+g and averages each stored pair with its transpose; divergence is the
+9-product sum g^{ac} nabla_a A_cb.  hessian fills the 6 stored slots
+directly, each d_a d_b f less the plane sum over c of d_c f Gamma^c_ab.
+Symmetric results are stored in 6 components; apart from the expansions
+raise_first_index and covariant_derivative_sym, no operation builds a
+(..., 3, 3) array, and none runs a batched 3x3 matmul.
 
 Orientation convention: the alternating symbol is right-handed in the
 coordinate frame ([123] = +1).  Reversing orientation flips the sign of
@@ -56,7 +62,9 @@ from .grid import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _grid_last,
     _plane_sum,
+    _planes,
     _shared_grid,
     _sym_dot,
     as_metric,
@@ -64,9 +72,8 @@ from .grid import (
     christoffels,
     covariant_derivative_sym,
     diff_array,
-    matrix_to_sym,
     raise_first_index,
-    sym_to_matrix,
+    sym_index,
     trace,
 )
 
@@ -87,9 +94,8 @@ __all__ = [
     "raise_first_index",
 ]
 
-def _dual(m: np.ndarray) -> np.ndarray:
-    """dual(M)_p = [pbc] M_bc = (M_12 - M_21, M_20 - M_02, M_01 - M_10) over the last two axes."""
-    return np.stack([m[..., b, c] - m[..., c, b] for b, c in ((1, 2), (2, 0), (0, 1))], axis=-1)
+# the (b, c) pair behind each component p of dual(M)_p = [pbc] M_bc = M_bc - M_cb
+_DUAL_PAIRS = ((1, 2), (2, 0), (0, 1))
 
 
 def traceless(A: SymTensorField, g: SymTensorField) -> SymTensorField:
@@ -101,7 +107,8 @@ def traceless(A: SymTensorField, g: SymTensorField) -> SymTensorField:
 def inner(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> ScalarField:
     """Full contraction A . B = g^{ac} g^{bd} A_ab B_cd."""
     g = as_metric(g)
-    return ScalarField(A.grid, _sym_dot(as_second_form(A, g).mixed, as_second_form(B, g).mixed))
+    a, b = as_second_form(A, g)._mixed_planes, as_second_form(B, g)._mixed_planes
+    return ScalarField(A.grid, _sym_dot(a, b))
 
 
 def norm_sq(A: SymTensorField, g: SymTensorField) -> ScalarField:
@@ -109,43 +116,84 @@ def norm_sq(A: SymTensorField, g: SymTensorField) -> ScalarField:
     return ScalarField(A.grid, as_second_form(A, g).norm_sq)
 
 
+def _times_mixed(a: np.ndarray, b_up: np.ndarray, b: int, c: int, out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
+    """(A g^-1 B)_bc = A_bd (g^-1 B)^d_c into out, from A's 6 planes and g^-1 B's 9."""
+    return _plane_sum([(a[sym_index(b, d)], b_up[d, c]) for d in range(3)], out, tmp)
+
+
 def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorField:
     """(A ^ B)_a = eps_a^{bc} A_b^d B_{dc} = g_ap dual(A g^-1 B)_p / sqrt(det g)."""
     g = as_metric(g)
-    m = sym_to_matrix(A.values) @ as_second_form(B, g).mixed
-    d = _dual(m) / g.sqrt_det[..., None]
-    return VectorField(A.grid, np.einsum("...ap,...p->...a", sym_to_matrix(g.values), d))
+    a, b_up, g_planes = _planes(A.values), as_second_form(B, g)._mixed_planes, _planes(g.values)
+    d = np.empty((3,) + A.grid.shape)  # dual(A g^-1 B) / sqrt(det g)
+    term, tmp = np.empty(A.grid.shape), np.empty(A.grid.shape)
+    for p, (i, j) in enumerate(_DUAL_PAIRS):
+        np.subtract(_times_mixed(a, b_up, i, j, d[p], tmp), _times_mixed(a, b_up, j, i, term, tmp),
+                    out=d[p])
+        d[p] /= g.sqrt_det
+    out = np.empty((3,) + A.grid.shape)
+    for i in range(3):
+        _plane_sum([(g_planes[sym_index(i, p)], d[p]) for p in range(3)], out[i], tmp)
+    return VectorField(A.grid, _grid_last(out, 1))
 
 
 def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorField:
     """(A x B)_ab, symmetric and commutative for symmetric inputs."""
     g = as_metric(g)
     a, b = as_second_form(A, g), as_second_form(B, g)
+    a_planes, b_up = _planes(A.values), b._mixed_planes
+    # A g^-1 B + B g^-1 A on the stored pairs: (A g^-1 B)_ij + (A g^-1 B)_ji
+    both = np.empty((6,) + A.grid.shape)
+    term, tmp = np.empty(A.grid.shape), np.empty(A.grid.shape)
+    for slot, (i, j) in enumerate(SYM_PAIRS):
+        _times_mixed(a_planes, b_up, i, j, both[slot], tmp)
+        if i == j:
+            both[slot] *= 2.0
+        else:
+            both[slot] += _times_mixed(a_planes, b_up, j, i, term, tmp)
+    del a_planes
+    values = _grid_last(both, 1)
+    del both
     tr_a, tr_b = a.trace[..., None], b.trace[..., None]
-    dot = _sym_dot(a.mixed, b.mixed)[..., None]
-    # twice the averaged off-diagonal pair of A g^-1 B is A g^-1 B + B g^-1 A
-    values = 2.0 * matrix_to_sym(sym_to_matrix(A.values) @ b.mixed)
     values -= tr_a * B.values
     values -= tr_b * A.values
-    values += (2.0 / 3.0) * (tr_a * tr_b - dot) * g.values
+    values += (2.0 / 3.0) * (tr_a * tr_b - _sym_dot(a._mixed_planes, b_up)[..., None]) * g.values
     return SymTensorField(A.grid, values)
 
 
 def curl(A: SymTensorField, g: SymTensorField) -> SymTensorField:
     """Symmetrized metric-weighted curl of a symmetric tensor."""
     g = as_metric(g)
-    # nabla A as [..., b, s, t], whose dual is D_pb = [pst] nabla_t A_sb as [..., b, p];
-    # (D^T g)_ba = eps_a^{st} nabla_t A_sb sqrt(det g), and matrix_to_sym symmetrizes it
-    d = _dual(np.swapaxes(as_second_form(A, g).nabla, -1, -3))
-    values = matrix_to_sym(d @ sym_to_matrix(g.values)) / g.sqrt_det[..., None]
-    return SymTensorField(A.grid, values)
+    nabla, g_planes = as_second_form(A, g)._nabla_planes, _planes(g.values)
+    shape = A.grid.shape
+    # d[b, p] = [pst] nabla_t A_sb = nabla_t A_sb - nabla_s A_tb, (s, t) the dual pair of p
+    d = np.empty((3, 3) + shape)
+    for b in range(3):
+        for p, (s, t) in enumerate(_DUAL_PAIRS):
+            np.subtract(nabla[t, sym_index(s, b)], nabla[s, sym_index(t, b)], out=d[b, p])
+    # (d g)_ba = eps_a^{st} nabla_t A_sb sqrt(det g), symmetrized on the stored pairs
+    out = np.empty((6,) + shape)
+    term, tmp = np.empty(shape), np.empty(shape)
+    for slot, (a, b) in enumerate(SYM_PAIRS):
+        _plane_sum([(d[b, p], g_planes[sym_index(p, a)]) for p in range(3)], out[slot], tmp)
+        if a != b:
+            out[slot] += _plane_sum([(d[a, p], g_planes[sym_index(p, b)]) for p in range(3)],
+                                    term, tmp)
+            out[slot] *= 0.5
+        out[slot] /= g.sqrt_det
+    return SymTensorField(A.grid, _grid_last(out, 1))
 
 
 def divergence(A: SymTensorField, g: SymTensorField) -> VectorField:
     """(div A)_b = g^{ac} nabla_a A_cb."""
     g = as_metric(g)
-    values = np.einsum("...ac,...acb->...b", g.inv, as_second_form(A, g).nabla)
-    return VectorField(A.grid, values)
+    inv, nabla = g._inv_planes, as_second_form(A, g)._nabla_planes
+    out, tmp = np.empty((3,) + A.grid.shape), np.empty(A.grid.shape)
+    for b in range(3):
+        _plane_sum([(inv[sym_index(a, c)], nabla[a, sym_index(c, b)])
+                    for a in range(3) for c in range(3)], out[b], tmp)
+    return VectorField(A.grid, _grid_last(out, 1))
 
 
 def gradient(f: ScalarField) -> VectorField:

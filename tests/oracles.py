@@ -99,6 +99,37 @@ def brute_eps_mixed(det, inv):
     return out
 
 
+def brute_mixed(amat, inv):
+    """A^a_b = g^{ac} A_cb as (..., a, b)."""
+    out = np.zeros(amat.shape)
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                out[..., a, b] = out[..., a, b] + inv[..., a, c] * amat[..., c, b]
+    return out
+
+
+def brute_squared(amat, inv):
+    """(A g^-1 A)_ab = A_ac g^{cd} A_db as (..., a, b)."""
+    out = np.zeros(amat.shape)
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                for d in range(3):
+                    out[..., a, b] = (out[..., a, b]
+                                      + amat[..., a, c] * inv[..., c, d] * amat[..., d, b])
+    return out
+
+
+def brute_vector_dot(v, w, inv):
+    """g^{ab} v_a w_b for covector arrays (..., 3)."""
+    out = np.zeros(v.shape[:-1])
+    for a in range(3):
+        for b in range(3):
+            out = out + inv[..., a, b] * v[..., a] * w[..., b]
+    return out
+
+
 def brute_wedge(amat, bmat, gmat):
     """(A wedge B)_a = eps_a^{bc} A_b^d B_{dc}, one lowered output index."""
     det = brute_det(gmat)

@@ -120,6 +120,43 @@ def test_evolve_records_equal_a_loop_that_lends_nothing(capsys, tmp_path, monkey
     assert len(collector.records) == 4
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+def test_evolve_delivers_the_records_collected_before_a_failure(capsys, tmp_path, monkeypatch,
+                                                                to_file):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(
+        "command = evolve\ngrid_n = 8\nt0 = -1.0\nt_end = -0.95\ndt = 0.01\ncadence = 1\n"
+        "perturb_amplitude = 1e-3\nseed = 5\ntrace_correction = true\nsolver_tol = 1e-12\n"
+    )
+    complete = tmp_path / "complete.csv"
+    assert _main(capsys, "evolve", "--config", str(cfg), "--output", str(complete))[0] == 0
+
+    # after the first step every lapse solve gets a budget of 0 CG iterations,
+    # so the second step's first solve diverges
+    budget = {}
+    solve, step = evolution.solve_lapse, evolution.time_step
+
+    def starved_solve(*args, **kwargs):
+        return solve(*args, max_iterations=budget.get("max_iterations"), **kwargs)
+
+    def counted_step(*args, **kwargs):
+        stepped = step(*args, **kwargs)
+        budget["max_iterations"] = 0
+        return stepped
+
+    monkeypatch.setattr(evolution, "solve_lapse", starved_solve)
+    monkeypatch.setattr(evolution, "time_step", counted_step)
+    partial = tmp_path / "partial.csv"
+    argv = ["evolve", "--config", str(cfg)] + (["--output", str(partial)] if to_file else [])
+    code, out, err = _main(capsys, *argv)
+    assert code == 1
+    assert err.startswith("ERROR SolverDiverged:")
+    text = partial.read_text() if to_file else out
+    # the slice at t0 and the one after the first step, bitwise as a complete run wrote them
+    assert [r.t for r in parse_records(text)] == [-1.0, pytest.approx(-0.99, abs=1e-14)]
+    assert text.splitlines() == complete.read_text().splitlines()[:3]
+
+
 def test_evolve_snapshot_round_trip(capsys, tmp_path):
     cfg = tmp_path / "s.cfg"
     snap = tmp_path / "final.npz"

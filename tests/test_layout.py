@@ -3,7 +3,10 @@
 On a cubic grid a reshape that mixes grid axes with component axes, or a
 stencil applied along the wrong axis, can still agree with the oracle.
 Here every axis has its own size and spacing, and the grid is checked in
-both axis orders.
+both axis orders.  The kernels keep g^-1, g^-1 A, nabla A and Gamma as
+contiguous components-first planes; each plane is checked against the
+brute-force loops of oracles.py, and no kernel may read a (..., 3, 3)
+expansion.
 """
 
 import numpy as np
@@ -11,17 +14,32 @@ import pytest
 
 import oracles as orc
 from cmclab import (
+    AXIAL,
+    Connection,
+    DiagnosticsCollector,
     GridSpec,
+    Metric,
     ScalarField,
+    SecondForm,
     SymTensorField,
+    as_metric,
+    as_second_form,
     christoffels,
     covariant_derivative_sym,
+    cross,
+    curl,
+    divergence,
     hessian,
+    inner,
+    perturb,
     ricci,
     sym_to_matrix,
+    time_step,
+    warped_kasner_state,
+    wedge,
 )
 from cmclab.checks import random_metric
-from cmclab.grid import diff_array
+from cmclab.grid import _vector_dot, diff_array
 
 GRIDS = (
     GridSpec((9, 12, 16), (1.0, 2.0, 0.5)),
@@ -107,3 +125,81 @@ def test_diff_array_matches_local_stencil_off_cube(grid, rng, comps):
     for axis in range(3):
         h = grid.spacings[axis]
         assert np.array_equal(diff_array(values, axis, h), orc.diff4(values, axis, h))
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < PLANE_BOUND * _scale(want)
+
+
+def _random_sym(grid, rng):
+    return SymTensorField(grid, rng.standard_normal(grid.shape + (6,)))
+
+
+def test_metric_and_second_form_planes_match_brute_off_cube(grid, rng):
+    g = as_metric(random_metric(grid, rng))
+    a = as_second_form(_random_sym(grid, rng), g)
+    am = orc.sym_to_mat(a.values)
+    inv = orc.brute_inverse(orc.sym_to_mat(g.values))
+    # g^-1 as 6 contiguous planes in the oracle's pair order
+    assert g._inv_planes.shape == (6,) + grid.shape
+    for slot, (i, j) in enumerate(orc.SYM_PAIRS):
+        assert g._inv_planes[slot].flags.c_contiguous
+        assert np.max(np.abs(g._inv_planes[slot] - inv[..., i, j])) < PLANE_BOUND * _scale(inv)
+    _close(g.inv, inv)
+    # g^-1 A as 9 contiguous planes indexed [a, b]
+    mixed = orc.brute_mixed(am, inv)
+    assert a._mixed_planes.shape == (3, 3) + grid.shape
+    for i in range(3):
+        for j in range(3):
+            assert a._mixed_planes[i, j].flags.c_contiguous
+            assert (np.max(np.abs(a._mixed_planes[i, j] - mixed[..., i, j]))
+                    < PLANE_BOUND * _scale(mixed))
+    _close(a.mixed, mixed)
+    _close(a.trace, orc.brute_trace(am, inv))
+    _close(a.norm_sq, orc.brute_inner(am, am, inv))
+    _close(orc.sym_to_mat(a.squared), orc.brute_squared(am, inv))
+
+
+def test_pointwise_products_match_brute_off_cube(grid, rng):
+    g = random_metric(grid, rng)
+    a, b = _random_sym(grid, rng), _random_sym(grid, rng)
+    gm, am, bm = (orc.sym_to_mat(f.values) for f in (g, a, b))
+    inv = orc.brute_inverse(gm)
+    _close(inner(a, b, g).values, orc.brute_inner(am, bm, inv))
+    _close(orc.sym_to_mat(cross(a, b, g).values), orc.brute_cross(am, bm, gm))
+    _close(wedge(a, b, g).values, orc.brute_wedge(am, bm, gm))
+    v, w = rng.standard_normal(grid.shape + (3,)), rng.standard_normal(grid.shape + (3,))
+    inv_planes = as_metric(g)._inv_planes
+    _close(_vector_dot(inv_planes, v, v), orc.brute_vector_dot(v, v, inv))  # the covector norm
+    _close(_vector_dot(inv_planes, v, w), orc.brute_vector_dot(v, w, inv))
+
+
+def test_nabla_planes_curl_and_divergence_match_brute_off_cube(grid, rng):
+    g = random_metric(grid, rng)
+    a = as_second_form(_random_sym(grid, rng), g)
+    gm, am = orc.sym_to_mat(g.values), orc.sym_to_mat(a.values)
+    brute_gamma = orc.brute_christoffels(gm, grid.spacings)
+    cov = orc.brute_cov_deriv(am, brute_gamma, grid.spacings)
+    # nabla_t A_sb as the contiguous plane [t, slot(s, b)]
+    assert a._nabla_planes.shape == (3, 6) + grid.shape
+    for t in range(3):
+        for slot, (s, b) in enumerate(orc.SYM_PAIRS):
+            assert a._nabla_planes[t, slot].flags.c_contiguous
+            assert (np.max(np.abs(a._nabla_planes[t, slot] - cov[..., t, s, b]))
+                    < PLANE_BOUND * _scale(cov))
+    _close(a.nabla, cov)
+    _close(orc.sym_to_mat(curl(a, g).values), orc.brute_curl(am, gm, grid.spacings))
+    _close(divergence(a, g).values, orc.brute_divergence(am, gm, grid.spacings))
+
+
+def test_no_kernel_reads_a_3x3_expansion(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"a kernel read {type(self).__name__}'s (..., 3, 3) expansion")
+
+    for cls, name in ((Metric, "inv"), (SecondForm, "mixed"), (SecondForm, "nabla"),
+                      (Connection, "coefficients")):
+        monkeypatch.setattr(cls, name, property(refuse))
+    state, _ = perturb(warped_kasner_state(AXIAL, -1.0, GridSpec.cubic(12)), 1e-3, seed=11)
+    stepped = time_step(state, 1e-3, trace_correction=True)
+    DiagnosticsCollector().add(stepped)

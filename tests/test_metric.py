@@ -47,7 +47,6 @@ from cmclab import (
     load_fields,
     load_state,
     magnetic_weyl,
-    matrix_to_sym,
     metric_determinant,
     momentum_constraint,
     norm_sq,
@@ -74,6 +73,7 @@ from cmclab import grid as grid_module
 from cmclab import lapse as lapse_module
 from cmclab import state as state_module
 from cmclab.checks import random_metric
+from cmclab.grid import SYM_PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +117,8 @@ def counting(*names, module=grid_module):
             setattr(binder, attr, value)
 
 
-DERIVED = ("_inverse", "_checked_determinant", "christoffels", "ricci")
-K_DERIVED = ("raise_first_index", "covariant_derivative_sym")
+DERIVED = ("_inverse_planes", "_checked_determinant", "christoffels", "ricci")
+K_DERIVED = ("_raise_planes", "_covariant_derivative_planes")
 GATHERS = ("sym_to_matrix", "matrix_to_sym")
 
 
@@ -159,15 +159,15 @@ def test_collector_record_derives_each_quantity_once(perturbed12):
     # g^-1 K, tr K and nabla K once each; nabla K serves both B and div K
     assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1]
     assert _of(cached["trace"], K) == 1
-    assert len(calls["covariant_derivative_sym"]) == 1
+    assert len(calls["_covariant_derivative_planes"]) == 1
     # K, Ric (for R), E, B and q_abtt once each: E and B each through one
     # SecondForm that serves |.|^2, the cross product and the wedge, q_abtt for the flux
-    assert len(calls["raise_first_index"]) == 5
+    assert len(calls["_raise_planes"]) == 5
     # tr K, tr Ric, tr E and tr B, each the trace of its one g^-1 A
     assert len(cached["trace"]) == 4
-    # a 3x3 form only as a matmul operand, and none in Gamma, Ric or nabla K,
-    # which work on planes; symmetric results stay in 6 components
-    assert [len(calls[name]) for name in GATHERS] == [11, 4]
+    # no 3x3 form anywhere: every contraction is a sum of plane products, and
+    # symmetric results stay in 6 components
+    assert [len(calls[name]) for name in GATHERS] == [0, 0]
 
 
 def test_rk4_step_derives_once_per_stage(perturbed12):
@@ -185,9 +185,8 @@ def test_rk4_step_derives_once_per_stage(perturbed12):
     assert len(cached["trace"]) == 5
     # K g^-1 K once per stage, shared by E and the rest of dK/dt
     assert len(cached["squared"]) == 4
-    # per stage K is gathered twice (g^-1 K, K g^-1 K) and K g^-1 K goes back to
-    # 6 components, while Gamma and Ric work on planes; then g^-1 K twice for the updated slice
-    assert [len(calls[name]) for name in GATHERS] == [10, 4]
+    # g^-1 K, K g^-1 K, Gamma and Ric are all formed on planes
+    assert [len(calls[name]) for name in GATHERS] == [0, 0]
 
 
 def test_curvature_ops_share_one_ricci(perturbed12):
@@ -220,8 +219,8 @@ def test_k_readers_share_one_second_form(perturbed12):
     assert _of(cached["trace"], K) == 1
     # K once, and Ric once for R, which the Metric caches for both
     # hamiltonian_constraint and constraint_norms
-    assert len(calls["raise_first_index"]) == 2
-    assert len(calls["covariant_derivative_sym"]) == 1
+    assert len(calls["_raise_planes"]) == 2
+    assert len(calls["_covariant_derivative_planes"]) == 1
     assert len(cached["squared"]) == 1
 
 
@@ -296,9 +295,9 @@ def test_k_ratio_reads_the_second_form_left_for_the_head(perturbed12):
     stepped = time_step(perturbed12, 1e-3, trace_correction=True)
     expected = sup_norm(stepped.K, stepped.g) / abs(stepped.t)
     br_energy(stepped)
-    with counting("_inverse") as calls:
+    with counting("_inverse_planes") as calls:
         ratio = k_ratio(stepped)
-    assert len(calls["_inverse"]) == 0
+    assert len(calls["_inverse_planes"]) == 0
     assert ratio == expected
 
 
@@ -391,16 +390,19 @@ def test_second_form_caches_read_only_quantities(grid8, rng):
     assert isinstance(k, SecondForm) and k.metric is g
     assert as_second_form(k, g) is k
     assert as_second_form(k, SymTensorField(grid8, g.values)).metric is not g
-    assert k.mixed is k.mixed and k.trace is k.trace
-    assert k.norm_sq is k.norm_sq and k.nabla is k.nabla
+    assert k._mixed_planes is k._mixed_planes and k.trace is k.trace
+    assert k.norm_sq is k.norm_sq and k._nabla_planes is k._nabla_planes
     assert np.array_equal(k.mixed, raise_first_index(K, g.inv))
     assert np.array_equal(k.trace, trace(K, g).values)
     assert np.array_equal(k.norm_sq, norm_sq(K, g).values)
     assert np.array_equal(k.nabla, covariant_derivative_sym(K, g.gamma))
     assert k.squared is k.squared
+    # (K g^-1 K)_ab = (g^-1 K)^c_a K_cb on the stored pairs, summed over c in order
     km = sym_to_matrix(K.values)
-    assert np.array_equal(k.squared, matrix_to_sym(km @ g.inv @ km))
-    for array in (k.mixed, k.trace, k.norm_sq, k.squared, k.nabla):
+    full = sum(k.mixed[..., c, :, None] * km[..., c, None, :] for c in range(3))
+    assert np.array_equal(k.squared, np.stack([full[..., a, b] for a, b in SYM_PAIRS], axis=-1))
+    for array in (k.mixed, k.trace, k.norm_sq, k.squared, k.nabla, k._mixed_planes,
+                  k._nabla_planes):
         with pytest.raises(ValueError):
             array[...] = 0.0
 
@@ -439,13 +441,14 @@ def test_metric_caches_read_only_quantities(grid8, rng):
     assert isinstance(m, Metric) and as_metric(m) is m
     assert np.array_equal(m.det, metric_determinant(g))
     assert np.array_equal(m.sqrt_det, np.sqrt(metric_determinant(g)))
-    assert m.inv is m.inv and inverse_metric(m) is m.inv
-    assert np.array_equal(m.inv, inverse_metric(g))
+    assert m._inv_planes is m._inv_planes
+    assert np.array_equal(m.inv, inverse_metric(g)) and np.array_equal(inverse_metric(m), m.inv)
     assert m.gamma is m.gamma
     assert np.array_equal(m.gamma.coefficients, christoffels(g).coefficients)
     assert m.ricci is m.ricci
     assert np.array_equal(m.ricci.values, ricci(g).values)
-    for array in (m.det, m.sqrt_det, m.inv, m.gamma.coefficients, m.ricci.values):
+    for array in (m.det, m.sqrt_det, m._inv_planes, m.inv, m.gamma.coefficients,
+                  m.ricci.values):
         with pytest.raises(ValueError):
             array[...] = 0.0
 

@@ -11,6 +11,10 @@ perturbed warped AXIAL Kasner slice
 perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
 32^3, and keeps the best of five timed calls (after one warm-up) of:
 
+    g^-1 of m                 m a fresh Metric (metric_inverse_s)
+    g^-1 K, tr K, |K|^2 and K g^-1 K
+                              on a fresh SecondForm over a Metric whose
+                              g^-1 is derived (second_form_s)
     christoffels(m)           m a Metric whose g^-1 is derived
     ricci(m)                  m a Metric whose g^-1 and Gamma are derived
     covariant_derivative_sym(K, m.gamma)
@@ -33,6 +37,15 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               buffers built untimed (lapse_apply_s); code
                               without lapse._Operator times its
                               _apply_operator, which builds nothing ahead
+    solve_lapse(m, k, max_iterations=0)
+                              the solve's set-up alone (lapse_setup_s): m a
+                              Metric whose g^-1 is derived, k a SecondForm
+                              over it whose |K|^2 is derived; with no
+                              iteration allowed the solve builds its
+                              coefficients, preconditioner and workspace,
+                              applies the operator twice (the initial and
+                              the verified residual) and raises
+                              SolverDiverged, which is caught
     weyl_parts(g, K)          g a fresh Metric, so Gamma and Ric are included
     br_components(E, B, m)    m a Metric whose g^-1 is derived
     DiagnosticsCollector.add  one record of a fresh collector (collector_add_s)
@@ -150,19 +163,41 @@ def traced_mib(fn, setup=None):
     return (peak - start) / 2**20, (held - start) / 2**20
 
 
+def inverse(m):
+    """m's g^-1 as the Metric keeps it: 6 planes, or (..., 3, 3) in code without them."""
+    return m._inv_planes if hasattr(type(m), "_inv_planes") else m.inv
+
+
 def lapse_apply(cmclab, g, K, N):
     """A call applying the lapse operator of (g, K) to N once, its set-up done here."""
+    import inspect
+
     import numpy as np
 
     lapse = sys.modules["cmclab.lapse"]
     m = cmclab.as_metric(g)
-    flux_coeff = m.sqrt_det[..., None, None] * m.inv
     weight = m.sqrt_det * cmclab.norm_sq(K, m).values
     spacings = g.grid.spacings
-    if not hasattr(lapse, "_Operator"):
+    operator = getattr(lapse, "_Operator", None)
+    if operator is None:
+        flux_coeff = m.sqrt_det[..., None, None] * m.inv
         return lambda: lapse._apply_operator(N.values, flux_coeff, weight, spacings)
-    op, out = lapse._Operator(flux_coeff, weight, spacings), np.empty_like(weight)
+    if "inv_planes" in inspect.signature(operator).parameters:
+        op = operator(m.sqrt_det, m._inv_planes, weight, spacings)
+    else:  # an operator built from sqrt(g) g^-1 as (..., 3, 3)
+        op = operator(m.sqrt_det[..., None, None] * m.inv, weight, spacings)
+    out = np.empty_like(weight)
     return lambda: op.apply(N.values, out)
+
+
+def lapse_setup(cmclab, m, k):
+    """A call running solve_lapse(m, k) with a budget of 0 CG iterations."""
+    def call():
+        try:
+            cmclab.solve_lapse(m, k, max_iterations=0)
+        except cmclab.SolverDiverged:
+            pass
+    return call
 
 
 def measure(cmclab, n):
@@ -203,13 +238,16 @@ def measure(cmclab, n):
     _, out["held_after_record_mib"] = traced_mib(record, setup=stepped)
 
     with_inv = fresh()
-    with_inv.inv
+    inverse(with_inv)
     with_gamma = fresh()
     with_gamma.gamma
     with_ricci = fresh()
     with_ricci.ricci
     weyl = cmclab.weyl_parts(fresh(), K)
 
+    out["metric_inverse_s"], _ = best_of(inverse, setup=fresh)
+    out["second_form_s"], _ = best_of(lambda k: (k.trace, k.norm_sq, k.squared),
+                                      setup=lambda: cmclab.SecondForm(grid, K.values, with_inv))
     out["christoffels_s"], _ = best_of(lambda: cmclab.christoffels(with_inv))
     out["ricci_s"], _ = best_of(lambda: cmclab.ricci(with_gamma))
     out["nabla_k_s"], _ = best_of(lambda: cmclab.covariant_derivative_sym(K, with_gamma.gamma))
@@ -223,6 +261,9 @@ def measure(cmclab, n):
         cmclab.Metric(grid, moved.g.values), moved.K, initial_guess=N))
     out["solve_lapse_warm_cg_iterations"] = report.iterations
     out["lapse_apply_s"], _ = best_of(lapse_apply(cmclab, g, K, N))
+    with_ksq = cmclab.SecondForm(grid, K.values, with_inv)
+    with_ksq.norm_sq
+    out["lapse_setup_s"], _ = best_of(lapse_setup(cmclab, with_inv, with_ksq))
     out["weyl_parts_s"], _ = best_of(lambda: cmclab.weyl_parts(fresh(), K))
     out["br_components_s"], _ = best_of(lambda: cmclab.br_components(weyl.E, weyl.B, with_inv))
     out["collector_add_s"], _ = best_of(record, setup=new_state)
@@ -287,8 +328,11 @@ def main(argv=None):
         "with the memory held between the two; records, br_energy_flux_s, time_step_s and "
         "step_after_record_s each run on a new state object; solve_lapse_warm_s solves the "
         "stepped slice from the slice's N, and lapse_apply_s is one operator apply with its "
-        "set-up untimed; the rounds alternate the sources of one invocation, each in a new "
-        "process, and change_over_parent holds the quartiles of the per-round ratios; "
+        "set-up untimed, lapse_setup_s a solve_lapse with a budget of 0 iterations, "
+        "metric_inverse_s a fresh Metric's g^-1 and second_form_s g^-1 K, tr K, |K|^2 and "
+        "K g^-1 K of a fresh SecondForm; the rounds alternate the sources of one "
+        "invocation, each in a new process, and change_over_parent holds the quartiles of "
+        "the per-round ratios; "
         "written by tools/bench_layers.py, whose docstring defines each call."
     )
     for label, rounds in runs.items():
