@@ -20,33 +20,24 @@ the flux, r_c and sup |grad N|_g) are derived together, once per
 SliceState object, by whichever reader comes first: br_energy, br_flux,
 curvature_radius, spacetime_br_energy, gradient_lapse_estimate_check or
 DiagnosticsCollector.add, which lends the Metric and SecondForm it also
-reads for the other columns.  The rest read them back.  A state's arrays
-are read-only, so the object identifies its values, and the memo is
-keyed weakly on it: it holds five floats per live state and dies with
-the state.  Every contraction behind them reads planes: the flux
-integrand's <q_abtt, K> is inner on the 9 planes of g^-1 q_abtt and of
-g^-1 K, and g^ab q_a d_b N and sup |grad N|_g contract the covectors with
-the Metric's 6 planes of g^-1, so a record builds no (..., 3, 3) array.
+reads for the other columns.  The rest read them back from the state's
+private _br_scalars field: five floats that die with the state (state.py
+sets out what a state carries and for how long).  Every contraction
+behind them reads planes: the flux integrand's <q_abtt, K> is inner on
+the 9 planes of g^-1 q_abtt and of g^-1 K, and g^ab q_a d_b N and
+sup |grad N|_g contract the covectors with the Metric's 6 planes of
+g^-1, so a record builds no (..., 3, 3) array.
 
 Both readers, and k_ratio, get the slice's SecondForm, over its Metric,
 from state._second_form.  Only for the head, the state time_step returned
-last, does it outlive the reader: it waits, with the planes of g^-1,
-Gamma, g^-1 K and nabla K, and with Ric and K g^-1 K, for the next
-time_step's stage 1, which takes it instead of deriving them again.  Any
-other state's arrays die with the call.  Two wider variants were measured
-and rejected: letting every state's first reader lend (a one-entry slot,
-replaced by the next derived state) raised the 32^3 warped diagnostics
-sweep's peak RSS from 90.6 to 104.1 MB, since the slot lived on between
-records; and having time_step also lend its own final Metric and
-SecondForm raised the 32^3 perturbed evolution's from 94.6 to 104.0 MB
-without making it faster.
+last, does it outlive the reader, for the next time_step's stage 1; any
+other state's arrays die with the call (state.py).
 """
 
 from __future__ import annotations
 
 import io
 import os
-import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -116,9 +107,6 @@ class _BRScalars:
     grad_n_sup: float
 
 
-_BR_SCALARS: weakref.WeakKeyDictionary[SliceState, _BRScalars] = weakref.WeakKeyDictionary()
-
-
 def _trapezoid(t0: float, d0: float, t1: float, d1: float) -> float:
     """One trapezoid of the spacetime energy, in |dt|."""
     return 0.5 * (d1 + d0) * abs(t1 - t0)
@@ -139,7 +127,7 @@ def _br_scalars(state: SliceState, K: SecondForm | None = None) -> _BRScalars:
     K, when given, is a SecondForm over the state's K values and a Metric
     over its g values, lent by a caller that reads them for more.
     """
-    scalars = _BR_SCALARS.get(state)
+    scalars = state._br_scalars
     if scalars is not None:
         return scalars
     if K is None:
@@ -158,7 +146,7 @@ def _br_scalars(state: SliceState, K: SecondForm | None = None) -> _BRScalars:
         r_c=_radius(g, q),
         grad_n_sup=sup_norm(dn, g),
     )
-    _BR_SCALARS[state] = scalars
+    object.__setattr__(state, "_br_scalars", scalars)
     return scalars
 
 

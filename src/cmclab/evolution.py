@@ -28,8 +28,6 @@ slice energy integral scales by r.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from . import kasner
@@ -57,10 +55,6 @@ __all__ = [
 
 DEFAULT_CFL = 0.25
 DEFAULT_CMC_DRIFT_TOL = 1e-6
-
-# The solver_tol at which solve_lapse produced a state's N on exactly that
-# state's (g, K), for the states time_step and perturb return.
-_LAPSE_SOLVED_AT: weakref.WeakKeyDictionary[SliceState, float] = weakref.WeakKeyDictionary()
 
 
 def kasner_initial_data(p: KasnerParams, t0: float, grid: GridSpec) -> SliceState:
@@ -137,8 +131,13 @@ def _random_smooth_sym(grid: GridSpec, rng: np.random.Generator, modes: int = 3)
             f += amp * np.sin(2.0 * np.pi * (kx * x / lx + ky * y / ly + kz * z / lz) + phase)
             picked += 1
         values[..., comp] = f
-    frob = np.sqrt(np.einsum("...ab,...ab->...", sym_to_matrix(values), sym_to_matrix(values)))
-    return values / np.max(frob)
+    return values / _frobenius_sup(values)
+
+
+def _frobenius_sup(values: np.ndarray) -> float:
+    """sup over the grid of the Frobenius norm of a 6-component symmetric field."""
+    m = sym_to_matrix(values)
+    return float(np.sqrt(np.max(np.einsum("...ab,...ab->...", m, m))))
 
 
 def perturb(
@@ -164,19 +163,14 @@ def perturb(
     rng = np.random.default_rng(seed)
     w_g = _random_smooth_sym(state.grid, rng)
     w_k = _random_smooth_sym(state.grid, rng)
-
-    def frob_sup(values: np.ndarray) -> float:
-        m = sym_to_matrix(values)
-        return float(np.sqrt(np.max(np.einsum("...ab,...ab->...", m, m))))
-
-    g_vals = state.g.values + amplitude * frob_sup(state.g.values) * w_g
+    g_vals = state.g.values + amplitude * _frobenius_sup(state.g.values) * w_g
     g = Metric(state.grid, g_vals)
-    k_vals = state.K.values + amplitude * frob_sup(state.K.values) * w_k
+    k_vals = state.K.values + amplitude * _frobenius_sup(state.K.values) * w_k
     defect = state.t - trace(SymTensorField(state.grid, k_vals), g).values
     K = SecondForm(state.grid, k_vals + (defect[..., None] / 3.0) * g_vals, g)
     N, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=state.N)
     new_state = SliceState(t=state.t, g=g, K=K, N=N)
-    _LAPSE_SOLVED_AT[new_state] = solver_tol
+    object.__setattr__(new_state, "_solved_tol", solver_tol)
     return new_state, constraint_norms(g, K)
 
 
@@ -212,19 +206,21 @@ def time_step(
     previous stage; the stage's one Metric and one SecondForm serve both
     the solve and evolution_rhs.  Stage 1 takes state.N as it is when
     time_step or perturb solved that N on this very state's (g, K) at
-    this solver_tol: re-solving it would start at the solution and return
-    it bitwise after 0 CG iterations.  Any other state (built directly,
-    loaded, rescaled) or another solver_tol gets the stage-1 solve.
-    Likewise, when state is the one the previous time_step returned, stage
-    1 takes the SecondForm and Metric that its first reader (a record or a
-    Bel-Robinson scalar) derived, with their g^-1, Gamma, Ric, g^-1 K,
-    tr K, |K|^2 and K g^-1 K, instead of deriving the same arrays again.
-    A step from any other state drops what was left and derives its own.
-    The state returned here takes that role for the next call.
-    After the update the sup-norm drift of tr K from the new time label
-    is either projected into the pure-trace part of K (trace_correction)
-    or required to stay below cmc_drift_tol.  Raises ValueError unless dt
-    is finite and cmc_drift_tol is finite and nonnegative.
+    this solver_tol (the state's private _solved_tol): re-solving it would
+    start at the solution and return it bitwise after 0 CG iterations.
+    Any other state (built directly, loaded, rescaled) or another
+    solver_tol gets the stage-1 solve.  Likewise, when state is the one
+    the previous time_step returned, stage 1 takes the SecondForm and
+    Metric that its first reader (a record or a Bel-Robinson scalar)
+    derived, with their g^-1, Gamma, Ric, g^-1 K, tr K, |K|^2 and
+    K g^-1 K, instead of deriving the same arrays again.  A step from any
+    other state drops what was left and derives its own.  The state
+    returned here takes that role for the next call; state.py sets out
+    what a state carries and for how long.  After the update the sup-norm
+    drift of tr K from the new time label is either projected into the
+    pure-trace part of K (trace_correction) or required to stay below
+    cmc_drift_tol.  Raises ValueError unless dt is finite and
+    cmc_drift_tol is finite and nonnegative.
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
@@ -246,7 +242,7 @@ def time_step(
     # accumulated stage by stage, in that order, so each stage's derivatives
     # die once the next stage has read them
     dg, dk = stage(g0, k0, _take_second_form(state),
-                   solved=_LAPSE_SOLVED_AT.get(state) == solver_tol)
+                   solved=state._solved_tol == solver_tol)
     sum_g, sum_k = dg, dk
     dg, dk = stage(g0 + 0.5 * dt * dg, k0 + 0.5 * dt * dk)
     sum_g, sum_k = sum_g + 2.0 * dg, sum_k + 2.0 * dk
@@ -274,7 +270,7 @@ def time_step(
         )
     n_new, _ = solve_lapse(g_new, k_new, tol=solver_tol, initial_guess=n_prev)
     new_state = SliceState(t=t_new, g=g_new, K=k_new, N=n_new)
-    _LAPSE_SOLVED_AT[new_state] = solver_tol
+    object.__setattr__(new_state, "_solved_tol", solver_tol)
     _mark_head(new_state)
     return new_state
 

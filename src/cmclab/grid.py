@@ -35,7 +35,8 @@ trace(A, g) reads its tr A.  A components-first copy of A itself lives
 only inside the kernel that reads it.  Build one of each per computation
 (a record, an RK stage; E and B get one each too); a SliceState never
 stores either, though the next RK step may take the pair a reader built
-for the state the last step returned (state.py).  Fields handed to one
+for the state the last step returned (state.py sets out what a state
+carries and for how long).  Fields handed to one
 operation must share one grid (ValueError otherwise).
 """
 

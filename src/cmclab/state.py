@@ -1,9 +1,39 @@
-"""One CMC Cauchy-slice snapshot."""
+"""One CMC Cauchy-slice snapshot, and what a reader derives from it.
+
+A SliceState is immutable: operations return new instances, and the g,
+K and N value arrays are made read-only on construction (the caller's
+arrays themselves, not copies), so one state object always means one
+set of values and what is derived from a slice may be kept with the
+object.  A state carries, beside (t, g, K, N), two private fields that
+start empty on every state built by SliceState(...), dataclasses.replace,
+rescale or load_state, never show in its repr, and die with it:
+
+    _solved_tol   the solver_tol at which time_step or perturb solved N
+                  on exactly this (g, K); the next time_step's stage 1
+                  then takes N as it is at that tol (evolution.py)
+    _br_scalars   the five Bel-Robinson floats (e_br, the lapse-weighted
+                  density, the flux, r_c and sup |grad N|_g) that the
+                  first diagnostics reader derived (diagnostics.py)
+
+A state never holds g^-1, Gamma, Ric or nabla K.  One state at a time
+lends them to the next step: the head, the state time_step returned
+last, whose first reader leaves its SecondForm, over its Metric, for that
+time_step's stage 1 (_second_form, _take_second_form).  That is a rule
+across states (a new head drops the old entry), so it lives in the one
+module-level registry _HEAD, keyed weakly on the head.  Every other state
+(built directly, loaded, rescaled, perturbed, Kasner data) keeps no array
+alive.  Two wider variants were measured and rejected: letting every
+state's first reader lend (a one-entry slot, replaced by the next derived
+state) raised the 32^3 warped diagnostics sweep's peak RSS from 90.6 to
+104.1 MB, since the slot lived on between records; and having time_step
+also lend its own final Metric and SecondForm raised the 32^3 perturbed
+evolution's from 94.6 to 104.0 MB without making it faster.
+"""
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,24 +51,18 @@ class SliceState:
     The time label t is the (spatially constant) mean curvature of the
     slice, so t < 0 throughout the expanding regime this package works
     in.  How far tr K may drift from t before a step is rejected is owned
-    by the evolution loop, not by this container.  States are immutable
-    snapshots: operations return new instances and never mutate fields,
-    and the g, K and N value arrays are made read-only on construction
-    (the caller's arrays themselves, not copies), so one state object
-    always means one set of values and a reader may key what it derives
-    from a slice on the object.  A Metric g and a SecondForm K are stored
-    as plain SymTensorFields, so a state never holds g^-1, Gamma, Ric or
-    nabla K itself.  One state at a time lends them to the next step: the
-    state time_step returned last (the head), whose first reader leaves
-    its SecondForm, over its Metric, for that time_step's stage 1 (see
-    _second_form).  Every other state (built directly, loaded, rescaled,
-    perturbed, Kasner data) keeps nothing alive.
+    by the evolution loop, not by this container.  The value arrays are
+    read-only, and a Metric g or a SecondForm K is stored as a plain
+    SymTensorField; what a state carries beyond them, and for how long,
+    is set out in the state module's docstring.
     """
 
     t: float
     g: SymTensorField
     K: SymTensorField
     N: ScalarField
+    _solved_tol: float | None = field(default=None, init=False, repr=False)
+    _br_scalars: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.t) or self.t >= 0.0:

@@ -8,6 +8,7 @@ between the two paths is evidence rather than tautology.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
@@ -99,6 +100,29 @@ def brute_eps_mixed(det, inv):
     return out
 
 
+class BruteMetric(NamedTuple):
+    """A metric (..., 3, 3) with its det g, g^{-1} and eps_a^{bc}."""
+
+    mat: np.ndarray
+    det: np.ndarray
+    inv: np.ndarray
+    eps: np.ndarray
+
+
+def brute_metric(g):
+    """g, a (..., 3, 3) metric, with det g, g^{-1} and eps_a^{bc} from the routines above.
+
+    A BruteMetric is returned as it is.  The product oracles below take
+    either form, so a caller checking many pairs on one metric derives
+    these once rather than once per call.
+    """
+    if isinstance(g, BruteMetric):
+        return g
+    det = brute_det(g)
+    inv = brute_inverse(g)
+    return BruteMetric(g, det, inv, brute_eps_mixed(det, inv))
+
+
 def brute_mixed(amat, inv):
     """A^a_b = g^{ac} A_cb as (..., a, b)."""
     out = np.zeros(amat.shape)
@@ -130,11 +154,9 @@ def brute_vector_dot(v, w, inv):
     return out
 
 
-def brute_wedge(amat, bmat, gmat):
+def brute_wedge(amat, bmat, g):
     """(A wedge B)_a = eps_a^{bc} A_b^d B_{dc}, one lowered output index."""
-    det = brute_det(gmat)
-    inv = brute_inverse(gmat)
-    eps = brute_eps_mixed(det, inv)
+    gmat, det, inv, eps = brute_metric(g)
     out = np.zeros(gmat.shape[:-2] + (3,))
     for a in range(3):
         acc = np.zeros(det.shape)
@@ -148,12 +170,10 @@ def brute_wedge(amat, bmat, gmat):
     return out
 
 
-def brute_cross(amat, bmat, gmat):
+def brute_cross(amat, bmat, g):
     """(A x B)_ab = eps_a^{cd} eps_b^{ef} A_ce B_df
                     + (A.B - tr A tr B)/3 g_ab, symmetric traceless output."""
-    det = brute_det(gmat)
-    inv = brute_inverse(gmat)
-    eps = brute_eps_mixed(det, inv)
+    gmat, det, inv, eps = brute_metric(g)
     dot = brute_inner(amat, bmat, inv)
     tra = brute_trace(amat, inv)
     trb = brute_trace(bmat, inv)
@@ -171,20 +191,20 @@ def brute_cross(amat, bmat, gmat):
     return out
 
 
-def brute_q_tttt(emat, bmat, gmat):
-    inv = brute_inverse(gmat)
+def brute_q_tttt(emat, bmat, g):
+    inv = brute_metric(g).inv
     return brute_inner(emat, emat, inv) + brute_inner(bmat, bmat, inv)
 
 
-def brute_q_attt(emat, bmat, gmat):
-    return 2.0 * brute_wedge(emat, bmat, gmat)
+def brute_q_attt(emat, bmat, g):
+    return 2.0 * brute_wedge(emat, bmat, g)
 
 
-def brute_q_abtt(emat, bmat, gmat):
-    inv = brute_inverse(gmat)
-    dens = brute_inner(emat, emat, inv) + brute_inner(bmat, bmat, inv)
-    return (-brute_cross(emat, emat, gmat) - brute_cross(bmat, bmat, gmat)
-            + dens[..., None, None] / 3.0 * gmat)
+def brute_q_abtt(emat, bmat, g):
+    m = brute_metric(g)
+    dens = brute_inner(emat, emat, m.inv) + brute_inner(bmat, bmat, m.inv)
+    return (-brute_cross(emat, emat, m) - brute_cross(bmat, bmat, m)
+            + dens[..., None, None] / 3.0 * m.mat)
 
 
 # -- brute-force differential operators --------------------------------------

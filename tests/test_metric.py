@@ -4,6 +4,7 @@ A state never holds them; only the one a reader derived for the state
 time_step returned last waits in a registry for the next step.
 """
 
+import dataclasses
 import gc
 import sys
 import weakref
@@ -67,7 +68,6 @@ from cmclab import (
     warped_kasner_state,
     weyl_parts,
 )
-from cmclab import diagnostics as diagnostics_module
 from cmclab import geometry as geometry_module
 from cmclab import grid as grid_module
 from cmclab import lapse as lapse_module
@@ -343,13 +343,27 @@ def test_br_memo_is_per_state_object(perturbed12):
 def test_br_memo_holds_floats_that_die_with_the_state(perturbed12):
     state = _fresh(perturbed12)
     br_flux(state)
-    memo = diagnostics_module._BR_SCALARS
-    held = vars(memo[state])
+    held = vars(state._br_scalars)
     assert len(held) == 5 and all(type(value) is float for value in held.values())
-    size = len(memo)
+    scalars = weakref.ref(state._br_scalars)
     del state
     gc.collect()
-    assert len(memo) == size - 1
+    assert scalars() is None
+
+
+def test_a_new_state_carries_no_tol_and_no_br_memo(perturbed12, tmp_path):
+    stepped = time_step(perturbed12, 1e-3, trace_correction=True)
+    br_energy(stepped)
+    assert stepped._solved_tol is not None and stepped._br_scalars is not None
+    path = tmp_path / "stepped.npz"
+    save_state(stepped, path)
+    states = (_fresh(stepped), dataclasses.replace(stepped), rescale(stepped, 2.0),
+              load_state(path))
+    for state in (stepped, *states):
+        fields = f"t={state.t!r}, g={state.g!r}, K={state.K!r}, N={state.N!r}"
+        assert repr(state) == f"SliceState({fields})"
+    for state in states:
+        assert state._solved_tol is None and state._br_scalars is None
 
 
 def _step_solves(state, **kwargs):

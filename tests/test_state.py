@@ -1,8 +1,13 @@
 """Slice container invariants."""
 
+import importlib
+import pkgutil
+import weakref
+
 import numpy as np
 import pytest
 
+import cmclab
 from cmclab import (
     AXIAL,
     GridSpec,
@@ -69,3 +74,14 @@ def test_state_arrays_are_read_only(grid8):
     for field in (state.g, state.K, state.N):
         with pytest.raises(ValueError):
             field.values[0, 0, 0] = 1.0
+
+
+def test_only_the_state_module_keys_a_registry_on_states():
+    # what a reader derives from one slice lives on the slice; only the
+    # head rule, which spans states, keeps a module-level weak-keyed registry
+    holders = []
+    for info in pkgutil.iter_modules(cmclab.__path__):
+        module = importlib.import_module(f"cmclab.{info.name}")
+        if any(isinstance(value, weakref.WeakKeyDictionary) for value in vars(module).values()):
+            holders.append(info.name)
+    assert holders == ["state"]

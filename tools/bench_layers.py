@@ -3,7 +3,10 @@
     python3 tools/bench_layers.py [--label NAME --src DIR]... [--out BENCH_layers.json]
 
 Each --label names the run of the cmclab imported from the --src given
-with it; with neither, ./src beside this script is run as "change".  The
+with it; with neither, ./src beside this script is run as "change".  Each
+source must keep g^-1 as the Metric's 6 planes (Metric._inv_planes) and
+build lapse._Operator from them, as cmclab has since the pointwise algebra
+moved onto component planes.  The
 sources are measured in ROUNDS rounds, each round in a new process per
 source, in an order that alternates from round to round, so that a drift
 of the host's speed falls on every source alike.  A round builds the
@@ -34,9 +37,7 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               stage before (solve_lapse_warm_s); its CG
                               count is kept beside the time
     one lapse operator apply  on N, with the operator's coefficients and
-                              buffers built untimed (lapse_apply_s); code
-                              without lapse._Operator times its
-                              _apply_operator, which builds nothing ahead
+                              buffers built untimed (lapse_apply_s)
     solve_lapse(m, k, max_iterations=0)
                               the solve's set-up alone (lapse_setup_s): m a
                               Metric whose g^-1 is derived, k a SecondForm
@@ -163,29 +164,14 @@ def traced_mib(fn, setup=None):
     return (peak - start) / 2**20, (held - start) / 2**20
 
 
-def inverse(m):
-    """m's g^-1 as the Metric keeps it: 6 planes, or (..., 3, 3) in code without them."""
-    return m._inv_planes if hasattr(type(m), "_inv_planes") else m.inv
-
-
 def lapse_apply(cmclab, g, K, N):
     """A call applying the lapse operator of (g, K) to N once, its set-up done here."""
-    import inspect
-
     import numpy as np
 
-    lapse = sys.modules["cmclab.lapse"]
     m = cmclab.as_metric(g)
     weight = m.sqrt_det * cmclab.norm_sq(K, m).values
-    spacings = g.grid.spacings
-    operator = getattr(lapse, "_Operator", None)
-    if operator is None:
-        flux_coeff = m.sqrt_det[..., None, None] * m.inv
-        return lambda: lapse._apply_operator(N.values, flux_coeff, weight, spacings)
-    if "inv_planes" in inspect.signature(operator).parameters:
-        op = operator(m.sqrt_det, m._inv_planes, weight, spacings)
-    else:  # an operator built from sqrt(g) g^-1 as (..., 3, 3)
-        op = operator(m.sqrt_det[..., None, None] * m.inv, weight, spacings)
+    op = sys.modules["cmclab.lapse"]._Operator(m.sqrt_det, m._inv_planes, weight,
+                                               g.grid.spacings)
     out = np.empty_like(weight)
     return lambda: op.apply(N.values, out)
 
@@ -238,14 +224,14 @@ def measure(cmclab, n):
     _, out["held_after_record_mib"] = traced_mib(record, setup=stepped)
 
     with_inv = fresh()
-    inverse(with_inv)
+    with_inv._inv_planes
     with_gamma = fresh()
     with_gamma.gamma
     with_ricci = fresh()
     with_ricci.ricci
     weyl = cmclab.weyl_parts(fresh(), K)
 
-    out["metric_inverse_s"], _ = best_of(inverse, setup=fresh)
+    out["metric_inverse_s"], _ = best_of(lambda m: m._inv_planes, setup=fresh)
     out["second_form_s"], _ = best_of(lambda k: (k.trace, k.norm_sq, k.squared),
                                       setup=lambda: cmclab.SecondForm(grid, K.values, with_inv))
     out["christoffels_s"], _ = best_of(lambda: cmclab.christoffels(with_inv))
