@@ -33,7 +33,7 @@ import numpy as np
 from . import kasner
 from .errors import CmcDriftExceeded
 from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, _shared_grid,
-                   as_second_form, matrix_to_sym, sym_to_matrix)
+                   _stored_trace, as_second_form, matrix_to_sym, sym_to_matrix)
 from .geometry import constraint_norms, electric_weyl
 from .kasner import KasnerParams
 from .lapse import DEFAULT_TOL, solve_lapse
@@ -259,15 +259,17 @@ def time_step(
     del sum_g, sum_k
     t_new = state.t + dt
 
-    k_new = SecondForm(grid, k_vals, g_new)
-    drift = k_new.trace - t_new
+    # tr K from the stored components: only the K the lapse is solved on is raised
+    drift = _stored_trace(k_vals, g_new._inv_planes)
+    drift -= t_new
     if trace_correction:
-        k_new = SecondForm(grid, k_vals - (drift[..., None] / 3.0) * g_new.values, g_new)
+        k_vals = k_vals - (drift[..., None] / 3.0) * g_new.values
     elif np.max(np.abs(drift)) > cmc_drift_tol:
         raise CmcDriftExceeded(
             f"tr K drifted {np.max(np.abs(drift)):.3e} from t = {t_new!r} "
             f"(tol {cmc_drift_tol:.1e})"
         )
+    k_new = SecondForm(grid, k_vals, g_new)
     n_new, _ = solve_lapse(g_new, k_new, tol=solver_tol, initial_guess=n_prev)
     new_state = SliceState(t=t_new, g=g_new, K=k_new, N=n_new)
     object.__setattr__(new_state, "_solved_tol", solver_tol)

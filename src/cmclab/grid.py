@@ -8,7 +8,8 @@ arrays, covectors as (n1, n2, n3, 3), and symmetric 2-tensors as
     (xx, xy, xz, yy, yz, zz).
 
 Spatial derivatives use 4th-order centered stencils with periodic wrap,
-read as four slices of one copy padded by two points at each end;
+read as four slices of a copy padded by two points at each end, taken
+of a block in cache-sized chunks of whole planes (diff_array);
 integration against a metric volume element is a plain Riemann sum, which
 is spectrally accurate for smooth periodic integrands.
 
@@ -292,9 +293,8 @@ class Metric(SymTensorField):
     Levi-Civita Connection), ricci (Ric) and scalar_curvature (R = tr Ric)
     are computed once, on first use; all are read-only.  inv expands g^-1
     on each call to a read-only (..., 3, 3) array, for tests and set-up
-    code; no kernel reads it.  R keeps only its scalar array: the
-    SecondForm that raises Ric for it is dropped, since one kept here
-    would refer back to this Metric.
+    code; no kernel reads it.  R is contracted from the 6 stored
+    components of Ric (_stored_trace), with no g^-1 Ric.
     """
 
     def __post_init__(self):
@@ -323,7 +323,7 @@ class Metric(SymTensorField):
 
     @cached_property
     def scalar_curvature(self) -> ScalarField:
-        return ScalarField(self.grid, as_second_form(self.ricci, self).trace)
+        return ScalarField(self.grid, _frozen(_stored_trace(self.ricci.values, self._inv_planes)))
 
 
 def as_metric(g: SymTensorField) -> Metric:
@@ -399,30 +399,68 @@ def as_second_form(K: SymTensorField, g: SymTensorField) -> SecondForm:
     return SecondForm(K.grid, K.values, g)
 
 
-def _along(axis: int, ndim: int, start, stop) -> tuple:
-    """Index selecting [start:stop] along one axis of an ndim array."""
-    index = [slice(None)] * ndim
-    index[axis] = slice(start, stop)
-    return tuple(index)
+# Largest chunk of leading planes diff_array differentiates at once: a 16^3
+# block of 6 planes (192 KiB) stays whole, a 32^3 block goes plane by plane.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _stencil_views(padded: np.ndarray, axis: int) -> tuple:
+    """padded, the index of the chunk's two wrap slices and the four shifted neighbours in padded."""
+    n, before = padded.shape[axis] - 4, (slice(None),) * axis
+    return (padded, before + (slice(n - 2, None),), before + (slice(None, 2),),
+            padded[before + (slice(3, n + 3),)], padded[before + (slice(1, n + 1),)],
+            padded[before + (slice(4, n + 4),)], padded[before + (slice(0, n),)])
 
 
 # 4th-order centered first-derivative stencil: (8(f+1 - f-1) - (f+2 - f-2)) / 12h
+def _stencil(values: np.ndarray, axis: int, views: tuple, out: np.ndarray, tmp: np.ndarray,
+             scale: float) -> np.ndarray:
+    """The stencil of values along axis into out, scale = 12h, through the buffers of views.
+
+    values is wrapped into the padded copy of views, two points each side,
+    so out may be values itself; tmp is a scratch array shaped like out.
+    """
+    padded, tail, head, plus1, minus1, plus2, minus2 = views
+    np.concatenate((values[tail], values, values[head]), axis=axis, out=padded)
+    np.subtract(plus1, minus1, out=out)
+    out *= 8.0
+    out -= np.subtract(plus2, minus2, out=tmp)
+    out /= scale
+    return out
+
+
 def diff_array(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     """4th-order periodic centered difference of an array along a grid axis.
 
-    The array is wrapped once, two points each side, and the four shifted
-    neighbours are slices of that padded copy.
+    The array is wrapped two points each side into a padded copy, and the
+    four shifted neighbours are slices of it.  The axes that come before
+    both axis and the last three (the 6 planes of a (6, n1, n2, n3)
+    block, the 18 of a (3, 6, n1, n2, n3) one) are walked in chunks of as
+    many whole planes as fit in _CHUNK_BYTES, at least one, so that the
+    padded copy and the temporary, allocated once per call, stay in
+    cache: a 16^3 block of 6 planes is one chunk, a 32^3 block one plane
+    per chunk.  An array with no such axis (one 3-D plane, or a
+    grid-first (n1, n2, n3, k) array along axis 0) is one chunk.  Every
+    chunk runs the same operations in the same order, so the result is
+    bitwise that of the unchunked stencil.
     """
-    n, nd = values.shape[axis], values.ndim
-    padded = np.concatenate(
-        (values[_along(axis, nd, n - 2, None)], values, values[_along(axis, nd, None, 2)]),
-        axis=axis,
-    )
-    out = padded[_along(axis, nd, 3, n + 3)] - padded[_along(axis, nd, 1, n + 1)]
-    out *= 8.0
-    out -= padded[_along(axis, nd, 4, n + 4)] - padded[_along(axis, nd, 0, n)]
-    out /= 12.0 * spacing
-    return out
+    lead = max(0, min(axis, values.ndim - 3))
+    flat = values.reshape((-1,) + values.shape[lead:])
+    axis += 1 - lead
+    out = np.empty(flat.shape)
+    count = out.shape[0]
+    per_chunk = min(count, max(1, _CHUNK_BYTES // out[0].nbytes))
+    tmp = np.empty((per_chunk,) + flat.shape[1:])
+    padded_shape = list(tmp.shape)
+    padded_shape[axis] += 4
+    views = _stencil_views(np.empty(padded_shape), axis)
+    scale = 12.0 * spacing
+    for start in range(0, count, per_chunk):
+        stop = min(start + per_chunk, count)
+        if stop - start < per_chunk:  # the last chunk, when the count does not divide
+            views = _stencil_views(views[0][:stop - start], axis)
+        _stencil(flat[start:stop], axis, views, out[start:stop], tmp[:stop - start], scale)
+    return out.reshape(values.shape)
 
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
@@ -464,6 +502,20 @@ def _raise_planes(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
         for b in range(3):
             _plane_sum([(inv[sym_index(a, c)], values[sym_index(c, b)]) for c in range(3)],
                        out[a, b], tmp)
+    return out
+
+
+def _stored_trace(values: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """g^ab A_ab from A's 6 stored components (..., 6) and the 6 planes of g^-1.
+
+    Six products, each off-diagonal one counted twice: a third of the
+    work of raising A to its 9 planes, for a caller that needs only the trace.
+    """
+    out, off, tmp = np.empty(inv.shape[1:]), np.empty(inv.shape[1:]), np.empty(inv.shape[1:])
+    _plane_sum([(inv[slot], values[..., slot]) for slot in (1, 2, 4)], off, tmp)
+    off *= 2.0
+    _plane_sum([(inv[slot], values[..., slot]) for slot in (0, 3, 5)], out, tmp)
+    out += off
     return out
 
 

@@ -136,6 +136,28 @@ def test_br_chain_converges_to_kasner_on_warped_data(p):
         assert np.polyfit(np.log(spacings), np.log(column), 1)[0] >= 3.7
 
 
+def test_evolved_warped_flux_tracks_the_kasner_rate():
+    # Warped GENERIC Kasner evolved by RK4 stays the exact solution in the
+    # warped chart, so br_flux must follow kasner.br_energy_rate step by
+    # step.  What separates them is the spatial truncation error of the
+    # chart, as on a single warped slice (see the test above), measured at
+    # 3.3e-7 (16^3) and 1.4e-8 (24^3) here and growing by under 2% over the
+    # four steps.  The lapse solves (relative residual 1e-10) and RK4 at
+    # dt 1e-3 (dt^4 = 1e-12) lie orders below it, so a bound of 1.5 times the
+    # measured error at each grid leaves room only for rounding-order
+    # changes: a lapse solved to the wrong multiple or tolerance, or a stage
+    # that lost accuracy, reads far above it.
+    errors = []
+    for n, bound in ((16, 5e-7), (24, 2.1e-8)):
+        state = warped_kasner_state(GENERIC, -1.0, GridSpec.cubic(n), 0.02)
+        step_errors = [abs(br_flux(s) / kasner.br_energy_rate(GENERIC, s.t, 1.0) - 1.0)
+                       for s in evolve_states(state, -0.996, dt=1e-3)]
+        assert len(step_errors) == 4 and max(step_errors) <= bound
+        errors.append(max(step_errors))
+    # the error is the chart's truncation: it falls at least at the stencil order
+    assert errors[1] <= errors[0] * (16 / 24) ** 3.7
+
+
 def test_curvature_radius_flat_returns_torus_cap(grid8):
     s = kasner_initial_data(FLAT, -1.0, grid8)  # g = identity at tau = 1
     assert curvature_radius(s) == pytest.approx(0.5, rel=1e-12)

@@ -21,8 +21,10 @@ from cmclab import (
     norm_sq,
     perturb,
     solve_lapse,
+    time_step,
     warped_kasner_state,
 )
+from cmclab import evolution as evolution_module
 from cmclab import kasner
 from cmclab import lapse as lapse_module
 from cmclab.checks import random_metric
@@ -174,6 +176,31 @@ def test_initial_guess_at_solution_converges_immediately(grid8, rng):
     assert np.array_equal(again.values, N.values)
 
 
+def test_guess_a_multiple_of_the_solution_converges_at_once(grid8, rng):
+    # the Ritz start scales the guess to the A-norm nearest multiple, N itself
+    g = random_metric(grid8, rng)
+    phi = 1.0 + 0.2 * np.sin(2 * np.pi * grid8.meshes()[0])
+    K = SymTensorField(grid8, phi[..., None] * g.values)
+    N, _ = solve_lapse(g, K, tol=1e-12)
+    again, report = solve_lapse(g, K, tol=1e-10, initial_guess=ScalarField(grid8, 2.0 * N.values))
+    assert report.converged and report.iterations == 0
+    assert report.residual_history[0] <= 1e-10
+    assert np.max(np.abs(again.values / N.values - 1.0)) < 1e-9
+
+
+def test_zero_guess_solves_like_a_cold_start(grid8, rng):
+    # x0 . A x0 = 0 leaves the zero guess unscaled, with no division by zero
+    g = random_metric(grid8, rng)
+    K = SymTensorField(grid8, 1.1 * g.values)
+    cold, _ = solve_lapse(g, K, tol=1e-12)
+    with np.errstate(all="raise"):
+        N, report = solve_lapse(g, K, tol=1e-12, initial_guess=ScalarField.constant(grid8, 0.0))
+    assert report.converged and report.iterations > 0
+    # the residual of x0 = 0 is the whole rhs
+    assert report.residual_history[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(N.values / cold.values - 1.0)) < 1e-10
+
+
 def _literal_operator(n_vals, flux_coeff, weight_v, spacings):
     # the operator as a plain formula, with a new array for every term
     out = weight_v * n_vals
@@ -184,7 +211,7 @@ def _literal_operator(n_vals, flux_coeff, weight_v, spacings):
     return out
 
 
-@pytest.mark.parametrize("shape", [(9, 12, 16), (16, 12, 9)])
+@pytest.mark.parametrize("shape", [(9, 12, 16), (16, 12, 9), (32, 32, 32)])
 def test_operator_workspace_is_bitwise_the_plain_formula(shape, rng):
     grid = GridSpec(shape, (1.0, 2.0, 0.5))
     g = random_metric(grid, rng)
@@ -195,9 +222,27 @@ def test_operator_workspace_is_bitwise_the_plain_formula(shape, rng):
     assert np.array_equal(_apply_operator(n_vals, flux, weight, grid.spacings), expected)
 
 
-def _perturbed_slice(grid, seed=7):
-    state, _ = perturb(warped_kasner_state(AXIAL, -1.0, grid, 0.02), 1e-2, seed)
+def _perturbed_slice(grid, seed=7, amplitude=1e-2):
+    state, _ = perturb(warped_kasner_state(AXIAL, -1.0, grid, 0.02), amplitude, seed)
     return state
+
+
+def test_rk4_step_solves_take_at_most_18_cg_iterations(monkeypatch):
+    # Stages 2 and 4 start from the lapse of the previous stage time, whose
+    # error is nearly a multiple of itself; the Ritz start removes that part
+    # (7, 4, 7, 6 = 24 iterations without it, 5, 2, 5, 6 with it)
+    state = _perturbed_slice(GridSpec.cubic(16), amplitude=1e-4)
+    reports = []
+
+    def recorded(*args, **kwargs):
+        N, report = solve_lapse(*args, **kwargs)
+        reports.append(report)
+        return N, report
+
+    monkeypatch.setattr(evolution_module, "solve_lapse", recorded)
+    time_step(state, 1e-3, trace_correction=True)
+    assert len(reports) == 4 and all(report.converged for report in reports)
+    assert sum(report.iterations for report in reports) <= 18
 
 
 def test_solve_leaves_its_inputs_unchanged(grid16):

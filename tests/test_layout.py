@@ -127,6 +127,20 @@ def test_diff_array_matches_local_stencil_off_cube(grid, rng, comps):
         assert np.array_equal(diff_array(values, axis, h), orc.diff4(values, axis, h))
 
 
+@pytest.mark.parametrize("lead, shape", [((6,), (32, 32, 32)), ((3, 6), (32, 32, 32)),
+                                         ((3,), (24, 24, 24)), ((6,), (40, 32, 24))],
+                         ids=["6x32", "3x6x32", "3x24", "6x40x32x24"])
+def test_chunked_diff_array_is_the_stencil_plane_by_plane(lead, shape, rng):
+    # A 32^3 plane (256 KiB) is a chunk of its own; 24^3 planes go two to a
+    # chunk, so the last of three is a partial chunk
+    grid = GridSpec(shape)
+    values = rng.standard_normal(lead + shape)
+    for t, h in enumerate(grid.spacings):
+        got = diff_array(values, len(lead) + t, h)
+        for index in np.ndindex(*lead):
+            assert np.array_equal(got[index], orc.diff4(values[index], t, h))
+
+
 def _close(got, want):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < PLANE_BOUND * _scale(want)

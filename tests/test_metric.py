@@ -160,11 +160,12 @@ def test_collector_record_derives_each_quantity_once(perturbed12):
     assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1]
     assert _of(cached["trace"], K) == 1
     assert len(calls["_covariant_derivative_planes"]) == 1
-    # K, Ric (for R), E, B and q_abtt once each: E and B each through one
-    # SecondForm that serves |.|^2, the cross product and the wedge, q_abtt for the flux
-    assert len(calls["_raise_planes"]) == 5
-    # tr K, tr Ric, tr E and tr B, each the trace of its one g^-1 A
-    assert len(cached["trace"]) == 4
+    # K, E, B and q_abtt once each: E and B each through one SecondForm that
+    # serves |.|^2, the cross product and the wedge, q_abtt for the flux; R is
+    # contracted from the stored components of Ric, which is never raised
+    assert len(calls["_raise_planes"]) == 4
+    # tr K, tr E and tr B, each the trace of its one g^-1 A
+    assert len(cached["trace"]) == 3
     # no 3x3 form anywhere: every contraction is a sum of plane products, and
     # symmetric results stay in 6 components
     assert [len(calls[name]) for name in GATHERS] == [0, 0]
@@ -178,11 +179,11 @@ def test_rk4_step_derives_once_per_stage(perturbed12):
         time_step(perturbed12, 1e-3, trace_correction=True)
     assert [len(calls[name]) for name in DERIVED] == [5, 5, 4, 4]
     # one SecondForm per stage, whose g^-1 K the lapse solve and evolution_rhs
-    # share, and two for the updated slice (g^-1 K for the drift's tr K, and
-    # for the corrected K's lapse)
-    assert [len(calls[name]) for name in K_DERIVED] == [6, 0]
-    # tr K once per stage (for E) and once for the drift
-    assert len(cached["trace"]) == 5
+    # share, and one for the updated slice (the corrected K's lapse); the
+    # drift's tr K is contracted from the stored components
+    assert [len(calls[name]) for name in K_DERIVED] == [5, 0]
+    # tr K once per stage (for E)
+    assert len(cached["trace"]) == 4
     # K g^-1 K once per stage, shared by E and the rest of dK/dt
     assert len(cached["squared"]) == 4
     # g^-1 K, K g^-1 K, Gamma and Ric are all formed on planes
@@ -217,9 +218,9 @@ def test_k_readers_share_one_second_form(perturbed12):
         evolution_rhs(g, K, N)
     assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1]
     assert _of(cached["trace"], K) == 1
-    # K once, and Ric once for R, which the Metric caches for both
-    # hamiltonian_constraint and constraint_norms
-    assert len(calls["_raise_planes"]) == 2
+    # K once; R, which the Metric caches for both hamiltonian_constraint and
+    # constraint_norms, is contracted from the stored components of Ric
+    assert len(calls["_raise_planes"]) == 1
     assert len(calls["_covariant_derivative_planes"]) == 1
     assert len(cached["squared"]) == 1
 

@@ -19,6 +19,10 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               on a fresh SecondForm over a Metric whose
                               g^-1 is derived (second_form_s)
     christoffels(m)           m a Metric whose g^-1 is derived
+    diff_array along each grid axis
+                              of the 6 components-first planes of g, one
+                              (6, n, n, n) block, as christoffels
+                              differentiates it (diff_array_s)
     ricci(m)                  m a Metric whose g^-1 and Gamma are derived
     covariant_derivative_sym(K, m.gamma)
                               m a Metric whose Gamma is derived, K a plain
@@ -52,7 +56,9 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
     DiagnosticsCollector.add  one record of a fresh collector (collector_add_s)
     time_step(s, 1e-3, trace_correction=True)
                               s made by the same step from the slice, so its
-                              lapse was solved on it (time_step_s)
+                              lapse was solved on it (time_step_s); the CG
+                              iterations of its lapse solves, summed, are
+                              kept beside the time (time_step_cg_iterations)
     br_energy(s), br_flux(s)  both on one state s (br_energy_flux_s)
     time_step(s, 1e-3, trace_correction=True)
                               s made by the same step from the slice, right
@@ -176,6 +182,24 @@ def lapse_apply(cmclab, g, K, N):
     return lambda: op.apply(N.values, out)
 
 
+def step_cg_iterations(step, state):
+    """The CG iterations of the lapse solves of one step(state), summed."""
+    evolution = sys.modules["cmclab.evolution"]
+    solve, counts = evolution.solve_lapse, []
+
+    def counted(*args, **kwargs):
+        N, report = solve(*args, **kwargs)
+        counts.append(report.iterations)
+        return N, report
+
+    evolution.solve_lapse = counted
+    try:
+        step(state)
+    finally:
+        evolution.solve_lapse = solve
+    return sum(counts)
+
+
 def lapse_setup(cmclab, m, k):
     """A call running solve_lapse(m, k) with a budget of 0 CG iterations."""
     def call():
@@ -187,6 +211,8 @@ def lapse_setup(cmclab, m, k):
 
 
 def measure(cmclab, n):
+    import numpy as np
+
     grid = cmclab.GridSpec.cubic(n)
     warped = cmclab.warped_kasner_state(cmclab.AXIAL, -1.0, grid, 0.02)
     state, _ = cmclab.perturb(warped, 1e-4, 7)
@@ -235,6 +261,10 @@ def measure(cmclab, n):
     out["second_form_s"], _ = best_of(lambda k: (k.trace, k.norm_sq, k.squared),
                                       setup=lambda: cmclab.SecondForm(grid, K.values, with_inv))
     out["christoffels_s"], _ = best_of(lambda: cmclab.christoffels(with_inv))
+    block = np.ascontiguousarray(np.moveaxis(g.values, -1, 0))
+    diff_array = sys.modules["cmclab.grid"].diff_array
+    out["diff_array_s"], _ = best_of(lambda: [diff_array(block, t + 1, h)
+                                              for t, h in enumerate(grid.spacings)])
     out["ricci_s"], _ = best_of(lambda: cmclab.ricci(with_gamma))
     out["nabla_k_s"], _ = best_of(lambda: cmclab.covariant_derivative_sym(K, with_gamma.gamma))
     out["evolution_rhs_s"], _ = best_of(lambda: cmclab.evolution_rhs(fresh(), K, N))
@@ -254,6 +284,7 @@ def measure(cmclab, n):
     out["br_components_s"], _ = best_of(lambda: cmclab.br_components(weyl.E, weyl.B, with_inv))
     out["collector_add_s"], _ = best_of(record, setup=new_state)
     out["time_step_s"], _ = best_of(step, setup=stepped)
+    out["time_step_cg_iterations"] = step_cg_iterations(step, stepped())
     out["step_after_record_s"], _ = best_of(step, setup=recorded)
     out["br_energy_flux_s"], _ = best_of(
         lambda s: (cmclab.br_energy(s), cmclab.br_flux(s)), setup=new_state)
@@ -316,7 +347,9 @@ def main(argv=None):
         "stepped slice from the slice's N, and lapse_apply_s is one operator apply with its "
         "set-up untimed, lapse_setup_s a solve_lapse with a budget of 0 iterations, "
         "metric_inverse_s a fresh Metric's g^-1 and second_form_s g^-1 K, tr K, |K|^2 and "
-        "K g^-1 K of a fresh SecondForm; the rounds alternate the sources of one "
+        "K g^-1 K of a fresh SecondForm, diff_array_s the stencil of the (6, n, n, n) "
+        "block of g along each grid axis, and time_step_cg_iterations the CG iterations "
+        "of one time_step's lapse solves; the rounds alternate the sources of one "
         "invocation, each in a new process, and change_over_parent holds the quartiles of "
         "the per-round ratios; "
         "written by tools/bench_layers.py, whose docstring defines each call."
