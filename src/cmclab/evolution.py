@@ -32,8 +32,8 @@ import numpy as np
 
 from . import kasner
 from .errors import CmcDriftExceeded
-from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, _shared_grid,
-                   _stored_trace, as_second_form, matrix_to_sym, sym_to_matrix)
+from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, _grid_last,
+                   _shared_grid, _stored_trace, as_second_form, matrix_to_sym, sym_to_matrix)
 from .geometry import constraint_norms, electric_weyl
 from .kasner import KasnerParams
 from .lapse import DEFAULT_TOL, solve_lapse
@@ -118,9 +118,8 @@ def _random_smooth_sym(grid: GridSpec, rng: np.random.Generator, modes: int = 3)
     """Zero-mean smooth periodic symmetric field, sup Frobenius norm 1."""
     x, y, z = grid.meshes()
     lx, ly, lz = grid.periods
-    values = np.zeros(grid.shape + (6,))
-    for comp in range(6):
-        f = np.zeros(grid.shape)
+    planes = np.zeros((6,) + grid.shape)
+    for f in planes:
         picked = 0
         while picked < modes:
             kx, ky, kz = (int(k) for k in rng.integers(-2, 3, size=3))
@@ -130,7 +129,7 @@ def _random_smooth_sym(grid: GridSpec, rng: np.random.Generator, modes: int = 3)
             amp = rng.standard_normal()
             f += amp * np.sin(2.0 * np.pi * (kx * x / lx + ky * y / ly + kz * z / lz) + phase)
             picked += 1
-        values[..., comp] = f
+    values = _grid_last(planes)
     return values / _frobenius_sup(values)
 
 

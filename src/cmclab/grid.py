@@ -2,10 +2,23 @@
 
 All geometric objects live on a uniform periodic grid covering the flat
 3-torus [0, L1) x [0, L2) x [0, L3).  Scalars are stored as (n1, n2, n3)
-arrays, covectors as (n1, n2, n3, 3), and symmetric 2-tensors as
-(n1, n2, n3, 6) with the lower-index component order
+arrays.  Covectors and symmetric 2-tensors keep their k = 3 or 6
+components component-major, in one C-contiguous (k, n1, n2, n3) block,
+symmetric ones in the lower-index component order
 
     (xx, xy, xz, yy, yz, zz).
+
+A field's values, shaped (n1, n2, n3, k), is the np.moveaxis view of its
+block, so values[..., c] is a contiguous plane, _planes(values) is the
+block itself, and np.ascontiguousarray(values) gives the grid-last C
+layout for a caller that wants it.  The field constructor
+(_check_values) is the one boundary: values in any other layout, such as
+a grid-last C array, are copied once into a block there.  Every kernel
+allocates its results as blocks, so none transposes, copies or strides
+across components, and numpy's elementwise arithmetic keeps the layout
+(its default order 'K' follows the operands), so sums of values such as
+the RK4 combinations are blocks too.  ndarray.copy() does not keep it
+(its default is order 'C'); np.copy does.
 
 Spatial derivatives use 4th-order centered stencils with periodic wrap,
 read as four slices of a copy padded by two points at each end, taken
@@ -14,7 +27,7 @@ integration against a metric volume element is a plain Riemann sum, which
 is spectrally accurate for smooth periodic integrands.
 
 Every symmetric result is stored in those 6 components, and every
-kernel works on contiguous components-first planes: g^-1 is kept as 6
+kernel works on contiguous component planes: g^-1 is kept as 6
 planes (one per stored pair), g^-1 A as 9 (one per A^a_b) and the
 connection as the (3, 6, n1, n2, n3) planes of a Connection, Gamma^a on
 each stored lower pair (b, c); nabla A has the same (3, 6, ...) layout,
@@ -32,13 +45,13 @@ reads them through as_metric(g).  A SecondForm is a symmetric A over one
 Metric that derives g^-1 A, tr A (the sum of its diagonal planes),
 |A|^2_g, A g^-1 A and nabla A once each, on first use; as_second_form(A,
 g) is the only path by which a symmetric tensor is raised by g, and
-trace(A, g) reads its tr A.  A components-first copy of A itself lives
-only inside the kernel that reads it.  Build one of each per computation
-(a record, an RK stage; E and B get one each too); a SliceState never
-stores either, though the next RK step may take the pair a reader built
-for the state the last step returned (state.py sets out what a state
-carries and for how long).  Fields handed to one
-operation must share one grid (ValueError otherwise).
+trace(A, g) reads its tr A.  A's own planes are the block its values
+view.  Build one of each per computation (a record, an RK stage; E and B
+get one each too); a SliceState never stores either, though the next RK
+step may take the pair a reader built for the state the last step
+returned (state.py sets out what a state carries and for how long).
+Fields handed to one operation must share one grid (ValueError
+otherwise).
 """
 
 from __future__ import annotations
@@ -142,12 +155,19 @@ class GridSpec:
 
 
 def _check_values(grid: GridSpec, values: np.ndarray, comps: tuple[int, ...]) -> np.ndarray:
+    """values as a float array shaped grid.shape + comps, component-major when comps is (k,).
+
+    values already a (*grid, k) view of a C-contiguous (k, *grid) block
+    is returned as it is; any other layout is copied once into a block.
+    """
     values = np.asarray(values, dtype=float)
     expected = grid.shape + comps
     if values.shape != expected:
         raise ValueError(f"field values shaped {values.shape}, expected {expected}")
     if not np.all(np.isfinite(values)):
         raise ValueError("field values must be finite")
+    if comps and not _planes(values).flags.c_contiguous:
+        values = _grid_last(np.ascontiguousarray(_planes(values)))
     return values
 
 
@@ -174,28 +194,45 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
+    """A covector field: values[..., a] is the lower-index component a.
+
+    values, shaped (*grid.shape, 3), is a view of one C-contiguous
+    (3, *grid.shape) block, so each component is a contiguous plane;
+    values in another layout are copied once into a block on construction,
+    and np.ascontiguousarray(values) gives the grid-last C layout.
+    """
+
     grid: GridSpec
-    values: np.ndarray  # lower-index components, shape (*grid.shape, 3)
+    values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values, (3,)))
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "VectorField":
-        return cls(grid, np.zeros(grid.shape + (3,)))
+        return cls(grid, _grid_last(np.zeros((3,) + grid.shape)))
 
 
 @dataclass(frozen=True, eq=False)
 class SymTensorField:
+    """A symmetric 2-tensor field: values[..., slot] is the lower-index pair SYM_PAIRS[slot].
+
+    values, shaped (*grid.shape, 6), is a view of one C-contiguous
+    (6, *grid.shape) block, so each stored component is a contiguous
+    plane; values in another layout are copied once into a block on
+    construction, and np.ascontiguousarray(values) gives the grid-last C
+    layout.
+    """
+
     grid: GridSpec
-    values: np.ndarray  # lower-index components in SYM_PAIRS order, shape (*grid.shape, 6)
+    values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values, (6,)))
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "SymTensorField":
-        return cls(grid, np.zeros(grid.shape + (6,)))
+        return cls(grid, _grid_last(np.zeros((6,) + grid.shape)))
 
     @classmethod
     def identity(cls, grid: GridSpec) -> "SymTensorField":
@@ -203,11 +240,11 @@ class SymTensorField:
 
     @classmethod
     def diagonal_constant(cls, grid: GridSpec, diag: tuple[float, float, float]) -> "SymTensorField":
-        values = np.zeros(grid.shape + (6,))
-        values[..., sym_index(0, 0)] = diag[0]
-        values[..., sym_index(1, 1)] = diag[1]
-        values[..., sym_index(2, 2)] = diag[2]
-        return cls(grid, values)
+        planes = np.zeros((6,) + grid.shape)
+        planes[sym_index(0, 0)] = diag[0]
+        planes[sym_index(1, 1)] = diag[1]
+        planes[sym_index(2, 2)] = diag[2]
+        return cls(grid, _grid_last(planes))
 
     def component(self, a: int, b: int) -> np.ndarray:
         return self.values[..., sym_index(a, b)]
@@ -228,13 +265,13 @@ def matrix_to_sym(mat: np.ndarray) -> np.ndarray:
     Off-diagonal slots are averaged, so feeding a slightly asymmetric
     matrix symmetrizes it.
     """
-    out = np.empty(mat.shape[:-2] + (6,), dtype=mat.dtype)
+    out = np.empty((6,) + mat.shape[:-2], dtype=mat.dtype)
     for slot, (a, b) in enumerate(SYM_PAIRS):
         if a == b:
-            out[..., slot] = mat[..., a, a]
+            out[slot] = mat[..., a, a]
         else:
-            out[..., slot] = 0.5 * (mat[..., a, b] + mat[..., b, a])
-    return out
+            out[slot] = 0.5 * (mat[..., a, b] + mat[..., b, a])
+    return _grid_last(out)
 
 
 def metric_determinant(g: SymTensorField) -> np.ndarray:
@@ -281,9 +318,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _grid_last(block: np.ndarray, lead: int) -> np.ndarray:
-    """A contiguous copy of block with its first `lead` axes moved after the grid's."""
-    return np.ascontiguousarray(np.moveaxis(block, tuple(range(lead)), tuple(range(-lead, 0))))
+# Both layout views are plain transposes: np.moveaxis gives the same views
+# but normalises its axes in Python, a cost paid on every field built.
+def _grid_last(block: np.ndarray, lead: int = 1) -> np.ndarray:
+    """The view of block with its first `lead` axes moved after the grid's: (k, *grid) -> (*grid, k)."""
+    return block.transpose(tuple(range(lead, block.ndim)) + tuple(range(lead)))
+
+
+def _planes(values: np.ndarray) -> np.ndarray:
+    """The view (k, *grid) of values (*grid, k): for a field's values, its C-contiguous block."""
+    last = values.ndim - 1
+    return values.transpose((last,) + tuple(range(last)))
 
 
 class Metric(SymTensorField):
@@ -388,7 +433,7 @@ class SecondForm(SymTensorField):
         out, tmp = np.empty(k.shape), np.empty(k.shape[1:])
         for slot, (a, b) in enumerate(SYM_PAIRS):
             _plane_sum([(m[c, a], k[sym_index(c, b)]) for c in range(3)], out[slot], tmp)
-        return _frozen(_grid_last(out, 1))
+        return _frozen(_grid_last(out))
 
 
 def as_second_form(K: SymTensorField, g: SymTensorField) -> SecondForm:
@@ -495,9 +540,8 @@ def _vector_dot(inv: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _raise_planes(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
     """The 9 planes (3, 3, *grid) of A^a_b = g^{ac} A_cb, from the 6 planes of g^-1."""
-    out = np.empty((3, 3) + A.grid.shape)  # first: it outlives the copy of A
+    out, tmp = np.empty((3, 3) + A.grid.shape), np.empty(A.grid.shape)
     values = _planes(A.values)
-    tmp = np.empty(A.grid.shape)
     for a in range(3):
         for b in range(3):
             _plane_sum([(inv[sym_index(a, c)], values[sym_index(c, b)]) for c in range(3)],
@@ -555,9 +599,11 @@ class Connection:
 
     planes keeps each Gamma^a_bc once, as one (3, 6, *grid.shape) block
     indexed [a, slot(b, c)], so every Gamma^a on a stored pair is a
-    contiguous plane.  coefficients expands it on each call to a read-only
-    (*grid.shape, 3, 3, 3) array indexed [..., a, b, c], for tests and
-    oracles; no kernel reads it.
+    contiguous plane: the component-major layout of the fields' blocks,
+    with one more leading axis.  coefficients expands it on each call to a
+    read-only (*grid.shape, 3, 3, 3) view, indexed [..., a, b, c], of a
+    gathered (3, 3, 3, *grid.shape) block, for tests and oracles; no kernel
+    reads it.
     """
 
     grid: GridSpec
@@ -575,11 +621,6 @@ class Connection:
     @property
     def coefficients(self) -> np.ndarray:
         return _frozen(_grid_last(self.planes[:, _MATRIX_SLOTS], 3))
-
-
-def _planes(values: np.ndarray) -> np.ndarray:
-    """Components-first contiguous copy (k, *grid) of grid-shaped values (*grid, k)."""
-    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
 
 
 def _plane_sum(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -603,7 +644,6 @@ def christoffels(g: SymTensorField) -> Connection:
     half_inv = np.multiply(as_metric(g)._inv_planes, 0.5)
     values = _planes(g.values)
     dg = [diff_array(values, t + 1, spacings[t]) for t in range(3)]  # dg[t][slot] = d_t g_slot
-    del values
     planes = np.empty((3, 6) + shape)
     lower, tmp = np.empty((3,) + shape), np.empty(shape)
     for slot, (b, c) in enumerate(SYM_PAIRS):
@@ -623,7 +663,7 @@ def _covariant_derivative_planes(A: SymTensorField, gamma: Connection) -> np.nda
     formed plane by plane on the 6 stored (s, b) pairs of each t.
     """
     shape, spacings = A.grid.shape, A.grid.spacings
-    out = np.empty((3, 6) + shape)  # first: it outlives the copy of A
+    out = np.empty((3, 6) + shape)
     gam, values = gamma.planes, _planes(A.values)
     term, tmp = np.empty(shape), np.empty(shape)
     for t in range(3):
@@ -677,4 +717,4 @@ def ricci(g: SymTensorField) -> SymTensorField:
             out -= np.multiply(np.add(dtrace[a][b], dtrace[b][a], out=tmp), 0.5, out=tmp)
         out -= _plane_sum([(gam[c, sym_index(a, d)], gam[d, sym_index(c, b)])
                            for c in range(3) for d in range(3)], term, tmp)
-    return SymTensorField(g.grid, _frozen(_grid_last(ric, 1)))
+    return SymTensorField(g.grid, _frozen(_grid_last(ric)))

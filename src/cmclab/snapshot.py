@@ -2,7 +2,10 @@
 
 The layout is a NumPy .npz archive carrying a format tag, the grid shape
 and periods, and per-field data arrays with their kinds (scalar, vector,
-symtensor).  Values round-trip bitwise.
+symtensor).  Each data array is the C-order (n1, n2, n3[, k]) array a
+field's values shows (np.savez writes the component-major view in that
+order), and a loaded field copies it once into its block.  Values
+round-trip bitwise.
 """
 
 from __future__ import annotations

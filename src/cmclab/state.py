@@ -1,12 +1,15 @@
 """One CMC Cauchy-slice snapshot, and what a reader derives from it.
 
 A SliceState is immutable: operations return new instances, and the g,
-K and N value arrays are made read-only on construction (the caller's
-arrays themselves, not copies), so one state object always means one
-set of values and what is derived from a slice may be kept with the
-object.  A state carries, beside (t, g, K, N), two private fields that
-start empty on every state built by SliceState(...), dataclasses.replace,
-rescale or load_state, never show in its repr, and die with it:
+K and N value arrays are made read-only on construction (the fields' own
+arrays, not copies), so one state object always means one set of values
+and what is derived from a slice may be kept with the object.  g.values
+and K.values are (..., 6) views of component-major (6, n1, n2, n3)
+blocks (grid.py): a field copies an array in another layout into its
+block once, when it is built, and a state shares its fields' blocks.  A
+state carries, beside (t, g, K, N), two private fields that start empty
+on every state built by SliceState(...), dataclasses.replace, rescale or
+load_state, never show in its repr, and die with it:
 
     _solved_tol   the solver_tol at which time_step or perturb solved N
                   on exactly this (g, K); the next time_step's stage 1
@@ -52,9 +55,11 @@ class SliceState:
     slice, so t < 0 throughout the expanding regime this package works
     in.  How far tr K may drift from t before a step is rejected is owned
     by the evolution loop, not by this container.  The value arrays are
-    read-only, and a Metric g or a SecondForm K is stored as a plain
-    SymTensorField; what a state carries beyond them, and for how long,
-    is set out in the state module's docstring.
+    read-only, g.values and K.values each a (..., 6) view of one
+    C-contiguous (6, *grid.shape) block (np.ascontiguousarray gives the
+    grid-last C layout), and a Metric g or a SecondForm K is stored as a
+    plain SymTensorField over the same block; what a state carries beyond
+    them, and for how long, is set out in the state module's docstring.
     """
 
     t: float

@@ -33,8 +33,10 @@ with nabla A, not with A, so it raises nothing.
 Every operation works on contiguous components-first planes and forms
 each component as a short fixed sum of plane products (grid._plane_sum):
 the 6 planes of g^-1, the 9 of g^-1 A (indexed [a, b] for A^a_b), the
-(3, 6, ...) blocks of Gamma and nabla A (indexed [t, slot(s, b)]), and a
-components-first copy of A or g made inside the operation that reads it.
+(3, 6, ...) blocks of Gamma and nabla A (indexed [t, slot(s, b)]), and
+the planes of A and g themselves: a field's values is a (..., k) view of
+its component-major (k, n1, n2, n3) block (grid.py), so grid._planes
+hands an operation that block, with no copy.
 cross sums (A g^-1 B)_ij + (A g^-1 B)_ji on the stored pairs, each three
 products of A's planes with g^-1 B's; wedge forms the three antisymmetric
 differences of A g^-1 B that its dual reads, then lowers with g's planes;
@@ -42,9 +44,11 @@ curl takes the same differences of nabla A's planes, contracts them with
 g and averages each stored pair with its transpose; divergence is the
 9-product sum g^{ac} nabla_a A_cb.  hessian fills the 6 stored slots
 directly, each d_a d_b f less the plane sum over c of d_c f Gamma^c_ab.
-Symmetric results are stored in 6 components; apart from the expansions
-raise_first_index and covariant_derivative_sym, no operation builds a
-(..., 3, 3) array, and none runs a batched 3x3 matmul.
+Every result is allocated as its own block, 6 planes for a symmetric
+tensor and 3 for a covector, and returned as the (..., k) view of it;
+apart from the expansions raise_first_index and covariant_derivative_sym,
+no operation builds a (..., 3, 3) array, and none runs a batched 3x3
+matmul or transposes a field between layouts.
 
 Orientation convention: the alternating symbol is right-handed in the
 coordinate frame ([123] = +1).  Reversing orientation flips the sign of
@@ -135,7 +139,7 @@ def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorFiel
     out = np.empty((3,) + A.grid.shape)
     for i in range(3):
         _plane_sum([(g_planes[sym_index(i, p)], d[p]) for p in range(3)], out[i], tmp)
-    return VectorField(A.grid, _grid_last(out, 1))
+    return VectorField(A.grid, _grid_last(out))
 
 
 def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorField:
@@ -152,9 +156,7 @@ def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorF
             both[slot] *= 2.0
         else:
             both[slot] += _times_mixed(a_planes, b_up, j, i, term, tmp)
-    del a_planes
-    values = _grid_last(both, 1)
-    del both
+    values = _grid_last(both)
     tr_a, tr_b = a.trace[..., None], b.trace[..., None]
     values -= tr_a * B.values
     values -= tr_b * A.values
@@ -182,7 +184,7 @@ def curl(A: SymTensorField, g: SymTensorField) -> SymTensorField:
                                     term, tmp)
             out[slot] *= 0.5
         out[slot] /= g.sqrt_det
-    return SymTensorField(A.grid, _grid_last(out, 1))
+    return SymTensorField(A.grid, _grid_last(out))
 
 
 def divergence(A: SymTensorField, g: SymTensorField) -> VectorField:
@@ -193,13 +195,13 @@ def divergence(A: SymTensorField, g: SymTensorField) -> VectorField:
     for b in range(3):
         _plane_sum([(inv[sym_index(a, c)], nabla[a, sym_index(c, b)])
                     for a in range(3) for c in range(3)], out[b], tmp)
-    return VectorField(A.grid, _grid_last(out, 1))
+    return VectorField(A.grid, _grid_last(out))
 
 
 def gradient(f: ScalarField) -> VectorField:
     """Covector gradient (nabla f)_a = d_a f."""
     partials = [diff_array(f.values, t, h) for t, h in enumerate(f.grid.spacings)]
-    return VectorField(f.grid, np.stack(partials, axis=-1))
+    return VectorField(f.grid, _grid_last(np.stack(partials)))
 
 
 def hessian(f: ScalarField, gamma: Connection) -> SymTensorField:
@@ -207,9 +209,9 @@ def hessian(f: ScalarField, gamma: Connection) -> SymTensorField:
     _shared_grid(f, gamma)
     spacings, gam = f.grid.spacings, gamma.planes
     df = [diff_array(f.values, t, h) for t, h in enumerate(spacings)]  # df[t] = d_t f
-    hess = np.empty(f.grid.shape + (6,))
+    hess = np.empty((6,) + f.grid.shape)
     term, tmp = np.empty(f.grid.shape), np.empty(f.grid.shape)
     for slot, (a, b) in enumerate(SYM_PAIRS):
         _plane_sum([(df[c], gam[c, slot]) for c in range(3)], term, tmp)
-        np.subtract(diff_array(df[b], a, spacings[a]), term, out=hess[..., slot])
-    return SymTensorField(f.grid, hess)
+        np.subtract(diff_array(df[b], a, spacings[a]), term, out=hess[slot])
+    return SymTensorField(f.grid, _grid_last(hess))

@@ -1,4 +1,4 @@
-"""Kernel oracles on non-cubic grids with unequal periods.
+"""Kernel oracles on non-cubic grids with unequal periods, and the field storage.
 
 On a cubic grid a reshape that mixes grid axes with component axes, or a
 stencil applied along the wrong axis, can still agree with the oracle.
@@ -7,7 +7,17 @@ both axis orders.  The kernels keep g^-1, g^-1 A, nabla A and Gamma as
 contiguous components-first planes; each plane is checked against the
 brute-force loops of oracles.py, and no kernel may read a (..., 3, 3)
 expansion.
+
+Every vector and symmetric field keeps its values as a (..., k) view of
+one C-contiguous (k, n1, n2, n3) block.  The tests at the end pin that
+layout on what a step and a record produce, pin that an array in another
+layout is copied once, when its field is built, and nowhere on the step
+or record path, and check that the results do not depend on the layout
+the inputs came in.
 """
+
+import io
+import itertools
 
 import numpy as np
 import pytest
@@ -21,7 +31,9 @@ from cmclab import (
     Metric,
     ScalarField,
     SecondForm,
+    SliceState,
     SymTensorField,
+    VectorField,
     as_metric,
     as_second_form,
     christoffels,
@@ -29,17 +41,26 @@ from cmclab import (
     cross,
     curl,
     divergence,
+    electric_weyl,
+    emit_records,
+    evolution_rhs,
+    evolve_states,
+    gradient,
     hessian,
     inner,
+    kasner_initial_data,
+    load_state,
     perturb,
     ricci,
+    save_state,
     sym_to_matrix,
     time_step,
     warped_kasner_state,
     wedge,
 )
 from cmclab.checks import random_metric
-from cmclab.grid import _vector_dot, diff_array
+from cmclab.grid import _grid_last, _planes, _vector_dot, diff_array
+from cmclab.state import _second_form
 
 GRIDS = (
     GridSpec((9, 12, 16), (1.0, 2.0, 0.5)),
@@ -217,3 +238,116 @@ def test_no_kernel_reads_a_3x3_expansion(monkeypatch):
     state, _ = perturb(warped_kasner_state(AXIAL, -1.0, GridSpec.cubic(12)), 1e-3, seed=11)
     stepped = time_step(state, 1e-3, trace_correction=True)
     DiagnosticsCollector().add(stepped)
+
+
+def _assert_component_major(values, name):
+    """values (*grid, k) is the view of one C-contiguous (k, *grid) block."""
+    block = _planes(values)
+    assert block.flags.c_contiguous, name
+    assert np.shares_memory(block, values), name
+    for slot in range(values.shape[-1]):
+        assert values[..., slot].flags.c_contiguous, (name, slot)
+
+
+@pytest.fixture(scope="module")
+def perturbed16():
+    state, _ = perturb(warped_kasner_state(AXIAL, -1.0, GridSpec.cubic(16)), 1e-4, seed=7)
+    return state
+
+
+def test_step_and_record_results_are_component_major(perturbed16):
+    stepped = time_step(perturbed16, 1e-3, trace_correction=True)
+    DiagnosticsCollector().add(stepped)
+    K = _second_form(stepped)  # the SecondForm, over its Metric, the record derived
+    g = K.metric
+    E = electric_weyl(g, K)
+    dg, dk = evolution_rhs(g, K, stepped.N)
+    results = {
+        "state.g": stepped.g.values, "state.K": stepped.K.values, "Ric": g.ricci.values,
+        "K.squared": K.squared, "hessian": hessian(stepped.N, g.gamma).values,
+        "electric_weyl": E.values, "curl": curl(K, g).values, "cross": cross(E, K, g).values,
+        "wedge": wedge(E, K, g).values, "divergence": divergence(K, g).values,
+        "gradient": gradient(stepped.N).values, "d/dt g": dg, "d/dt K": dk,
+    }
+    for name, values in results.items():
+        _assert_component_major(values, name)
+
+
+class _CountCopies:
+    """Counts np.ascontiguousarray calls that copy a non-contiguous array of 4 or more axes."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        original = np.ascontiguousarray
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) >= 4 and not np.asarray(a).flags.c_contiguous:
+                self.count += 1
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", counted)
+
+
+def test_no_layout_copy_on_the_step_and_record_path(perturbed16, monkeypatch):
+    stepped = time_step(perturbed16, 1e-3, trace_correction=True)
+    copies = _CountCopies(monkeypatch)
+    DiagnosticsCollector().add(stepped)
+    time_step(stepped, 1e-3, trace_correction=True)
+    assert copies.count == 0
+
+
+def test_a_grid_last_array_is_copied_once_at_construction(perturbed16, monkeypatch, tmp_path):
+    grid = perturbed16.grid
+    user = np.ascontiguousarray(perturbed16.g.values)  # grid-last C order
+    assert user.flags.c_contiguous and not _planes(user).flags.c_contiguous
+    path = tmp_path / "state.npz"
+    save_state(perturbed16, path)
+    copies = _CountCopies(monkeypatch)
+
+    g = SymTensorField(grid, user)
+    assert copies.count == 1 and not np.shares_memory(g.values, user)
+    _assert_component_major(g.values, "user array")
+    assert np.array_equal(g.values, user)
+    # a field's values, and fields built over them, share its block
+    for other in (SymTensorField(grid, g.values), Metric(grid, g.values),
+                  SecondForm(grid, g.values, g)):
+        assert other.values is g.values
+    state = SliceState(t=perturbed16.t, g=g, K=perturbed16.K, N=perturbed16.N)
+    assert state.g.values is g.values and copies.count == 1
+
+    loaded = load_state(path)  # g and K each read back grid-last, each copied once
+    assert copies.count == 3
+    for name in ("g", "K"):
+        _assert_component_major(getattr(loaded, name).values, f"loaded {name}")
+
+    # initial data and zero fields are born component-major: no copy at all
+    kasner_initial_data(AXIAL, -1.0, grid)
+    warped_kasner_state(AXIAL, -1.0, grid)
+    SymTensorField.zeros(grid)
+    VectorField.zeros(grid)
+    assert copies.count == 3
+
+
+def _record_text(state):
+    buffer = io.StringIO()
+    emit_records([DiagnosticsCollector().add(state)], buffer)
+    return buffer.getvalue()
+
+
+def test_results_do_not_depend_on_the_input_layout(perturbed16):
+    grid = perturbed16.grid
+    layouts = {
+        "grid-last": np.ascontiguousarray,
+        "component-major": lambda v: _grid_last(np.ascontiguousarray(_planes(v))),
+    }
+    runs = {}
+    for name, layout in layouts.items():
+        g, K = layout(perturbed16.g.values), layout(perturbed16.K.values)
+        assert (name == "grid-last") == g.flags.c_contiguous
+        state = SliceState(t=perturbed16.t, g=SymTensorField(grid, g),
+                           K=SymTensorField(grid, K), N=perturbed16.N)
+        states = list(itertools.islice(evolve_states(state, -0.5, dt=1e-3,
+                                                     trace_correction=True), 3))
+        runs[name] = ([(s.t, s.g.values.tobytes(), s.K.values.tobytes(), s.N.values.tobytes())
+                       for s in states], _record_text(states[-1]))
+    assert runs["grid-last"] == runs["component-major"]

@@ -1,5 +1,7 @@
 """Field bundle and state snapshot persistence."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,27 @@ def test_state_round_trip(tmp_path, grid8):
     assert np.array_equal(back.g.values, state.g.values)
     assert np.array_equal(back.K.values, state.K.values)
     assert np.array_equal(back.N.values, state.N.values)
+
+
+def test_snapshot_arrays_keep_the_grid_last_c_layout(tmp_path):
+    # Fields hold component-major blocks, but a snapshot stores what values
+    # shows: C-order (n1, n2, n3, k) arrays, as the format always has
+    grid = GridSpec((8, 10, 9), periods=(1.0, 2.0, 1.0))
+    state, _ = perturb(warped_kasner_state(GENERIC, -0.9, grid, 0.02), 1e-4, seed=5)
+    path = tmp_path / "state.npz"
+    save_state(state, path)
+    headers = {(1, 0): np.lib.format.read_array_header_1_0,
+               (2, 0): np.lib.format.read_array_header_2_0}
+    with zipfile.ZipFile(path) as archive, np.load(path) as saved:
+        for i, name in enumerate(saved["names"]):
+            with archive.open(f"data_{i}.npy") as member:
+                shape, fortran_order, dtype = headers[np.lib.format.read_magic(member)](member)
+            values = getattr(state, str(name)).values
+            assert (shape, fortran_order, dtype) == (values.shape, False, np.dtype(float))
+            assert saved[f"data_{i}"].tobytes() == np.ascontiguousarray(values).tobytes()
+    back = load_state(path)
+    for name in ("g", "K", "N"):
+        assert getattr(back, name).values.tobytes() == getattr(state, name).values.tobytes()
 
 
 def test_load_rejects_foreign_archives(tmp_path, grid8):

@@ -4,8 +4,9 @@
 
 Each --label names the run of the cmclab imported from the --src given
 with it; with neither, ./src beside this script is run as "change".  Each
-source must keep g^-1 as the Metric's 6 planes (Metric._inv_planes) and
-build lapse._Operator from them, as cmclab has since the pointwise algebra
+source must keep g^-1 as the Metric's 6 planes (Metric._inv_planes),
+build lapse._Operator from them and hand a field's components-first
+planes out through grid._planes, as cmclab has since the pointwise algebra
 moved onto component planes.  The
 sources are measured in ROUNDS rounds, each round in a new process per
 source, in an order that alternates from round to round, so that a drift
@@ -14,15 +15,20 @@ perturbed warped AXIAL Kasner slice
 perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
 32^3, and keeps the best of five timed calls (after one warm-up) of:
 
+    Metric(grid, v), g^-1     v the values of the slice stepped by the
+                              time_step below: the Sylvester check, det g
+                              and g^-1 of a fresh Metric (metric_build_s)
     g^-1 of m                 m a fresh Metric (metric_inverse_s)
     g^-1 K, tr K, |K|^2 and K g^-1 K
                               on a fresh SecondForm over a Metric whose
                               g^-1 is derived (second_form_s)
     christoffels(m)           m a Metric whose g^-1 is derived
     diff_array along each grid axis
-                              of the 6 components-first planes of g, one
-                              (6, n, n, n) block, as christoffels
-                              differentiates it (diff_array_s)
+                              of the 6 components-first planes of g, the
+                              (6, n, n, n) block grid._planes(g.values)
+                              that christoffels differentiates: the
+                              field's own block where values is a view of
+                              one, else a copy made untimed (diff_array_s)
     ricci(m)                  m a Metric whose g^-1 and Gamma are derived
     covariant_derivative_sym(K, m.gamma)
                               m a Metric whose Gamma is derived, K a plain
@@ -211,8 +217,6 @@ def lapse_setup(cmclab, m, k):
 
 
 def measure(cmclab, n):
-    import numpy as np
-
     grid = cmclab.GridSpec.cubic(n)
     warped = cmclab.warped_kasner_state(cmclab.AXIAL, -1.0, grid, 0.02)
     state, _ = cmclab.perturb(warped, 1e-4, 7)
@@ -261,8 +265,8 @@ def measure(cmclab, n):
     out["second_form_s"], _ = best_of(lambda k: (k.trace, k.norm_sq, k.squared),
                                       setup=lambda: cmclab.SecondForm(grid, K.values, with_inv))
     out["christoffels_s"], _ = best_of(lambda: cmclab.christoffels(with_inv))
-    block = np.ascontiguousarray(np.moveaxis(g.values, -1, 0))
-    diff_array = sys.modules["cmclab.grid"].diff_array
+    grid_module = sys.modules["cmclab.grid"]
+    block, diff_array = grid_module._planes(g.values), grid_module.diff_array
     out["diff_array_s"], _ = best_of(lambda: [diff_array(block, t + 1, h)
                                               for t, h in enumerate(grid.spacings)])
     out["ricci_s"], _ = best_of(lambda: cmclab.ricci(with_gamma))
@@ -273,6 +277,8 @@ def measure(cmclab, n):
     out["solve_lapse_s"], (_, report) = best_of(lambda: cmclab.solve_lapse(fresh(), K))
     out["solve_lapse_cg_iterations"] = report.iterations
     moved = stepped()
+    out["metric_build_s"], _ = best_of(
+        lambda: cmclab.Metric(grid, moved.g.values)._inv_planes)
     out["solve_lapse_warm_s"], (_, report) = best_of(lambda: cmclab.solve_lapse(
         cmclab.Metric(grid, moved.g.values), moved.K, initial_guess=N))
     out["solve_lapse_warm_cg_iterations"] = report.iterations
@@ -346,9 +352,10 @@ def main(argv=None):
         "step_after_record_s each run on a new state object; solve_lapse_warm_s solves the "
         "stepped slice from the slice's N, and lapse_apply_s is one operator apply with its "
         "set-up untimed, lapse_setup_s a solve_lapse with a budget of 0 iterations, "
+        "metric_build_s a fresh Metric of the stepped slice with its check, det g and g^-1, "
         "metric_inverse_s a fresh Metric's g^-1 and second_form_s g^-1 K, tr K, |K|^2 and "
         "K g^-1 K of a fresh SecondForm, diff_array_s the stencil of the (6, n, n, n) "
-        "block of g along each grid axis, and time_step_cg_iterations the CG iterations "
+        "block of g (grid._planes) along each grid axis, and time_step_cg_iterations the CG iterations "
         "of one time_step's lapse solves; the rounds alternate the sources of one "
         "invocation, each in a new process, and change_over_parent holds the quartiles of "
         "the per-round ratios; "
