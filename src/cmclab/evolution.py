@@ -168,9 +168,7 @@ def perturb(
     defect = state.t - trace(SymTensorField(state.grid, k_vals), g).values
     K = SecondForm(state.grid, k_vals + (defect[..., None] / 3.0) * g_vals, g)
     N, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=state.N)
-    new_state = SliceState(t=state.t, g=g, K=K, N=N)
-    object.__setattr__(new_state, "_solved_tol", solver_tol)
-    return new_state, constraint_norms(g, K)
+    return SliceState(t=state.t, g=g, K=K, N=N), constraint_norms(g, K)
 
 
 def evolution_rhs(
@@ -201,16 +199,14 @@ def time_step(
 ) -> SliceState:
     """One classical RK4 step of size dt (either sign).
 
-    The lapse equation is re-solved at every stage, warm-started from the
-    previous stage; the stage's one Metric and one SecondForm serve both
-    the solve and evolution_rhs.  Stage 1 takes state.N as it is when
-    time_step or perturb solved that N on this very state's (g, K) at
-    this solver_tol (the state's private _solved_tol): re-solving it would
-    start at the solution and return it bitwise after 0 CG iterations.
-    Any other state (built directly, loaded, rescaled) or another
-    solver_tol gets the stage-1 solve.  Likewise, when state is the one
-    the previous time_step returned, stage 1 takes the SecondForm and
-    Metric that its first reader (a record or a Bel-Robinson scalar)
+    The lapse equation is solved at every stage, warm-started from the
+    previous stage's lapse (stage 1 from state.N); the stage's one Metric
+    and one SecondForm serve both the solve and evolution_rhs.  On a state
+    whose N time_step or perturb solved at this solver_tol or a tighter
+    one, stage 1's solve meets tol at its first residual and returns N
+    bitwise after one operator apply and 0 CG iterations.  When state is
+    the one the previous time_step returned, stage 1 takes the SecondForm
+    and Metric that its first reader (a record or a Bel-Robinson scalar)
     derived, with their g^-1, Gamma, Ric, g^-1 K, tr K, |K|^2 and
     K g^-1 K, instead of deriving the same arrays again.  A step from any
     other state drops what was left and derives its own.  The state
@@ -228,29 +224,21 @@ def time_step(
     g0, k0 = state.g.values, state.K.values
     n_prev = state.N
 
-    def stage(g_vals: np.ndarray, k_vals: np.ndarray, K: SecondForm | None = None,
-              solved: bool = False):
+    def stage(K: SecondForm):
         nonlocal n_prev
-        if K is None:
-            K = SecondForm(grid, k_vals, Metric(grid, g_vals))
-        if not solved:
-            n_prev, _ = solve_lapse(K.metric, K, tol=solver_tol, initial_guess=n_prev)
+        n_prev, _ = solve_lapse(K.metric, K, tol=solver_tol, initial_guess=n_prev)
         return evolution_rhs(K.metric, K, n_prev)
 
     # the weighted sums dg1 + 2 dg2 + 2 dg3 + dg4 (and likewise for K) are
-    # accumulated stage by stage, in that order, so each stage's derivatives
-    # die once the next stage has read them
-    dg, dk = stage(g0, k0, _take_second_form(state),
-                   solved=state._solved_tol == solver_tol)
+    # accumulated in place, stage by stage, in that order, so each stage's
+    # derivatives die once the next stage has read them
+    dg, dk = stage(_take_second_form(state) or SecondForm(grid, k0, Metric(grid, g0)))
     sum_g, sum_k = dg, dk
-    dg, dk = stage(g0 + 0.5 * dt * dg, k0 + 0.5 * dt * dk)
-    sum_g, sum_k = sum_g + 2.0 * dg, sum_k + 2.0 * dk
-    dg, dk = stage(g0 + 0.5 * dt * dg, k0 + 0.5 * dt * dk)
-    sum_g += 2.0 * dg
-    sum_k += 2.0 * dk
-    dg, dk = stage(g0 + dt * dg, k0 + dt * dk)
-    sum_g += dg
-    sum_k += dk
+    for fraction, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        stage_dt = fraction * dt
+        dg, dk = stage(SecondForm(grid, k0 + stage_dt * dk, Metric(grid, g0 + stage_dt * dg)))
+        sum_g += weight * dg
+        sum_k += weight * dk
     del dg, dk
 
     g_new = Metric(grid, g0 + (dt / 6.0) * sum_g)
@@ -271,7 +259,6 @@ def time_step(
     k_new = SecondForm(grid, k_vals, g_new)
     n_new, _ = solve_lapse(g_new, k_new, tol=solver_tol, initial_guess=n_prev)
     new_state = SliceState(t=t_new, g=g_new, K=k_new, N=n_new)
-    object.__setattr__(new_state, "_solved_tol", solver_tol)
     _mark_head(new_state)
     return new_state
 

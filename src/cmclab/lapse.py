@@ -62,13 +62,17 @@ over the multiples of x0; CG then starts from c x0 with r = b - c A x0, so
 the monotone energy-error guarantee holds from the caller's guess on.  A
 warm start from the lapse of a nearby slice (the RK4 stages) has an error
 that is mostly a multiple of the guess, which this removes before the
-first iteration: a perturbed 32^3 step's four solves take 18 iterations,
+first iteration: a perturbed 32^3 step's five solves take 18 iterations,
 not 24, and on homogeneous Kasner the warm solves take none (Fischer,
 Projection techniques for iterative solution of Ax = b with successive
 right-hand sides, CMAME 163 (1998) 193, with the one-dimensional space of
-the guess).  A guess that already meets tol is not scaled, so a re-solve
-at the solution returns the guess bitwise after 0 iterations; nor is one
-with x0 . A x0 <= 0 (a zero guess).  The callback still sees the caller's
+the guess).  A guess that already meets tol is returned bitwise after
+that one apply, no preconditioner, with 0 iterations: RK4 stage 1 on a
+state time_step or perturb returned starts from the lapse they solved on
+that slice, and pays only that.  The preconditioner is built when the
+first CG iteration is due, so a solve the Ritz start converges (the warm
+solves of homogeneous Kasner) builds none.  A guess with x0 . A x0 <= 0
+(a zero guess) is not scaled.  The callback still sees the caller's
 guess as iterate 0, and residual_history[0] is the residual CG starts
 from.
 """
@@ -225,11 +229,13 @@ def solve_lapse(
     # b, r, p, A p and a scratch plane ride in the operator's workspace block
     op = _Operator(sqrt_g, g._inv_planes, weight_v, spacings, spare=5)
     b, r, p, ap, tmp = op.spare
-    precondition = _constant_coefficient_inverse(op.coeff, weight_v, spacings)
 
-    rhs_vals = np.ones(grid.shape) if rhs is None else rhs.values
-    np.multiply(sqrt_g, rhs_vals, out=b)
-    rhs_scale = float(np.linalg.norm(rhs_vals))
+    if rhs is None:
+        b[...] = sqrt_g
+        rhs_scale = float(np.sqrt(grid.num_points))  # the norm of a plane of ones, exactly
+    else:
+        np.multiply(sqrt_g, rhs.values, out=b)
+        rhs_scale = float(np.linalg.norm(rhs.values))
 
     if max_iterations is None:
         max_iterations = int(10 * np.sqrt(grid.num_points)) + 1
@@ -242,21 +248,26 @@ def solve_lapse(
     history = [rel_residual(r)]
     if callback is not None:
         callback(x.copy())
-    if history[0] > tol:
-        # Ritz start: c x0, c = (x0 . b) / (x0 . A x0), is the multiple of the
-        # guess nearest the solution in the A-norm
-        x_ax = float(np.sum(np.multiply(x, ap, out=tmp)))
-        if x_ax > 0.0:
-            c = float(np.sum(np.multiply(x, b, out=tmp))) / x_ax
-            x *= c
-            np.subtract(b, np.multiply(ap, c, out=tmp), out=r)
-            history[0] = rel_residual(r)
-    z = precondition(r)
-    p[...] = z
-    rz = float(np.sum(np.multiply(r, z, out=tmp)))
+    if history[0] <= tol:
+        return ScalarField(grid, x), EllipticSolveReport(0, history[0], True, history)
+    # Ritz start: c x0, c = (x0 . b) / (x0 . A x0), is the multiple of the
+    # guess nearest the solution in the A-norm
+    x_ax = float(np.sum(np.multiply(x, ap, out=tmp)))
+    if x_ax > 0.0:
+        c = float(np.sum(np.multiply(x, b, out=tmp))) / x_ax
+        x *= c
+        np.subtract(b, np.multiply(ap, c, out=tmp), out=r)
+        history[0] = rel_residual(r)
 
-    iterations = 0
+    iterations, precondition = 0, None
     while True:
+        if history[-1] > tol and iterations < max_iterations:
+            # the start, or a restart on the recomputed residual
+            if precondition is None:
+                precondition = _constant_coefficient_inverse(op.coeff, weight_v, spacings)
+            z = precondition(r)
+            p[...] = z
+            rz = float(np.sum(np.multiply(r, z, out=tmp)))
         while history[-1] > tol and iterations < max_iterations:
             op.apply(p, ap)
             alpha = rz / float(np.sum(np.multiply(p, ap, out=tmp)))
@@ -280,9 +291,6 @@ def solve_lapse(
         converged = final <= tol
         if converged or iterations >= max_iterations:
             break
-        z = precondition(r)
-        p[...] = z
-        rz = float(np.sum(np.multiply(r, z, out=tmp)))
         history[-1] = final
     report = EllipticSolveReport(iterations, final, converged, history)
     if not converged:

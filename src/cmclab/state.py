@@ -7,16 +7,14 @@ and what is derived from a slice may be kept with the object.  g.values
 and K.values are (..., 6) views of component-major (6, n1, n2, n3)
 blocks (grid.py): a field copies an array in another layout into its
 block once, when it is built, and a state shares its fields' blocks.  A
-state carries, beside (t, g, K, N), two private fields that start empty
-on every state built by SliceState(...), dataclasses.replace, rescale or
-load_state, never show in its repr, and die with it:
-
-    _solved_tol   the solver_tol at which time_step or perturb solved N
-                  on exactly this (g, K); the next time_step's stage 1
-                  then takes N as it is at that tol (evolution.py)
-    _br_scalars   the five Bel-Robinson floats (e_br, the lapse-weighted
-                  density, the flux, r_c and sup |grad N|_g) that the
-                  first diagnostics reader derived (diagnostics.py)
+state carries, beside (t, g, K, N), one private field, _br_scalars: the
+five Bel-Robinson floats (e_br, the lapse-weighted density, the flux,
+r_c and sup |grad N|_g) that the first diagnostics reader derived
+(diagnostics.py).  It starts empty on every state built by
+SliceState(...), dataclasses.replace, rescale or load_state, never shows
+in its repr, and dies with the state.  No solver memo is kept: the next
+time_step's stage 1 solves the lapse from N, and a solve whose guess
+already meets tol returns it after one operator apply (lapse.py).
 
 A state never holds g^-1, Gamma, Ric or nabla K.  One state at a time
 lends them to the next step: the head, the state time_step returned
@@ -66,7 +64,6 @@ class SliceState:
     g: SymTensorField
     K: SymTensorField
     N: ScalarField
-    _solved_tol: float | None = field(default=None, init=False, repr=False)
     _br_scalars: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

@@ -9,15 +9,20 @@ from cmclab import (
     CmcDriftExceeded,
     FLAT,
     GENERIC,
+    DiagnosticsCollector,
     GridSpec,
+    Metric,
     NonPositiveMetric,
     ScalarField,
+    SecondForm,
     SymTensorField,
     check_lapse_bounds,
     constraint_norms,
+    solve_lapse,
     trace,
 )
 from cmclab import kasner
+from cmclab.grid import _stored_trace
 from cmclab.evolution import (
     evolution_rhs,
     evolve_states,
@@ -141,6 +146,44 @@ def test_single_step_is_locally_fifth_order(grid8):
         errs.append(np.max(np.abs(stepped.g.values - exact.g.values)))
     order = np.log2(errs[0] / errs[1])
     assert 4.6 <= order <= 5.4
+
+
+def _literal_rk4_step(state, dt, solver_tol):
+    """(t, g, K, N) of classical RK4 written out stage by stage, then the tr K projection."""
+    grid = state.grid
+
+    def stage(g_vals, k_vals, guess):
+        g = Metric(grid, g_vals)
+        K = SecondForm(grid, k_vals, g)
+        N, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=guess)
+        return (N, *evolution_rhs(g, K, N))
+
+    g0, k0 = state.g.values, state.K.values
+    n1, dg1, dk1 = stage(g0, k0, state.N)
+    n2, dg2, dk2 = stage(g0 + 0.5 * dt * dg1, k0 + 0.5 * dt * dk1, n1)
+    n3, dg3, dk3 = stage(g0 + 0.5 * dt * dg2, k0 + 0.5 * dt * dk2, n2)
+    n4, dg4, dk4 = stage(g0 + dt * dg3, k0 + dt * dk3, n3)
+    g = Metric(grid, g0 + (dt / 6.0) * (dg1 + 2.0 * dg2 + 2.0 * dg3 + dg4))
+    k_vals = k0 + (dt / 6.0) * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4)
+    t = state.t + dt
+    # tr K from the six stored components, the contraction time_step uses
+    drift = _stored_trace(k_vals, g._inv_planes) - t
+    K = SecondForm(grid, k_vals - (drift[..., None] / 3.0) * g.values, g)
+    N, _ = solve_lapse(g, K, tol=solver_tol, initial_guess=n4)
+    return t, g.values, K.values, N.values
+
+
+@pytest.mark.parametrize("solver_tol", [1e-10, 1e-11])  # stage 1 runs 0 CG iterations, or some
+def test_time_step_is_bitwise_literal_rk4(solver_tol):
+    state, _ = perturb(warped_kasner_state(AXIAL, -1.0, GridSpec.cubic(12), WARP_AMP), 1e-3, 11)
+    head = time_step(state, 1e-3, trace_correction=True)
+    DiagnosticsCollector().add(head)  # the record leaves its SecondForm for the next step
+    for start in (state, head):
+        stepped = time_step(start, 1e-3, solver_tol=solver_tol, trace_correction=True)
+        expected = _literal_rk4_step(start, 1e-3, solver_tol)
+        assert stepped.t == expected[0]
+        for got, want in zip((stepped.g, stepped.K, stepped.N), expected[1:]):
+            assert got.values.tobytes() == want.tobytes()
 
 
 def test_flat_slices_stay_flat_and_energy_free(grid8):

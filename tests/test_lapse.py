@@ -8,6 +8,7 @@ from cmclab import (
     AXIAL,
     BoundViolation,
     DegenerateZeroOrderTerm,
+    EllipticSolveReport,
     GridSpec,
     NonPositiveMetric,
     ScalarField,
@@ -176,6 +177,42 @@ def test_initial_guess_at_solution_converges_immediately(grid8, rng):
     assert np.array_equal(again.values, N.values)
 
 
+def test_preconditioner_is_built_only_when_cg_iterates(grid8, rng, monkeypatch):
+    g = random_metric(grid8, rng)
+    phi = 1.0 + 0.2 * np.sin(2 * np.pi * grid8.meshes()[0])
+    K = SymTensorField(grid8, phi[..., None] * g.values)
+    N, _ = solve_lapse(g, K, tol=1e-12)
+    counts = {"apply": 0, "build": 0}
+    apply, build = lapse_module._Operator.apply, lapse_module._constant_coefficient_inverse
+
+    def counted_apply(self, *args):
+        counts["apply"] += 1
+        return apply(self, *args)
+
+    def counted_build(*args):
+        counts["build"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(lapse_module._Operator, "apply", counted_apply)
+    monkeypatch.setattr(lapse_module, "_constant_coefficient_inverse", counted_build)
+
+    def solve(**kwargs):
+        counts.update(apply=0, build=0)
+        return (*solve_lapse(g, K, tol=1e-10, **kwargs), dict(counts))
+
+    # a guess that meets tol: its first residual is the report, and it is returned as it is
+    again, report, seen = solve(initial_guess=N)
+    h0 = report.residual_history[0]
+    assert seen == {"apply": 1, "build": 0} and h0 <= 1e-10
+    assert report == EllipticSolveReport(0, h0, True, [h0])
+    assert again.values.tobytes() == N.values.tobytes()
+    # a guess the Ritz start converges: its apply and the verified residual
+    _, report, seen = solve(initial_guess=ScalarField(grid8, 2.0 * N.values))
+    assert seen == {"apply": 2, "build": 0} and report.iterations == 0
+    _, report, seen = solve()
+    assert seen["build"] == 1 and report.iterations > 0
+
+
 def test_guess_a_multiple_of_the_solution_converges_at_once(grid8, rng):
     # the Ritz start scales the guess to the A-norm nearest multiple, N itself
     g = random_metric(grid8, rng)
@@ -228,9 +265,11 @@ def _perturbed_slice(grid, seed=7, amplitude=1e-2):
 
 
 def test_rk4_step_solves_take_at_most_18_cg_iterations(monkeypatch):
-    # Stages 2 and 4 start from the lapse of the previous stage time, whose
-    # error is nearly a multiple of itself; the Ritz start removes that part
-    # (7, 4, 7, 6 = 24 iterations without it, 5, 2, 5, 6 with it)
+    # Stage 1 starts from the lapse perturb solved on the slice and runs no
+    # iteration.  Stages 2 and 4 start from the lapse of the previous stage
+    # time, whose error is nearly a multiple of itself; the Ritz start
+    # removes that part (0, 7, 4, 7, 6 = 24 iterations without it, 0, 5, 2,
+    # 5, 6 with it)
     state = _perturbed_slice(GridSpec.cubic(16), amplitude=1e-4)
     reports = []
 
@@ -241,7 +280,8 @@ def test_rk4_step_solves_take_at_most_18_cg_iterations(monkeypatch):
 
     monkeypatch.setattr(evolution_module, "solve_lapse", recorded)
     time_step(state, 1e-3, trace_correction=True)
-    assert len(reports) == 4 and all(report.converged for report in reports)
+    assert len(reports) == 5 and all(report.converged for report in reports)
+    assert reports[0].iterations == 0
     assert sum(report.iterations for report in reports) <= 18
 
 

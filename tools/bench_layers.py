@@ -46,6 +46,13 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               the slice's N as RK4 stages 2-4 start from the
                               stage before (solve_lapse_warm_s); its CG
                               count is kept beside the time
+    solve_lapse(m1, k1, initial_guess=N1)
+                              (m1, k1, N1) that stepped slice, m1 a Metric
+                              of it whose g^-1 is derived and k1 a
+                              SecondForm over m1 whose |K|^2 is derived:
+                              N1 already meets tol, so this is RK4 stage
+                              1's solve on a state time_step returned
+                              (solve_lapse_at_solution_s)
     one lapse operator apply  on N, with the operator's coefficients and
                               buffers built untimed (lapse_apply_s)
     solve_lapse(m, k, max_iterations=0)
@@ -53,18 +60,22 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               Metric whose g^-1 is derived, k a SecondForm
                               over it whose |K|^2 is derived; with no
                               iteration allowed the solve builds its
-                              coefficients, preconditioner and workspace,
-                              applies the operator twice (the initial and
-                              the verified residual) and raises
-                              SolverDiverged, which is caught
+                              coefficients and workspace, applies the
+                              operator twice (the initial and the verified
+                              residual) and raises SolverDiverged, which
+                              is caught.  A cmclab that builds the FFT
+                              preconditioner only when a CG iteration is
+                              due builds none here, so its figure is lower
+                              for that reason alone
     weyl_parts(g, K)          g a fresh Metric, so Gamma and Ric are included
     br_components(E, B, m)    m a Metric whose g^-1 is derived
     DiagnosticsCollector.add  one record of a fresh collector (collector_add_s)
     time_step(s, 1e-3, trace_correction=True)
                               s made by the same step from the slice, so its
-                              lapse was solved on it (time_step_s); the CG
-                              iterations of its lapse solves, summed, are
-                              kept beside the time (time_step_cg_iterations)
+                              lapse was solved on it (time_step_s); the
+                              number of its lapse solves and their CG
+                              iterations, summed, are kept beside the time
+                              (time_step_solves, time_step_cg_iterations)
     br_energy(s), br_flux(s)  both on one state s (br_energy_flux_s)
     time_step(s, 1e-3, trace_correction=True)
                               s made by the same step from the slice, right
@@ -188,8 +199,8 @@ def lapse_apply(cmclab, g, K, N):
     return lambda: op.apply(N.values, out)
 
 
-def step_cg_iterations(step, state):
-    """The CG iterations of the lapse solves of one step(state), summed."""
+def step_solves(step, state):
+    """(how many lapse solves one step(state) runs, their CG iterations summed)."""
     evolution = sys.modules["cmclab.evolution"]
     solve, counts = evolution.solve_lapse, []
 
@@ -203,7 +214,7 @@ def step_cg_iterations(step, state):
         step(state)
     finally:
         evolution.solve_lapse = solve
-    return sum(counts)
+    return len(counts), sum(counts)
 
 
 def lapse_setup(cmclab, m, k):
@@ -282,6 +293,12 @@ def measure(cmclab, n):
     out["solve_lapse_warm_s"], (_, report) = best_of(lambda: cmclab.solve_lapse(
         cmclab.Metric(grid, moved.g.values), moved.K, initial_guess=N))
     out["solve_lapse_warm_cg_iterations"] = report.iterations
+    moved_inv = cmclab.Metric(grid, moved.g.values)
+    moved_inv._inv_planes
+    moved_ksq = cmclab.SecondForm(grid, moved.K.values, moved_inv)
+    moved_ksq.norm_sq
+    out["solve_lapse_at_solution_s"], _ = best_of(
+        lambda: cmclab.solve_lapse(moved_inv, moved_ksq, initial_guess=moved.N))
     out["lapse_apply_s"], _ = best_of(lapse_apply(cmclab, g, K, N))
     with_ksq = cmclab.SecondForm(grid, K.values, with_inv)
     with_ksq.norm_sq
@@ -290,7 +307,7 @@ def measure(cmclab, n):
     out["br_components_s"], _ = best_of(lambda: cmclab.br_components(weyl.E, weyl.B, with_inv))
     out["collector_add_s"], _ = best_of(record, setup=new_state)
     out["time_step_s"], _ = best_of(step, setup=stepped)
-    out["time_step_cg_iterations"] = step_cg_iterations(step, stepped())
+    out["time_step_solves"], out["time_step_cg_iterations"] = step_solves(step, stepped())
     out["step_after_record_s"], _ = best_of(step, setup=recorded)
     out["br_energy_flux_s"], _ = best_of(
         lambda s: (cmclab.br_energy(s), cmclab.br_flux(s)), setup=new_state)
@@ -350,13 +367,16 @@ def main(argv=None):
         "record, one time_step, one perturb and a record then a step of one stepped state, "
         "with the memory held between the two; records, br_energy_flux_s, time_step_s and "
         "step_after_record_s each run on a new state object; solve_lapse_warm_s solves the "
-        "stepped slice from the slice's N, and lapse_apply_s is one operator apply with its "
-        "set-up untimed, lapse_setup_s a solve_lapse with a budget of 0 iterations, "
+        "stepped slice from the slice's N and solve_lapse_at_solution_s from its own N (RK4 stage "
+        "1's solve), lapse_apply_s is one operator apply with its "
+        "set-up untimed, lapse_setup_s a solve_lapse with a budget of 0 iterations (with no FFT "
+        "preconditioner where the source builds it only for a CG iteration), "
         "metric_build_s a fresh Metric of the stepped slice with its check, det g and g^-1, "
         "metric_inverse_s a fresh Metric's g^-1 and second_form_s g^-1 K, tr K, |K|^2 and "
         "K g^-1 K of a fresh SecondForm, diff_array_s the stencil of the (6, n, n, n) "
-        "block of g (grid._planes) along each grid axis, and time_step_cg_iterations the CG iterations "
-        "of one time_step's lapse solves; the rounds alternate the sources of one "
+        "block of g (grid._planes) along each grid axis, and time_step_solves and "
+        "time_step_cg_iterations the number of one time_step's lapse solves and their CG "
+        "iterations; the rounds alternate the sources of one "
         "invocation, each in a new process, and change_over_parent holds the quartiles of "
         "the per-round ratios; "
         "written by tools/bench_layers.py, whose docstring defines each call."
