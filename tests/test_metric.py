@@ -390,22 +390,33 @@ def _stage_one(state, monkeypatch, **kwargs):
     return solves[0]
 
 
-def test_stage_one_runs_cg_only_where_the_state_lapse_misses_tol(perturbed12, tmp_path,
-                                                                  monkeypatch):
+def _assert_returned_at_once(state, monkeypatch, **kwargs):
+    guess, N, report = _stage_one(state, monkeypatch, **kwargs)
+    h0 = report.residual_history[0]
+    assert guess is state.N
+    assert report == EllipticSolveReport(0, h0, True, [h0])
+    assert N.values.tobytes() == state.N.values.tobytes()
+
+
+def test_stage_one_reuses_a_lapse_solved_on_the_slice(perturbed12, monkeypatch):
+    # perturb and time_step solved their states' N on exactly (g, K) at the
+    # default tol: stage 1 returns N after one apply, at this tol or a looser one
+    stepped = time_step(perturbed12, 1e-3, trace_correction=True)
+    for state, kwargs in ((perturbed12, {}), (stepped, {}), (stepped, {"solver_tol": 1e-9})):
+        _assert_returned_at_once(state, monkeypatch, **kwargs)
+    reused = time_step(stepped, 1e-3, trace_correction=True)
+    resolved = time_step(_fresh(stepped), 1e-3, trace_correction=True)
+    assert _bits(reused) == _bits(resolved)
+
+
+def test_stage_one_solves_a_lapse_it_cannot_vouch_for(perturbed12, tmp_path, monkeypatch):
     stepped = time_step(perturbed12, 1e-3, trace_correction=True)
     path = tmp_path / "stepped.npz"
     save_state(stepped, path)
-    # perturb and time_step solved N on exactly (g, K) at the default tol, a
-    # loaded state holds the same bits, and homogeneous Kasner's N solves its
-    # slice exactly: stage 1 returns N after one apply, at this tol or a looser one
-    at_solution = [(perturbed12, {}), (stepped, {}), (stepped, {"solver_tol": 1e-9}),
-                   (load_state(path), {}), (kasner_initial_data(AXIAL, -1.0, stepped.grid), {})]
-    for state, kwargs in at_solution:
-        guess, N, report = _stage_one(state, monkeypatch, **kwargs)
-        h0 = report.residual_history[0]
-        assert guess is state.N
-        assert report == EllipticSolveReport(0, h0, True, [h0])
-        assert N.values.tobytes() == state.N.values.tobytes()
+    # a loaded state holds the same bits and homogeneous Kasner's N solves its
+    # slice exactly: the solve checks them and finds tol met at the first residual
+    for state in (load_state(path), kasner_initial_data(AXIAL, -1.0, stepped.grid)):
+        _assert_returned_at_once(state, monkeypatch)
     # rescaling by r keeps N, where the lapse is N / r^2: the Ritz start scales it
     _, N, report = _stage_one(rescale(stepped, 2.0), monkeypatch)
     assert report.iterations == 0 and report.residual_history[0] > 0.0
