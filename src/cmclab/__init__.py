@@ -93,7 +93,6 @@ from .lapse import (
 from .snapshot import load_fields, load_state, save_fields, save_state
 from .state import SliceState
 from .tensor import (
-    Connection,
     christoffels,
     covariant_derivative_sym,
     cross,

@@ -185,7 +185,7 @@ def evolution_rhs(
     # E before the Hessian: deriving Ric beside its arrays raises peak memory
     dk = electric_weyl(K.metric, K).values - K.squared
     dk *= N.values[..., None]
-    dk -= hessian(N, K.metric.gamma).values
+    dk -= hessian(N, K.metric).values
     dg = -2.0 * N.values[..., None] * K.values
     return dg, dk
 

@@ -161,7 +161,7 @@ def static_residual(g: SymTensorField, N: ScalarField) -> tuple[ScalarField, Sym
     if np.any(N.values <= 0.0):
         raise NonPositiveLapse(f"lapse has min {N.values.min():.3e} <= 0")
     g = as_metric(g)
-    hess = hessian(N, g.gamma)
+    hess = hessian(N, g)
     lap = trace(hess, g)
     tensor_res = SymTensorField(g.grid, hess.values - N.values[..., None] * g.ricci.values)
     return lap, tensor_res

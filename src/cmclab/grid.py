@@ -8,7 +8,7 @@ symmetric ones in the lower-index component order
 
     (xx, xy, xz, yy, yz, zz).
 
-A field's values, shaped (n1, n2, n3, k), is the np.moveaxis view of its
+A field's values, shaped (n1, n2, n3, k), is the transpose view of its
 block, so values[..., c] is a contiguous plane, _planes(values) is the
 block itself, and np.ascontiguousarray(values) gives the grid-last C
 layout for a caller that wants it.  The field constructor
@@ -29,24 +29,26 @@ is spectrally accurate for smooth periodic integrands.
 Every symmetric result is stored in those 6 components, and every
 kernel works on contiguous component planes: g^-1 is kept as 6
 planes (one per stored pair), g^-1 A as 9 (one per A^a_b) and the
-connection as the (3, 6, n1, n2, n3) planes of a Connection, Gamma^a on
-each stored lower pair (b, c); nabla A has the same (3, 6, ...) layout,
-indexed [t, slot(s, b)].  Each stencil is diff_array along axis t + 1 of
-a contiguous block, and each contraction a short fixed sum of plane
-products written in place (_plane_sum), with no gather and no batched
-3x3 matmul.  The (..., 3, 3) forms (Metric.inv, SecondForm.mixed,
-SecondForm.nabla, Connection.coefficients, sym_to_matrix) are built on
-each call, for tests, oracles and set-up code; no kernel reads them.
+connection, Metric.gamma, as one read-only (3, 6, n1, n2, n3) block of
+planes, Gamma^a on each stored lower pair (b, c); nabla A has the same
+(3, 6, ...) layout, indexed [t, slot(s, b)].  Each stencil is diff_array
+along axis t + 1 of a contiguous block, and each contraction a short
+fixed sum of plane products written in place (_plane_sum), with no
+gather and no batched 3x3 matmul.  inverse_metric, raise_first_index,
+covariant_derivative_sym and sym_to_matrix expand g^-1, g^-1 A, nabla A
+and a symmetric field to (..., 3, 3) or (..., 3, 3, 3) arrays on each
+call, for tests, oracles and set-up code; no kernel reads them.
 
 A Metric is a SymTensorField checked positive definite by construction;
 it derives sqrt(det g), g^-1 (from the closed-form cofactors), the
 connection Gamma, Ric and R once each, on first use, and every operation
-reads them through as_metric(g).  A SecondForm is a symmetric A over one
-Metric that derives g^-1 A, tr A (the sum of its diagonal planes),
-|A|^2_g, A g^-1 A and nabla A once each, on first use; as_second_form(A,
-g) is the only path by which a symmetric tensor is raised by g, and
-trace(A, g) reads its tr A.  A's own planes are the block its values
-view.  Build one of each per computation (a record, an RK stage; E and B
+takes the metric g, never a quantity derived from it, and reads them
+through as_metric(g).  A SecondForm is a symmetric A over one Metric
+that derives g^-1 A, tr A (the sum of its diagonal planes), |A|^2_g,
+A g^-1 A and nabla A once each, on first use; as_second_form(A, g) is
+the only path by which a symmetric tensor is raised by g, and trace,
+raise_first_index and covariant_derivative_sym read its tr A, g^-1 A and
+nabla A.  A's own planes are the block its values view.  Build one of each per computation (a record, an RK stage; E and B
 get one each too); a SliceState never stores either, though the next RK
 step may take the pair a reader built for the state the last step
 returned (state.py sets out what a state carries and for how long).
@@ -335,11 +337,10 @@ class Metric(SymTensorField):
     """A metric checked positive definite (else NonPositiveMetric), keeping det.
 
     sqrt_det, g^-1 (as 6 planes in SYM_PAIRS order), gamma (the
-    Levi-Civita Connection), ricci (Ric) and scalar_curvature (R = tr Ric)
-    are computed once, on first use; all are read-only.  inv expands g^-1
-    on each call to a read-only (..., 3, 3) array, for tests and set-up
-    code; no kernel reads it.  R is contracted from the 6 stored
-    components of Ric (_stored_trace), with no g^-1 Ric.
+    Levi-Civita connection as christoffels' (3, 6, *grid) block), ricci
+    (Ric) and scalar_curvature (R = tr Ric) are computed once, on first
+    use; all are read-only.  R is contracted from the 6 stored components
+    of Ric (_stored_trace), with no g^-1 Ric.
     """
 
     def __post_init__(self):
@@ -354,12 +355,8 @@ class Metric(SymTensorField):
     def _inv_planes(self) -> np.ndarray:
         return _frozen(_inverse_planes(self.values, self.det))
 
-    @property
-    def inv(self) -> np.ndarray:
-        return _frozen(_grid_last(self._inv_planes[_MATRIX_SLOTS], 2))
-
     @cached_property
-    def gamma(self) -> Connection:
+    def gamma(self) -> np.ndarray:
         return christoffels(self)
 
     @cached_property
@@ -378,7 +375,7 @@ def as_metric(g: SymTensorField) -> Metric:
 
 def inverse_metric(g: SymTensorField) -> np.ndarray:
     """Pointwise read-only inverse (..., 3, 3) of g; NonPositiveMetric unless g is definite."""
-    return as_metric(g).inv
+    return _frozen(_grid_last(as_metric(g)._inv_planes[_MATRIX_SLOTS], 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,9 +386,6 @@ class SecondForm(SymTensorField):
     its 3 diagonal planes), norm_sq (|K|^2_g = K . K), squared (K g^-1 K
     in 6-component storage) and nabla K (a (3, 6, *grid) block indexed
     [t, slot(s, b)]) are computed once, on first use; all are read-only.
-    mixed and nabla expand g^-1 K and nabla K on each call to read-only
-    (..., 3, 3) and (..., 3, 3, 3) arrays, for tests and oracles; no
-    kernel reads them.
     """
 
     metric: Metric
@@ -405,10 +399,6 @@ class SecondForm(SymTensorField):
     def _mixed_planes(self) -> np.ndarray:
         return _frozen(_raise_planes(self, self.metric._inv_planes))
 
-    @property
-    def mixed(self) -> np.ndarray:
-        return _frozen(_grid_last(self._mixed_planes, 2))
-
     @cached_property
     def trace(self) -> np.ndarray:
         m = self._mixed_planes
@@ -421,10 +411,6 @@ class SecondForm(SymTensorField):
     @cached_property
     def _nabla_planes(self) -> np.ndarray:
         return _frozen(_covariant_derivative_planes(self, self.metric.gamma))
-
-    @property
-    def nabla(self) -> np.ndarray:
-        return _frozen(_grid_last(self._nabla_planes[:, _MATRIX_SLOTS], 3))
 
     @cached_property
     def squared(self) -> np.ndarray:
@@ -563,10 +549,9 @@ def _stored_trace(values: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return out
 
 
-def raise_first_index(A: SymTensorField, inv: np.ndarray) -> np.ndarray:
-    """Mixed components A^a_b = g^{ac} A_cb as a read-only (..., 3, 3) array, from g^-1 alike."""
-    inv_planes = np.stack([inv[..., a, b] for a, b in SYM_PAIRS])
-    return _frozen(_grid_last(_raise_planes(A, inv_planes), 2))
+def raise_first_index(A: SymTensorField, g: SymTensorField) -> np.ndarray:
+    """Mixed components A^a_b = g^{ac} A_cb as a read-only (..., 3, 3) array."""
+    return _grid_last(as_second_form(A, g)._mixed_planes, 2)
 
 
 def trace(A: SymTensorField, g: SymTensorField) -> ScalarField:
@@ -593,36 +578,6 @@ def sup_norm(field, g: SymTensorField) -> float:
     return float(np.sqrt(np.max(_pointwise_norm_sq(field, as_metric(g)))))
 
 
-@dataclass(frozen=True, eq=False)
-class Connection:
-    """Christoffel symbols Gamma^a_{bc} of a metric, symmetric in the lower pair.
-
-    planes keeps each Gamma^a_bc once, as one (3, 6, *grid.shape) block
-    indexed [a, slot(b, c)], so every Gamma^a on a stored pair is a
-    contiguous plane: the component-major layout of the fields' blocks,
-    with one more leading axis.  coefficients expands it on each call to a
-    read-only (*grid.shape, 3, 3, 3) view, indexed [..., a, b, c], of a
-    gathered (3, 3, 3, *grid.shape) block, for tests and oracles; no kernel
-    reads it.
-    """
-
-    grid: GridSpec
-    planes: np.ndarray
-
-    def __post_init__(self):
-        planes = np.asarray(self.planes, dtype=float)
-        if planes.shape != (3, 6) + self.grid.shape:
-            raise ValueError(f"connection planes shaped {planes.shape}, "
-                             f"expected {(3, 6) + self.grid.shape}")
-        if not np.all(np.isfinite(planes)):
-            raise ValueError("connection coefficients must be finite")
-        object.__setattr__(self, "planes", planes)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return _frozen(_grid_last(self.planes[:, _MATRIX_SLOTS], 3))
-
-
 def _plane_sum(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The sum of x * y over the pairs (x, y) of planes, in their order, into out."""
     (x, y), *rest = pairs
@@ -632,12 +587,15 @@ def _plane_sum(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def christoffels(g: SymTensorField) -> Connection:
+def christoffels(g: SymTensorField) -> np.ndarray:
     """Levi-Civita connection of g via 4th-order finite differences.
 
     Gamma^a_{bc} = (1/2) g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc), formed
     plane by plane on the 6 stored (b, c) pairs from the planes of g^-1
-    and of the partials of g.
+    and of the partials of g, and returned as one read-only (3, 6, *grid)
+    block indexed [a, slot(b, c)]: every Gamma^a on a stored pair is a
+    contiguous plane.  A non-finite Gamma is caught by the field
+    constructor of whatever is built from it (Ric, a Hessian, curl, div).
     """
     shape, spacings = g.grid.shape, g.grid.spacings
     # (1/2) g^ad on its stored pairs; halving is exact, so it may come first
@@ -653,10 +611,10 @@ def christoffels(g: SymTensorField) -> Connection:
         for a in range(3):
             _plane_sum([(half_inv[sym_index(a, d)], lower[d]) for d in range(3)],
                        planes[a, slot], tmp)
-    return Connection(g.grid, _frozen(planes))
+    return _frozen(planes)
 
 
-def _covariant_derivative_planes(A: SymTensorField, gamma: Connection) -> np.ndarray:
+def _covariant_derivative_planes(A: SymTensorField, gam: np.ndarray) -> np.ndarray:
     """nabla_t A_sb as a (3, 6, *grid) block indexed [t, slot(s, b)].
 
     nabla_t A_sb = d_t A_sb - Gamma^m_{ts} A_mb - Gamma^m_{tb} A_sm,
@@ -664,7 +622,7 @@ def _covariant_derivative_planes(A: SymTensorField, gamma: Connection) -> np.nda
     """
     shape, spacings = A.grid.shape, A.grid.spacings
     out = np.empty((3, 6) + shape)
-    gam, values = gamma.planes, _planes(A.values)
+    values = _planes(A.values)
     term, tmp = np.empty(shape), np.empty(shape)
     for t in range(3):
         dA = diff_array(values, t + 1, spacings[t])  # dA[slot] = d_t A_slot
@@ -679,9 +637,9 @@ def _covariant_derivative_planes(A: SymTensorField, gamma: Connection) -> np.nda
     return out
 
 
-def covariant_derivative_sym(A: SymTensorField, gamma: Connection) -> np.ndarray:
+def covariant_derivative_sym(A: SymTensorField, g: SymTensorField) -> np.ndarray:
     """nabla_t A_sb as a read-only (..., 3, 3, 3) array indexed [t, s, b], for tests and oracles."""
-    return _frozen(_grid_last(_covariant_derivative_planes(A, gamma)[:, _MATRIX_SLOTS], 3))
+    return _frozen(_grid_last(as_second_form(A, g)._nabla_planes[:, _MATRIX_SLOTS], 3))
 
 
 def ricci(g: SymTensorField) -> SymTensorField:
@@ -690,12 +648,12 @@ def ricci(g: SymTensorField) -> SymTensorField:
     Ric_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
              + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb
 
-    Every term is formed on the 6 stored (a, b) pairs from the Connection's
-    planes: the divergence term differentiates the block Gamma^c along
+    Every term is formed on the 6 stored (a, b) pairs from the planes of
+    Gamma: the divergence term differentiates the block Gamma^c along
     axis c, d_a Gamma^c_cb is symmetrized by averaging (a, b) with (b, a),
     and both products are sums of plane products.
     """
-    gam = as_metric(g).gamma.planes
+    gam = as_metric(g).gamma
     shape, spacings = g.grid.shape, g.grid.spacings
     ric = diff_array(gam[0], 1, spacings[0])
     for c in (1, 2):

@@ -84,8 +84,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundViolation, DegenerateZeroOrderTerm, SolverDiverged
-from .grid import (SYM_PAIRS, ScalarField, SymTensorField, _shared_grid, _stencil,
-                   _stencil_views, as_metric, as_second_form, sup_norm, sym_index)
+from .grid import (ScalarField, SymTensorField, _shared_grid, _stencil, _stencil_views,
+                   as_metric, as_second_form, sup_norm, sym_index)
 
 __all__ = [
     "EllipticSolveReport",
@@ -159,13 +159,6 @@ class _Operator:
             # the padded copy holds flux, so its derivative may overwrite it
             out -= _stencil(flux, a, views, flux, tmp, scale)
         return out
-
-
-def _apply_operator(n_vals: np.ndarray, flux_coeff: np.ndarray, weight_v: np.ndarray,
-                    spacings) -> np.ndarray:
-    """sqrt(g)-weighted operator -d_a(c^ab d_b N) + w N, c^ab = flux_coeff[..., a, b] symmetric."""
-    coeff = [flux_coeff[..., a, b] for a, b in SYM_PAIRS]
-    return _Operator(1.0, coeff, weight_v, spacings).apply(n_vals, np.empty_like(weight_v))
 
 
 def _constant_coefficient_inverse(coeff: np.ndarray, weight_v: np.ndarray, spacings):

@@ -19,16 +19,19 @@ expanding eps_a^{cd} eps_b^{ef} as a determinant of metrics gives
     A x B = A g^-1 B + B g^-1 A - (tr A) B - (tr B) A
             + (2/3)((tr A)(tr B) - A.B) g.
 
-Gamma (Connection, christoffels) and Ric live in grid.py, so that a
-grid.Metric can derive each once; so do trace, raise_first_index and
-covariant_derivative_sym, so that a grid.SecondForm can derive tr A,
-g^-1 A and nabla A once.  All are re-exported here.  Every operation reads
-g^-1, sqrt(det g) and Gamma from as_metric(g), and each symmetric operand
-A through as_second_form(A, g): g^-1 A for inner, norm_sq, cross and the
-B of wedge, tr A for trace and cross, nabla A for curl and divergence.
-An operand handed in as a SecondForm is raised once however many of them
-read it (B = -curl K and div K share nabla K).  divergence contracts g^-1
-with nabla A, not with A, so it raises nothing.
+Gamma (christoffels, the Metric's gamma block) and Ric live in grid.py,
+so that a grid.Metric can derive each once; so do trace,
+raise_first_index and covariant_derivative_sym, so that a grid.SecondForm
+can derive tr A, g^-1 A and nabla A once.  All are re-exported here.
+Every operation takes the metric g, never a quantity derived from it: it
+reads g^-1, sqrt(det g) and Gamma from as_metric(g), and each symmetric
+operand A through as_second_form(A, g): g^-1 A for inner, norm_sq, cross,
+raise_first_index and the B of wedge, tr A for trace and cross, nabla A
+for curl, divergence and covariant_derivative_sym.  An operand handed in
+as a SecondForm is raised once however many of them read it (B = -curl K
+and div K share nabla K), and a Metric derives Gamma once for ricci,
+nabla A and hessian(f, g).  divergence contracts g^-1 with nabla A, not
+with A, so it raises nothing.
 
 Every operation works on contiguous components-first planes and forms
 each component as a short fixed sum of plane products (grid._plane_sum):
@@ -62,7 +65,6 @@ import numpy as np
 
 from .grid import (
     SYM_PAIRS,
-    Connection,
     ScalarField,
     SymTensorField,
     VectorField,
@@ -82,7 +84,6 @@ from .grid import (
 )
 
 __all__ = [
-    "Connection",
     "christoffels",
     "wedge",
     "cross",
@@ -204,10 +205,10 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(f.grid, _grid_last(np.stack(partials)))
 
 
-def hessian(f: ScalarField, gamma: Connection) -> SymTensorField:
+def hessian(f: ScalarField, g: SymTensorField) -> SymTensorField:
     """Covariant Hessian nabla_a nabla_b f = d_a d_b f - Gamma^c_{ab} d_c f."""
-    _shared_grid(f, gamma)
-    spacings, gam = f.grid.spacings, gamma.planes
+    _shared_grid(f, g)
+    spacings, gam = f.grid.spacings, as_metric(g).gamma
     df = [diff_array(f.values, t, h) for t, h in enumerate(spacings)]  # df[t] = d_t f
     hess = np.empty((6,) + f.grid.shape)
     term, tmp = np.empty(f.grid.shape), np.empty(f.grid.shape)

@@ -41,6 +41,16 @@ def mat_to_sym(mats):
     return out
 
 
+def gamma_to_full(planes):
+    """(3, 6, ...) Gamma^a on each packed lower pair (b, c) -> (..., 3, 3, 3) indexed [a, b, c]."""
+    out = np.zeros(planes.shape[2:] + (3, 3, 3))
+    for a in range(3):
+        for idx, (b, c) in enumerate(SYM_PAIRS):
+            out[..., a, b, c] = planes[a, idx]
+            out[..., a, c, b] = planes[a, idx]
+    return out
+
+
 def diff4(values, axis, spacing):
     """Fourth-order centered periodic difference; independent of the package."""
     p1 = np.roll(values, -1, axis=axis)

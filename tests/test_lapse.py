@@ -29,15 +29,22 @@ from cmclab import evolution as evolution_module
 from cmclab import kasner
 from cmclab import lapse as lapse_module
 from cmclab.checks import random_metric
-from cmclab.grid import diff_array
-from cmclab.lapse import BOUND_TOL_COEFF, _apply_operator
+from cmclab.grid import diff_array, sym_index
+from cmclab.lapse import BOUND_TOL_COEFF, _Operator
 
 
 def _operator_pieces(g, K):
+    """sqrt(g), the six coefficient planes sqrt(g) g^ab on the stored pairs, and sqrt(g)|K|^2."""
     sqrt_g = np.sqrt(metric_determinant(g))
-    flux = sqrt_g[..., None, None] * inverse_metric(g)
+    inv = inverse_metric(g)
+    coeff = np.stack([sqrt_g * inv[..., a, b] for a, b in orc.SYM_PAIRS])
     weight = sqrt_g * norm_sq(K, g).values
-    return sqrt_g, flux, weight
+    return sqrt_g, coeff, weight
+
+
+def _applied(n_vals, coeff, weight_v, spacings):
+    """One apply of the solver's operator workspace, built over the coefficient planes."""
+    return _Operator(1.0, coeff, weight_v, spacings).apply(n_vals, np.empty_like(weight_v))
 
 
 def test_constant_coefficient_solution_is_exact(grid8):
@@ -85,9 +92,9 @@ def test_discrete_manufactured_solution_recovered_to_solver_tolerance(grid16, rn
     g = random_metric(grid16, rng)
     phi = 1.0 + 0.3 * np.sin(2 * np.pi * grid16.meshes()[1])
     K = SymTensorField(grid16, phi[..., None] * g.values)
-    sqrt_g, flux, weight = _operator_pieces(g, K)
+    sqrt_g, coeff, weight = _operator_pieces(g, K)
     x_star = 1.0 + 0.2 * np.cos(2 * np.pi * grid16.meshes()[0])
-    rhs = _apply_operator(x_star, flux, weight, grid16.spacings) / sqrt_g
+    rhs = _applied(x_star, coeff, weight, grid16.spacings) / sqrt_g
     N, report = solve_lapse(g, K, tol=1e-13, rhs=ScalarField(grid16, rhs))
     assert report.converged
     assert np.max(np.abs(N.values - x_star)) < 1e-9
@@ -102,9 +109,9 @@ def test_manufactured_solution_on_anisotropic_odd_grid(shape, rng):
     g = random_metric(grid, rng)
     phi = 1.0 + 0.3 * np.sin(2 * np.pi * y / 2.0)
     K = SymTensorField(grid, phi[..., None] * g.values)
-    sqrt_g, flux, weight = _operator_pieces(g, K)
+    sqrt_g, coeff, weight = _operator_pieces(g, K)
     x_star = 1.0 + 0.2 * np.cos(2 * np.pi * x) + 0.1 * np.sin(2 * np.pi * z / 0.5)
-    rhs = _apply_operator(x_star, flux, weight, grid.spacings) / sqrt_g
+    rhs = _applied(x_star, coeff, weight, grid.spacings) / sqrt_g
     N, report = solve_lapse(g, K, tol=1e-13, rhs=ScalarField(grid, rhs))
     assert report.converged
     assert np.max(np.abs(N.values - x_star)) < 1e-9
@@ -125,11 +132,11 @@ def test_cg_energy_error_is_monotone(grid8, rng):
     g = random_metric(grid8, rng)
     phi = 1.0 + 0.25 * np.sin(2 * np.pi * grid8.meshes()[2])
     K = SymTensorField(grid8, phi[..., None] * g.values)
-    sqrt_g, flux, weight = _operator_pieces(g, K)
+    sqrt_g, coeff, weight = _operator_pieces(g, K)
     x_star = 1.0 + 0.15 * np.sin(2 * np.pi * grid8.meshes()[0]) \
         + 0.1 * np.cos(2 * np.pi * grid8.meshes()[1])
-    rhs = ScalarField(grid8, _apply_operator(
-        x_star, flux, weight, grid8.spacings) / sqrt_g)
+    rhs = ScalarField(grid8, _applied(
+        x_star, coeff, weight, grid8.spacings) / sqrt_g)
     iterates = []
     solve_lapse(g, K, tol=1e-12, rhs=rhs,
                 initial_guess=ScalarField.constant(grid8, 1.0),
@@ -137,8 +144,8 @@ def test_cg_energy_error_is_monotone(grid8, rng):
     energies = []
     for x in iterates:
         e = x - x_star
-        energies.append(float(np.sum(e * _apply_operator(
-            e, flux, weight, grid8.spacings))))
+        energies.append(float(np.sum(e * _applied(
+            e, coeff, weight, grid8.spacings))))
     assert len(energies) > 3
     for prev, nxt in zip(energies, energies[1:]):
         assert nxt <= prev * (1.0 + 1e-12)  # PCG decreases the A-norm error
@@ -238,12 +245,12 @@ def test_zero_guess_solves_like_a_cold_start(grid8, rng):
     assert np.max(np.abs(N.values / cold.values - 1.0)) < 1e-10
 
 
-def _literal_operator(n_vals, flux_coeff, weight_v, spacings):
+def _literal_operator(n_vals, coeff, weight_v, spacings):
     # the operator as a plain formula, with a new array for every term
     out = weight_v * n_vals
     dn = [diff_array(n_vals, b, spacings[b]) for b in range(3)]
     for a in range(3):
-        flux = sum(flux_coeff[..., a, b] * dn[b] for b in range(3))
+        flux = sum(coeff[sym_index(a, b)] * dn[b] for b in range(3))
         out -= diff_array(flux, a, spacings[a])
     return out
 
@@ -253,10 +260,10 @@ def test_operator_workspace_is_bitwise_the_plain_formula(shape, rng):
     grid = GridSpec(shape, (1.0, 2.0, 0.5))
     g = random_metric(grid, rng)
     K = SymTensorField(grid, (1.0 + 0.2 * rng.random(shape))[..., None] * g.values)
-    _, flux, weight = _operator_pieces(g, K)
+    _, coeff, weight = _operator_pieces(g, K)
     n_vals = 1.0 + 0.1 * rng.standard_normal(shape)
-    expected = _literal_operator(n_vals, flux, weight, grid.spacings)
-    assert np.array_equal(_apply_operator(n_vals, flux, weight, grid.spacings), expected)
+    expected = _literal_operator(n_vals, coeff, weight, grid.spacings)
+    assert np.array_equal(_applied(n_vals, coeff, weight, grid.spacings), expected)
 
 
 def _perturbed_slice(grid, seed=7, amplitude=1e-2):

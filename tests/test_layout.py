@@ -18,6 +18,7 @@ the inputs came in.
 
 import io
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ import pytest
 import oracles as orc
 from cmclab import (
     AXIAL,
-    Connection,
     DiagnosticsCollector,
     GridSpec,
     Metric,
@@ -48,9 +48,11 @@ from cmclab import (
     gradient,
     hessian,
     inner,
+    inverse_metric,
     kasner_initial_data,
     load_state,
     perturb,
+    raise_first_index,
     ricci,
     save_state,
     sym_to_matrix,
@@ -84,30 +86,33 @@ def _scale(want):
 
 def test_christoffels_match_brute_off_cube(grid, rng):
     g = random_metric(grid, rng)
-    got = christoffels(g).coefficients
+    got = orc.gamma_to_full(christoffels(g))
     want = orc.brute_christoffels(orc.sym_to_mat(g.values), grid.spacings)
     assert np.max(np.abs(got - want)) < 1e-12 * _scale(want)
 
 
 def test_connection_coefficients_layout_off_cube(grid, rng):
-    gam = christoffels(random_metric(grid, rng)).coefficients
-    assert gam.shape == grid.shape + (3, 3, 3)
-    assert not gam.flags.writeable
-    assert np.array_equal(gam, np.swapaxes(gam, -1, -2))
+    # Gamma is one read-only C-contiguous block of planes, the Metric's own
+    g = as_metric(random_metric(grid, rng))
+    gam = christoffels(g)
+    assert gam.shape == (3, 6) + grid.shape
+    assert gam.flags.c_contiguous and not gam.flags.writeable
+    assert g.gamma is g.gamma and np.array_equal(g.gamma, gam)
 
 
 def test_plane_kernels_match_brute_off_cube(grid, rng):
     g = random_metric(grid, rng)
     gamma = christoffels(g)
     brute_gamma = orc.brute_christoffels(orc.sym_to_mat(g.values), grid.spacings)
-    # planes[a, slot(b, c)] is the contiguous plane Gamma^a_bc, in the oracle's pair order
-    assert gamma.planes.shape == (3, 6) + grid.shape
+    # gamma[a, slot(b, c)] is the contiguous plane Gamma^a_bc, in the oracle's pair order
+    assert gamma.shape == (3, 6) + grid.shape
     for a in range(3):
         for slot, (b, c) in enumerate(orc.SYM_PAIRS):
             want = brute_gamma[..., a, b, c]
-            assert gamma.planes[a, slot].flags.c_contiguous
-            assert np.max(np.abs(gamma.planes[a, slot] - want)) < PLANE_BOUND * _scale(brute_gamma)
-    assert np.max(np.abs(gamma.coefficients - brute_gamma)) < PLANE_BOUND * _scale(brute_gamma)
+            assert gamma[a, slot].flags.c_contiguous
+            assert np.max(np.abs(gamma[a, slot] - want)) < PLANE_BOUND * _scale(brute_gamma)
+    assert (np.max(np.abs(orc.gamma_to_full(gamma) - brute_gamma))
+            < PLANE_BOUND * _scale(brute_gamma))
 
     want = orc.brute_ricci(orc.sym_to_mat(g.values), grid.spacings)
     got = orc.sym_to_mat(ricci(g).values)
@@ -115,12 +120,12 @@ def test_plane_kernels_match_brute_off_cube(grid, rng):
 
     f = ScalarField(grid, rng.standard_normal(grid.shape))
     want = orc.brute_hessian(f.values, brute_gamma, grid.spacings)
-    got = orc.sym_to_mat(hessian(f, gamma).values)
+    got = orc.sym_to_mat(hessian(f, g).values)
     assert np.max(np.abs(got - want)) < PLANE_BOUND * _scale(want)
 
     a = SymTensorField(grid, rng.standard_normal(grid.shape + (6,)))
     want = orc.brute_cov_deriv(orc.sym_to_mat(a.values), brute_gamma, grid.spacings)
-    got = covariant_derivative_sym(a, gamma)
+    got = covariant_derivative_sym(a, g)
     assert np.max(np.abs(got - want)) < PLANE_BOUND * _scale(want)
 
 
@@ -134,9 +139,9 @@ def test_ricci_matches_brute_off_cube(grid, rng):
 def test_covariant_derivative_matches_brute_off_cube(grid, rng):
     g = random_metric(grid, rng)
     a = SymTensorField(grid, rng.standard_normal(grid.shape + (6,)))
-    gamma = christoffels(g)
-    got = covariant_derivative_sym(a, gamma)
-    want = orc.brute_cov_deriv(orc.sym_to_mat(a.values), gamma.coefficients, grid.spacings)
+    got = covariant_derivative_sym(a, g)
+    want = orc.brute_cov_deriv(orc.sym_to_mat(a.values), orc.gamma_to_full(christoffels(g)),
+                               grid.spacings)
     assert np.max(np.abs(got - want)) < 1e-12 * _scale(want)
 
 
@@ -181,7 +186,7 @@ def test_metric_and_second_form_planes_match_brute_off_cube(grid, rng):
     for slot, (i, j) in enumerate(orc.SYM_PAIRS):
         assert g._inv_planes[slot].flags.c_contiguous
         assert np.max(np.abs(g._inv_planes[slot] - inv[..., i, j])) < PLANE_BOUND * _scale(inv)
-    _close(g.inv, inv)
+    _close(inverse_metric(g), inv)
     # g^-1 A as 9 contiguous planes indexed [a, b]
     mixed = orc.brute_mixed(am, inv)
     assert a._mixed_planes.shape == (3, 3) + grid.shape
@@ -190,7 +195,7 @@ def test_metric_and_second_form_planes_match_brute_off_cube(grid, rng):
             assert a._mixed_planes[i, j].flags.c_contiguous
             assert (np.max(np.abs(a._mixed_planes[i, j] - mixed[..., i, j]))
                     < PLANE_BOUND * _scale(mixed))
-    _close(a.mixed, mixed)
+    _close(raise_first_index(a, g), mixed)
     _close(a.trace, orc.brute_trace(am, inv))
     _close(a.norm_sq, orc.brute_inner(am, am, inv))
     _close(orc.sym_to_mat(a.squared), orc.brute_squared(am, inv))
@@ -223,18 +228,19 @@ def test_nabla_planes_curl_and_divergence_match_brute_off_cube(grid, rng):
             assert a._nabla_planes[t, slot].flags.c_contiguous
             assert (np.max(np.abs(a._nabla_planes[t, slot] - cov[..., t, s, b]))
                     < PLANE_BOUND * _scale(cov))
-    _close(a.nabla, cov)
+    _close(covariant_derivative_sym(a, g), cov)
     _close(orc.sym_to_mat(curl(a, g).values), orc.brute_curl(am, gm, grid.spacings))
     _close(divergence(a, g).values, orc.brute_divergence(am, gm, grid.spacings))
 
 
 def test_no_kernel_reads_a_3x3_expansion(monkeypatch):
-    def refuse(self):
-        raise AssertionError(f"a kernel read {type(self).__name__}'s (..., 3, 3) expansion")
+    for name in ("inverse_metric", "raise_first_index", "covariant_derivative_sym"):
+        def refuse(*args, _name=name):
+            raise AssertionError(f"a kernel called {_name}, a (..., 3, 3) expansion")
 
-    for cls, name in ((Metric, "inv"), (SecondForm, "mixed"), (SecondForm, "nabla"),
-                      (Connection, "coefficients")):
-        monkeypatch.setattr(cls, name, property(refuse))
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("cmclab") and hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     state, _ = perturb(warped_kasner_state(AXIAL, -1.0, GridSpec.cubic(12)), 1e-3, seed=11)
     stepped = time_step(state, 1e-3, trace_correction=True)
     DiagnosticsCollector().add(stepped)
@@ -264,7 +270,7 @@ def test_step_and_record_results_are_component_major(perturbed16):
     dg, dk = evolution_rhs(g, K, stepped.N)
     results = {
         "state.g": stepped.g.values, "state.K": stepped.K.values, "Ric": g.ricci.values,
-        "K.squared": K.squared, "hessian": hessian(stepped.N, g.gamma).values,
+        "K.squared": K.squared, "hessian": hessian(stepped.N, g).values,
         "electric_weyl": E.values, "curl": curl(K, g).values, "cross": cross(E, K, g).values,
         "wedge": wedge(E, K, g).values, "divergence": divergence(K, g).values,
         "gradient": gradient(stepped.N).values, "d/dt g": dg, "d/dt K": dk,

@@ -435,17 +435,15 @@ def test_second_form_caches_read_only_quantities(grid8, rng):
     assert as_second_form(k, SymTensorField(grid8, g.values)).metric is not g
     assert k._mixed_planes is k._mixed_planes and k.trace is k.trace
     assert k.norm_sq is k.norm_sq and k._nabla_planes is k._nabla_planes
-    assert np.array_equal(k.mixed, raise_first_index(K, g.inv))
     assert np.array_equal(k.trace, trace(K, g).values)
     assert np.array_equal(k.norm_sq, norm_sq(K, g).values)
-    assert np.array_equal(k.nabla, covariant_derivative_sym(K, g.gamma))
     assert k.squared is k.squared
     # (K g^-1 K)_ab = (g^-1 K)^c_a K_cb on the stored pairs, summed over c in order
-    km = sym_to_matrix(K.values)
-    full = sum(k.mixed[..., c, :, None] * km[..., c, None, :] for c in range(3))
+    km, mixed = sym_to_matrix(K.values), raise_first_index(k, g)
+    full = sum(mixed[..., c, :, None] * km[..., c, None, :] for c in range(3))
     assert np.array_equal(k.squared, np.stack([full[..., a, b] for a, b in SYM_PAIRS], axis=-1))
-    for array in (k.mixed, k.trace, k.norm_sq, k.squared, k.nabla, k._mixed_planes,
-                  k._nabla_planes):
+    for array in (mixed, k.trace, k.norm_sq, k.squared, covariant_derivative_sym(k, g),
+                  k._mixed_planes, k._nabla_planes):
         with pytest.raises(ValueError):
             array[...] = 0.0
 
@@ -458,6 +456,29 @@ def test_second_form_rejects_a_metric_on_another_grid(grid8):
         SecondForm(grid8, K.values, Metric.identity(GridSpec((8, 8, 9))))
 
 
+def test_hessian_and_expansions_take_the_metric(grid8, rng):
+    g = random_metric(grid8, rng)
+    m = Metric(grid8, g.values)
+    K = SymTensorField(grid8, rng.standard_normal(grid8.shape + (6,)))
+    f = ScalarField(grid8, rng.standard_normal(grid8.shape))
+    # a plain g and a Metric over the same values give the same bits
+    assert np.array_equal(hessian(f, g).values, hessian(f, m).values)
+    assert np.array_equal(covariant_derivative_sym(K, g), covariant_derivative_sym(K, m))
+    assert np.array_equal(raise_first_index(K, g), raise_first_index(K, m))
+    # a SecondForm whose planes are derived is read, not raised or differentiated again
+    k = as_second_form(K, m)
+    k._mixed_planes, k._nabla_planes
+    with counting(*K_DERIVED, "christoffels") as calls:
+        read = (hessian(f, m).values, covariant_derivative_sym(k, m), raise_first_index(k, m))
+    assert [len(calls[name]) for name in (*K_DERIVED, "christoffels")] == [0, 0, 0]
+    assert all(np.array_equal(got, want) for got, want in zip(read, (
+        hessian(f, g).values, covariant_derivative_sym(K, g), raise_first_index(K, g))))
+    other = Metric.identity(GridSpec.cubic(8, 2.0))  # same shape, twice the period
+    for call in (hessian, covariant_derivative_sym, raise_first_index):
+        with pytest.raises(ValueError, match="share one grid"):
+            call(f if call is hessian else K, other)
+
+
 _WIDE = ScalarField.constant(GridSpec.cubic(16, 2.0), 1.0)  # same shape, twice the period
 _COARSE = ScalarField.constant(GridSpec.cubic(8), 1.0)
 _CROSS_GRID = {
@@ -467,7 +488,7 @@ _CROSS_GRID = {
     "solve_lapse_rhs": lambda s: solve_lapse(s.g, s.K, rhs=_COARSE),
     "solve_lapse_initial_guess": lambda s: solve_lapse(s.g, s.K, initial_guess=_COARSE),
     "evolution_rhs": lambda s: evolution_rhs(s.g, s.K, _COARSE),
-    "hessian": lambda s: hessian(_WIDE, as_metric(s.g).gamma),
+    "hessian": lambda s: hessian(_WIDE, s.g),
 }
 
 
@@ -485,12 +506,12 @@ def test_metric_caches_read_only_quantities(grid8, rng):
     assert np.array_equal(m.det, metric_determinant(g))
     assert np.array_equal(m.sqrt_det, np.sqrt(metric_determinant(g)))
     assert m._inv_planes is m._inv_planes
-    assert np.array_equal(m.inv, inverse_metric(g)) and np.array_equal(inverse_metric(m), m.inv)
+    assert np.array_equal(inverse_metric(m), inverse_metric(g))
     assert m.gamma is m.gamma
-    assert np.array_equal(m.gamma.coefficients, christoffels(g).coefficients)
+    assert np.array_equal(m.gamma, christoffels(g))
     assert m.ricci is m.ricci
     assert np.array_equal(m.ricci.values, ricci(g).values)
-    for array in (m.det, m.sqrt_det, m._inv_planes, m.inv, m.gamma.coefficients,
+    for array in (m.det, m.sqrt_det, m._inv_planes, inverse_metric(m), m.gamma,
                   m.ricci.values):
         with pytest.raises(ValueError):
             array[...] = 0.0

@@ -30,14 +30,16 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               field's own block where values is a view of
                               one, else a copy made untimed (diff_array_s)
     ricci(m)                  m a Metric whose g^-1 and Gamma are derived
-    covariant_derivative_sym(K, m.gamma)
-                              m a Metric whose Gamma is derived, K a plain
-                              field (nabla_k_s)
+    nabla K                   the (3, 6, n, n, n) block _nabla_planes of a
+                              fresh SecondForm of K over a Metric whose
+                              Gamma is derived (nabla_k_s)
     evolution_rhs(g, K, N)    g a fresh Metric, so Gamma and Ric are included,
                               as in one RK4 stage
     electric_weyl(m, K)       m a Metric whose Ric is derived, K a plain field,
                               so g^-1 K, tr K and K g^-1 K are included
-    hessian(N, m.gamma)       m a Metric whose Gamma is derived
+    hessian(N, m)             m a Metric whose Gamma is derived; a source
+                              whose hessian takes the connection (its
+                              second parameter named gamma) gets m.gamma
     solve_lapse(g, K)         g a fresh Metric, cold start; the CG iteration
                               count is kept beside the time
     solve_lapse(g1, K1, initial_guess=N)
@@ -107,9 +109,13 @@ BLAS and OpenMP pools are pinned to one thread.  Every number goes under
 runs[NAME] of the output file, which keeps the runs of other labels, as
 its quartiles [p25, p50, p75] over the rounds.  When one invocation runs
 both a "parent" and a "change", "change_over_parent" holds the quartiles
-of the per-round ratios change / parent of each time and memory figure:
-a ratio whose quartiles all lie on one side of 1 is a change the host's
-drift does not explain.  Compare only runs made on one host.
+of the per-round ratios change / parent of each time and memory figure.
+Alternating the rounds does not cancel the host's drift: rows whose code
+path a change leaves untouched have read ratio quartiles all on one side
+of 1, as far out as [1.24, 1.26, 1.31] (br_energy_flux_s at 16^3), and
+two sources running bitwise the same arithmetic have read medians from
+0.75 to 1.19.  So a ratio shows a change only beyond the spread of the
+untouched rows of the same file and size.  Compare only runs made on one host.
 """
 
 import os
@@ -120,6 +126,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import gc  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
 import platform  # noqa: E402
@@ -281,10 +288,13 @@ def measure(cmclab, n):
     out["diff_array_s"], _ = best_of(lambda: [diff_array(block, t + 1, h)
                                               for t, h in enumerate(grid.spacings)])
     out["ricci_s"], _ = best_of(lambda: cmclab.ricci(with_gamma))
-    out["nabla_k_s"], _ = best_of(lambda: cmclab.covariant_derivative_sym(K, with_gamma.gamma))
+    out["nabla_k_s"], _ = best_of(lambda k: k._nabla_planes,
+                                  setup=lambda: cmclab.SecondForm(grid, K.values, with_gamma))
     out["evolution_rhs_s"], _ = best_of(lambda: cmclab.evolution_rhs(fresh(), K, N))
     out["electric_weyl_s"], _ = best_of(lambda: cmclab.electric_weyl(with_ricci, K))
-    out["hessian_s"], _ = best_of(lambda: cmclab.hessian(N, with_gamma.gamma))
+    takes_gamma = "gamma" in inspect.signature(cmclab.hessian).parameters
+    hessian_arg = with_gamma.gamma if takes_gamma else with_gamma
+    out["hessian_s"], _ = best_of(lambda: cmclab.hessian(N, hessian_arg))
     out["solve_lapse_s"], (_, report) = best_of(lambda: cmclab.solve_lapse(fresh(), K))
     out["solve_lapse_cg_iterations"] = report.iterations
     moved = stepped()
