@@ -13,11 +13,16 @@ The discretization keeps the Laplacian in divergence form,
 
     Delta N = (1/sqrt(g)) d_a ( sqrt(g) g^{ab} d_b N ),
 
-and multiplies the equation through by sqrt(g).  Because the centered
-periodic difference operators are exactly skew-symmetric, the resulting
-system matrix is symmetric positive definite in the plain grid inner
-product, so preconditioned conjugate gradients apply with the usual
-monotone energy-error guarantee.
+and multiplies the equation through by sqrt(g).  Each first derivative
+d_a is the product with grid's periodic difference matrix D_a
+(grid._diff_matrix), whose entry at i + k is the exact negative of the
+one at i - k, so D_a = -D_a^T holds exactly in the entries the products
+read.  The system matrix w + sum_ab D_a^T c^ab D_b is therefore
+symmetric, and positive definite in the plain grid inner product, since
+c^ab is positive definite at every point and w > 0.  The shift by a
+plane's first value before each product leaves the operator as it is,
+since D's rows sum to 0.  So preconditioned conjugate gradients apply
+with the usual monotone energy-error guarantee.
 
 The preconditioner is the exact inverse of the same discrete operator
 with constant coefficients: the grid means c^ab of sqrt(g) g^ab and w of
@@ -40,21 +45,22 @@ Each solve builds one operator workspace and allocates nothing per
 iteration but the preconditioner's FFT output.  One block holds six
 contiguous planes of sqrt(g) g^ab, each sqrt(g) times the Metric's plane
 of g^-1 on that stored pair (g^-1 is symmetric, so the other three are
-not kept), the partials dN, the flux, a temporary, a padded copy per axis
-for the stencil, and the CG vectors b, r, p, Ap and a scratch plane.  The
-stencil, diff_array's own kernel (grid._stencil) on each scalar plane
-whole, writes into those buffers through views taken once per solve,
-each flux is accumulated term by term in place, and the CG updates (x +=
-alpha p, r -= alpha Ap, p = beta p + z) and the products fed to np.sum
-and np.linalg.norm go through the scratch plane, so every iterate is
-bitwise that of the plain formulas; the reductions stay np.sum and
-norm, since a BLAS dot sums in another order.  Only the returned lapse
-lies outside the block.  The preconditioner's c^ab is the mean of each
-contiguous coefficient plane.  A mean over a (..., 3, 3) array would sum
-in another order and differ by a few 1e-15; that moves every CG iterate
-at the same level, far below the solve tolerance, and leaves the
-iteration counts unchanged, since the preconditioner only has to be
-symmetric positive definite and close to the operator.
+not kept), the partials dN, the flux, a work plane, and the CG vectors
+b, r, p, Ap and a scratch plane.  Each derivative is diff_array's own
+kernel (grid._diff) on one scalar plane, through the work plane: dN goes
+into its planes, and the flux's derivative over the flux itself, whose
+copy the work plane holds.  Each flux is accumulated term by term in
+place, and the CG updates (x += alpha p, r -= alpha Ap, p = beta p + z)
+and the products fed to np.sum and np.linalg.norm go through the scratch
+plane, so every iterate is bitwise that of the plain formulas; the
+reductions stay np.sum and norm, since a BLAS dot sums in another order.
+Only the returned lapse lies outside the block.  The preconditioner's
+c^ab is the mean of each contiguous coefficient plane.  A mean over a
+(..., 3, 3) array would sum in another order and differ by a few 1e-15;
+that moves every CG iterate at the same level, far below the solve
+tolerance, and leaves the iteration counts unchanged, since the
+preconditioner only has to be symmetric positive definite and close to
+the operator.
 
 CG starts from a Ritz-scaled guess.  The initial A x0 gives, for two dot
 products, c = (x0 . b) / (x0 . A x0), which minimises the A-norm error
@@ -84,8 +90,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundViolation, DegenerateZeroOrderTerm, SolverDiverged
-from .grid import (ScalarField, SymTensorField, _shared_grid, _stencil, _stencil_views,
-                   as_metric, as_second_form, sup_norm, sym_index)
+from .grid import (ScalarField, SymTensorField, _diff, _shared_grid, as_metric, as_second_form,
+                   sup_norm, sym_index)
 
 __all__ = [
     "EllipticSolveReport",
@@ -119,45 +125,36 @@ class _Operator:
     c^ab = scale g^ab, scale = sqrt(g), is kept as six contiguous planes,
     each the product of scale with the plane of g^-1 on that stored pair
     (SYM_PAIRS order), and w = sqrt(g)|K|^2 by reference.  The planes, the
-    partials dN, the flux, a temporary, one padded copy per axis and
-    `spare` further planes for the caller share one workspace block.  Each
-    term is formed in the order of the plain formula, so results are
-    bitwise those of diff_array and a freshly allocated sum.
+    partials dN, the flux, a work plane and `spare` further planes for the
+    caller share one workspace block.  Each derivative is diff_array's
+    kernel (grid._diff) through the work plane and each term is formed in
+    the order of the plain formula, so results are bitwise those of
+    diff_array and a freshly allocated sum.
     """
 
     def __init__(self, scale, inv_planes, weight_v: np.ndarray, spacings, spare: int = 0):
-        shape = weight_v.shape
-        size = weight_v.size
-        padded_shapes = [shape[:a] + (shape[a] + 4,) + shape[a + 1:] for a in range(3)]
-        sizes = [(11 + spare) * size] + [int(np.prod(s)) for s in padded_shapes]
-        block = np.empty(sum(sizes))
-        planes = block[:sizes[0]].reshape((11 + spare,) + shape)
+        planes = np.empty((11 + spare,) + weight_v.shape)
         self.coeff = planes[:6]
         for slot in range(6):
             np.multiply(scale, inv_planes[slot], out=self.coeff[slot])
         self.dn, self.flux, self.tmp = tuple(planes[6:9]), planes[9], planes[10]
         self.spare = planes[11:]
         self.weight = weight_v
-        self.axes = []  # per axis, the padded copy with its views, and 12h
-        offset = sizes[0]
-        for a, (padded_shape, padded_size) in enumerate(zip(padded_shapes, sizes[1:])):
-            padded = block[offset:offset + padded_size].reshape(padded_shape)
-            offset += padded_size
-            self.axes.append((_stencil_views(padded, a), 12.0 * spacings[a]))
+        self.spacings = spacings
         # the planes c^a0, c^a1, c^a2 of each flux row a
         self.rows = [[self.coeff[sym_index(a, b)] for b in range(3)] for a in range(3)]
 
     def apply(self, n_vals: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(self.weight, n_vals, out=out)
         flux, tmp = self.flux, self.tmp
-        for b, (views, scale) in enumerate(self.axes):
-            _stencil(n_vals, b, views, self.dn[b], tmp, scale)
-        for a, (row, (views, scale)) in enumerate(zip(self.rows, self.axes)):
+        for b, h in enumerate(self.spacings):
+            _diff(n_vals, b, h, self.dn[b], tmp)
+        for a, (row, h) in enumerate(zip(self.rows, self.spacings)):
             np.multiply(row[0], self.dn[0], out=flux)
             flux += np.multiply(row[1], self.dn[1], out=tmp)
             flux += np.multiply(row[2], self.dn[2], out=tmp)
-            # the padded copy holds flux, so its derivative may overwrite it
-            out -= _stencil(flux, a, views, flux, tmp, scale)
+            # the work plane holds flux, so its derivative may overwrite it
+            out -= _diff(flux, a, h, flux, tmp)
         return out
 
 

@@ -60,6 +60,42 @@ def diff4(values, axis, spacing):
     return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * spacing)
 
 
+def gamma_n(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53 the unit roundoff of float64."""
+    u = 2.0**-53
+    return n * u / (1.0 - n * u)
+
+
+def diff4_rounding_bound(values, axis, spacing):
+    """Pointwise bound on |P - diff4(values)|, P any product of the difference matrix with values.
+
+    Let E = sum_k w_k f_k be the exact stencil, with weights w = +-8/12h
+    at offsets +-1 and -+1/12h at +-2, and A = sum_k |w_k| |f_k|.
+
+    diff4 rounds each difference, their combination, 12h and the
+    division once, so every term carries at most 4 roundings:
+    |diff4 - E| <= gamma_4 A (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed. 2002, Lemma 3.1).
+
+    P first subtracts a constant c taken from the array (so |c| <= M =
+    max |values|) from every sample, one rounding each, and then forms
+    the dot product of a row of D with them.  D's entries are 8/12h and
+    1/12h rounded twice (12h, then the division), and its row sums to 0
+    exactly, so the shift leaves the exact sum at E.  Products with D's
+    zero entries, and sums with them, are exact, so the four nonzero
+    terms carry at most 4 roundings in any summation order (Higham
+    section 3.1): 1 + 2 + 4 = 7 in all, |P - E| <= gamma_7 sum_k |w_k|
+    (|f_k| + M) = gamma_7 (A + 1.5 M / h).
+
+    Forming this bound in floating point takes at most 8 roundings on
+    any path, so it is divided by 1 - gamma_8 to stay an upper bound.
+    """
+    mags = [np.abs(np.roll(values, shift, axis=axis)) for shift in (-1, 1, -2, 2)]
+    weighted = (8.0 * (mags[0] + mags[1]) + (mags[2] + mags[3])) / (12.0 * spacing)
+    spread = 1.5 * np.max(np.abs(values)) / spacing
+    return ((gamma_n(4) + gamma_n(7)) * weighted + gamma_n(7) * spread) / (1.0 - gamma_n(8))
+
+
 # -- brute-force algebra -----------------------------------------------------
 
 

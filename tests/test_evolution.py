@@ -1,5 +1,9 @@
 """Initial data, RK4 stepping, CMC drift policy, blowup rescaling."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -81,6 +85,39 @@ def test_perturb_is_deterministic_and_trace_preserving(grid8):
     assert np.max(np.abs(trace(s1.K, s1.g).values - s1.t)) < 1e-13
     s3, _ = perturb(base, 1e-3, seed=43)
     assert not np.array_equal(s1.g.values, s3.g.values)
+
+
+# One perturbed step and its record; prints the sha256 of the record text and of g, K and N.
+_STEP_DIGEST = """
+import hashlib, io
+import numpy as np
+from cmclab import (AXIAL, DiagnosticsCollector, GridSpec, emit_records, perturb, time_step,
+                    warped_kasner_state)
+state, _ = perturb(warped_kasner_state(AXIAL, -1.0, GridSpec.cubic(24), 0.02), 1e-4, 7)
+state = time_step(state, 1e-3, trace_correction=True)
+collector = DiagnosticsCollector()
+collector.add(state)
+text = io.StringIO()
+emit_records(collector.records, text)
+digest = hashlib.sha256(text.getvalue().encode())
+for values in (state.g.values, state.K.values, state.N.values):
+    digest.update(np.ascontiguousarray(values).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_step_and_record_are_bitwise_across_blas_thread_counts():
+    # Every derivative is a BLAS product.  OpenBLAS splits a product among
+    # its threads only above m n k = 262144, which the first- and last-axis
+    # products of a 24^3 plane pass (24 * 576 * 24) and those of 16^3 do not.
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _STEP_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_perturb_amplitude_zero_is_identity(grid8):

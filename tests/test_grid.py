@@ -22,7 +22,7 @@ from cmclab import (
     sym_to_matrix,
 )
 from cmclab.checks import random_metric
-from cmclab.grid import MIN_POINTS_PER_AXIS, SYM_PAIRS, diff_array
+from cmclab.grid import MIN_POINTS_PER_AXIS, SYM_PAIRS, _diff_matrix, diff_array
 
 
 def test_sym_index_matches_pair_table():
@@ -191,10 +191,27 @@ def test_diff_array_is_fourth_order():
 
 
 def test_diff_array_agrees_with_local_stencil(grid8, rng):
+    """diff_array is the stencil up to rounding: D's product and the stencil's own formula
+    round differently, so they agree within orc.diff4_rounding_bound, not bitwise."""
     f = rng.standard_normal(grid8.shape)
     for axis in range(3):
         h = grid8.spacings[axis]
-        assert np.array_equal(diff_array(f, axis, h), orc.diff4(f, axis, h))
+        error = np.abs(diff_array(f, axis, h) - orc.diff4(f, axis, h))
+        assert np.all(error <= orc.diff4_rounding_bound(f, axis, h))
+
+
+@pytest.mark.parametrize("n, spacing", [(8, 0.125), (12, 2.0 / 12), (33, 0.03)],
+                         ids=["8", "12", "33"])
+def test_difference_matrix_is_cached_read_only_and_skew(n, spacing):
+    d = _diff_matrix(n, spacing)
+    assert _diff_matrix(n, spacing) is d
+    assert not d.flags.writeable
+    assert np.array_equal(d + d.T, np.zeros((n, n)))
+    rows, scale = np.arange(n), 12.0 * spacing
+    want = np.zeros((n, n))
+    for offset, weight in ((1, 8.0), (-1, -8.0), (2, -1.0), (-2, 1.0)):
+        want[rows, (rows + offset) % n] = weight / scale
+    assert np.array_equal(d, want)
 
 
 def test_partial_derivative_constant_is_zero(grid8):

@@ -147,24 +147,25 @@ def test_covariant_derivative_matches_brute_off_cube(grid, rng):
 
 @pytest.mark.parametrize("comps", [(), (6,), (3, 3)], ids=["scalar", "sym6", "matrix"])
 def test_diff_array_matches_local_stencil_off_cube(grid, rng, comps):
+    """Along each axis, with trailing components, within orc.diff4_rounding_bound of diff4."""
     values = rng.standard_normal(grid.shape + comps)
     for axis in range(3):
         h = grid.spacings[axis]
-        assert np.array_equal(diff_array(values, axis, h), orc.diff4(values, axis, h))
+        error = np.abs(diff_array(values, axis, h) - orc.diff4(values, axis, h))
+        assert np.all(error <= orc.diff4_rounding_bound(values, axis, h))
 
 
 @pytest.mark.parametrize("lead, shape", [((6,), (32, 32, 32)), ((3, 6), (32, 32, 32)),
                                          ((3,), (24, 24, 24)), ((6,), (40, 32, 24))],
                          ids=["6x32", "3x6x32", "3x24", "6x40x32x24"])
-def test_chunked_diff_array_is_the_stencil_plane_by_plane(lead, shape, rng):
-    # A 32^3 plane (256 KiB) is a chunk of its own; 24^3 planes go two to a
-    # chunk, so the last of three is a partial chunk
+def test_block_derivative_is_bitwise_each_plane_alone(lead, shape, rng):
+    # every plane of a block runs the same kernel on the same sizes
     grid = GridSpec(shape)
     values = rng.standard_normal(lead + shape)
     for t, h in enumerate(grid.spacings):
         got = diff_array(values, len(lead) + t, h)
         for index in np.ndindex(*lead):
-            assert np.array_equal(got[index], orc.diff4(values[index], t, h))
+            assert np.array_equal(got[index], diff_array(values[index], t, h))
 
 
 def _close(got, want):

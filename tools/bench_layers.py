@@ -28,7 +28,10 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               (6, n, n, n) block grid._planes(g.values)
                               that christoffels differentiates: the
                               field's own block where values is a view of
-                              one, else a copy made untimed (diff_array_s)
+                              one, else a copy made untimed (diff_array_s);
+                              also at 48^3 and 64^3, on the block of
+                              warped_kasner_state(AXIAL, -1, grid, 0.02)'s
+                              g, with nothing else timed at those sizes
     ricci(m)                  m a Metric whose g^-1 and Gamma are derived
     nabla K                   the (3, 6, n, n, n) block _nabla_planes of a
                               fresh SecondForm of K over a Metric whose
@@ -137,6 +140,7 @@ import tracemalloc  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (16, 32)
+DIFF_SIZES = (48, 64)  # sizes at which only diff_array_s is timed
 REPEATS = 5
 ROUNDS = 5
 
@@ -283,10 +287,7 @@ def measure(cmclab, n):
     out["second_form_s"], _ = best_of(lambda k: (k.trace, k.norm_sq, k.squared),
                                       setup=lambda: cmclab.SecondForm(grid, K.values, with_inv))
     out["christoffels_s"], _ = best_of(lambda: cmclab.christoffels(with_inv))
-    grid_module = sys.modules["cmclab.grid"]
-    block, diff_array = grid_module._planes(g.values), grid_module.diff_array
-    out["diff_array_s"], _ = best_of(lambda: [diff_array(block, t + 1, h)
-                                              for t, h in enumerate(grid.spacings)])
+    out["diff_array_s"] = diff_array_s(g)
     out["ricci_s"], _ = best_of(lambda: cmclab.ricci(with_gamma))
     out["nabla_k_s"], _ = best_of(lambda k: k._nabla_planes,
                                   setup=lambda: cmclab.SecondForm(grid, K.values, with_gamma))
@@ -324,6 +325,15 @@ def measure(cmclab, n):
     return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in out.items()}
 
 
+def diff_array_s(g):
+    """Best time of diff_array along each grid axis of the (6, n, n, n) block of g."""
+    grid_module = sys.modules["cmclab.grid"]
+    block, diff_array = grid_module._planes(g.values), grid_module.diff_array
+    time_s, _ = best_of(lambda: [diff_array(block, t + 1, h)
+                                 for t, h in enumerate(g.grid.spacings)])
+    return round(time_s, 6)
+
+
 def run_round(src):
     """One round of measure() at each size, for the cmclab under src, in this process."""
     sys.path.insert(0, os.path.abspath(src))
@@ -332,8 +342,11 @@ def run_round(src):
 
     import cmclab
 
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "sizes": {str(n): measure(cmclab, n) for n in SIZES}}
+    sizes = {str(n): measure(cmclab, n) for n in SIZES}
+    for n in DIFF_SIZES:
+        warped = cmclab.warped_kasner_state(cmclab.AXIAL, -1.0, cmclab.GridSpec.cubic(n), 0.02)
+        sizes[str(n)] = {"diff_array_s": diff_array_s(warped.g)}
+    return {"python": platform.python_version(), "numpy": np.__version__, "sizes": sizes}
 
 
 def quartiles(values, digits=6):
@@ -383,8 +396,9 @@ def main(argv=None):
         "preconditioner where the source builds it only for a CG iteration), "
         "metric_build_s a fresh Metric of the stepped slice with its check, det g and g^-1, "
         "metric_inverse_s a fresh Metric's g^-1 and second_form_s g^-1 K, tr K, |K|^2 and "
-        "K g^-1 K of a fresh SecondForm, diff_array_s the stencil of the (6, n, n, n) "
-        "block of g (grid._planes) along each grid axis, and time_step_solves and "
+        "K g^-1 K of a fresh SecondForm, diff_array_s the derivative of the (6, n, n, n) "
+        "block of g (grid._planes) along each grid axis, the one row also kept at 48^3 and "
+        "64^3 (on warped_kasner_state's g), and time_step_solves and "
         "time_step_cg_iterations the number of one time_step's lapse solves and their CG "
         "iterations; the rounds alternate the sources of one "
         "invocation, each in a new process, and change_over_parent holds the quartiles of "
