@@ -1,10 +1,11 @@
 """Flat key = value run configuration with strict validation.
 
-One key per line, `#` starts a comment, unknown and duplicate keys are
-rejected with the offending line number.  Validation failures name the
-violated invariant.  serialize_config emits a file that parses back to an
-equal RunConfig (floats via repr, hence bitwise), and raises
-ValidationError for a string value no config line can carry.
+One key per line, each the name of a RunConfig field; `#` starts a
+comment; unknown and duplicate keys are rejected with the offending line
+number.  Validation failures name the violated invariant.
+serialize_config emits a file that parses back to an equal RunConfig
+(floats via repr, hence bitwise), and raises ValidationError for a string
+value no config line can carry.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ COMMANDS = ("verify", "evolve", "oracle", "rescale-test")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters for one CLI run.
+    """Validated parameters for one CLI run; each config key is a field's name.
 
     dt fixes the step size directly; when dt is absent the step is chosen
     per slice from the cfl fraction.  times is the slice list for the
-    oracle command (empty means t0 and t_end).
+    oracle command (empty means t0 and t_end).  Every field is read by
+    some command.  There is no continuation threshold lambda: evolve only
+    writes the records, and continuation_monitor checks them against its
+    MonitorConfig.lambda_threshold.
     """
 
     command: str
@@ -40,7 +44,6 @@ class RunConfig:
     cfl: float = 0.25
     perturb_amplitude: float = 0.0
     seed: int = 0
-    lambda_threshold: float = 10.0
     output_path: str | None = None
     trace_correction: bool = False
     solver_tol: float = 1e-10
@@ -58,9 +61,7 @@ class RunConfig:
             value = getattr(self, f.name)
             items = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-                raise ValidationError(
-                    f"{_FIELD_TO_KEY[f.name]} must be finite, got {value!r}"
-                )
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
         if self.grid_n < MIN_POINTS_PER_AXIS:
             raise ValidationError(
                 f"grid_n must be at least {MIN_POINTS_PER_AXIS}, got {self.grid_n!r}"
@@ -86,10 +87,6 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed!r}")
-        if not self.lambda_threshold > 1.0:
-            raise ValidationError(
-                f"lambda must exceed 1, got {self.lambda_threshold!r}"
-            )
         if not self.solver_tol > 0.0:
             raise ValidationError(
                 f"solver_tol must be positive, got {self.solver_tol!r}"
@@ -100,12 +97,7 @@ class RunConfig:
             raise ValidationError(f"times must all be negative, got {self.times!r}")
 
 
-# config key -> RunConfig field (identical except for the keyword clash)
-_KEY_TO_FIELD = {f.name: f.name for f in fields(RunConfig)}
-_KEY_TO_FIELD["lambda"] = "lambda_threshold"
-del _KEY_TO_FIELD["lambda_threshold"]
-_FIELD_TO_KEY = {field: key for key, field in _KEY_TO_FIELD.items()}
-
+_KEYS = {f.name for f in fields(RunConfig)}
 _TRUE = ("true", "yes", "on", "1")
 _FALSE = ("false", "no", "off", "0")
 
@@ -148,20 +140,19 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"expected key = value, got {raw_line.strip()!r}", line=number)
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _KEY_TO_FIELD:
+        if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line=number)
         if key in assignments:
             raise ParseError(f"duplicate key {key!r}", line=number)
         assignments[key] = _parse_value(key, raw, number)
     if "command" not in assignments:
         raise ParseError("missing required key 'command'")
-    kwargs = {_KEY_TO_FIELD[k]: v for k, v in assignments.items()}
-    if "kasner" in kwargs:
+    if "kasner" in assignments:
         try:
-            kwargs["kasner"] = KasnerParams(*kwargs["kasner"])
+            assignments["kasner"] = KasnerParams(*assignments["kasner"])
         except InvalidKasner as exc:
             raise ValidationError(str(exc)) from exc
-    return RunConfig(**kwargs)
+    return RunConfig(**assignments)
 
 
 def _format_value(field_name: str, value) -> str:
@@ -173,8 +164,6 @@ def _format_value(field_name: str, value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if value is None:
-        return ""
     return str(value)
 
 
@@ -192,12 +181,10 @@ def serialize_config(config: RunConfig) -> str:
     """
     lines = []
     for f in fields(RunConfig):
-        key, value = _FIELD_TO_KEY[f.name], getattr(config, f.name)
-        if value is None and f.name in ("dt", "output_path", "snapshot_path"):
-            continue
-        if f.name == "times" and not value:
+        value = getattr(config, f.name)
+        if value is None or value == ():  # an unset optional: its default
             continue
         if isinstance(value, str) and not _fits_one_line(value):
-            raise ValidationError(f"{key} = {value!r} cannot be written as a config line")
-        lines.append(f"{key} = {_format_value(f.name, value)}")
+            raise ValidationError(f"{f.name} = {value!r} cannot be written as a config line")
+        lines.append(f"{f.name} = {_format_value(f.name, value)}")
     return "\n".join(lines) + "\n"

@@ -53,7 +53,8 @@ and a symmetric field to (..., 3, 3) or (..., 3, 3, 3) arrays on each
 call, for tests, oracles and set-up code; no kernel reads them.
 
 A Metric is a SymTensorField checked positive definite by construction;
-it derives sqrt(det g), g^-1 (from the closed-form cofactors), the
+it computes the cofactors of g and det g once, when it is built, and
+derives sqrt(det g), g^-1 (the cofactors over det g), the
 connection Gamma, Ric and R once each, on first use, and every operation
 takes the metric g, never a quantity derived from it, and reads them
 through as_metric(g).  A SecondForm is a symmetric A over one Metric
@@ -292,41 +293,27 @@ def matrix_to_sym(mat: np.ndarray) -> np.ndarray:
 
 def metric_determinant(g: SymTensorField) -> np.ndarray:
     """Pointwise det(g) from the 6 stored components (closed form)."""
-    v = g.values
-    xx, xy, xz = v[..., 0], v[..., 1], v[..., 2]
-    yy, yz, zz = v[..., 3], v[..., 4], v[..., 5]
-    return (
-        xx * (yy * zz - yz * yz)
-        - xy * (xy * zz - yz * xz)
-        + xz * (xy * yz - yy * xz)
-    )
+    return _cofactors(g.values)[1]
 
 
-def _checked_determinant(g: SymTensorField) -> np.ndarray:
-    """det(g), after checking that g is positive definite at every point.
+def _cofactors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the 6 cofactor planes of g in SYM_PAIRS order, det g) for g's values v.
 
-    Sylvester's criterion: the leading principal minors xx, xx yy - xy^2
-    and det must all be positive.  Raises NonPositiveMetric otherwise.
+    det g is the first-row expansion xx C_xx + xy C_xy + xz C_xz, bitwise
+    the closed form xx (yy zz - yz yz) - xy (xy zz - yz xz) + xz (xy yz -
+    yy xz), whose bracketed differences are C_xx, -C_xy and C_xz exactly.
+    g^-1 is the cofactor planes over det g.
     """
-    det = metric_determinant(g)
-    v = g.values
-    minor2 = v[..., 0] * v[..., 3] - v[..., 1] * v[..., 1]
-    worst = min(float(v[..., 0].min()), float(minor2.min()), float(det.min()))
-    if worst <= 0.0:
-        raise NonPositiveMetric(f"metric leading principal minor has min {worst:.3e} <= 0")
-    return det
-
-
-def _inverse_planes(v: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """g^-1 as 6 contiguous planes in SYM_PAIRS order: the closed-form cofactors of v over det."""
     xx, xy, xz, yy, yz, zz = (v[..., slot] for slot in range(6))
-    inv, tmp = np.empty((6,) + det.shape), np.empty(det.shape)
-    for plane, (p, q, r, s) in zip(inv, ((yy, zz, yz, yz), (xz, yz, xy, zz), (xy, yz, xz, yy),
+    cof, tmp = np.empty((6,) + v.shape[:-1]), np.empty(v.shape[:-1])
+    for plane, (p, q, r, s) in zip(cof, ((yy, zz, yz, yz), (xz, yz, xy, zz), (xy, yz, xz, yy),
                                          (xx, zz, xz, xz), (xy, xz, xx, yz), (xx, yy, xy, xy))):
         np.multiply(p, q, out=plane)  # p q - r s
         plane -= np.multiply(r, s, out=tmp)
-    inv /= det
-    return inv
+    det = np.multiply(xx, cof[0])
+    det += np.multiply(xy, cof[1], out=tmp)
+    det += np.multiply(xz, cof[2], out=tmp)
+    return cof, det
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -350,6 +337,8 @@ def _planes(values: np.ndarray) -> np.ndarray:
 class Metric(SymTensorField):
     """A metric checked positive definite (else NonPositiveMetric), keeping det.
 
+    Its 6 cofactor planes and det g are computed once, when it is built
+    (_cofactors); g^-1 divides those planes by det g in place.
     sqrt_det, g^-1 (as 6 planes in SYM_PAIRS order), gamma (the
     Levi-Civita connection as christoffels' (3, 6, *grid) block), ricci
     (Ric) and scalar_curvature (R = tr Ric) are computed once, on first
@@ -359,7 +348,14 @@ class Metric(SymTensorField):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "det", _frozen(_checked_determinant(self)))
+        # Sylvester's criterion: the leading principal minors xx, xx yy - xy^2
+        # (the zz cofactor) and det g must all be positive
+        cof, det = _cofactors(self.values)
+        worst = min(float(self.values[..., 0].min()), float(cof[5].min()), float(det.min()))
+        if worst <= 0.0:
+            raise NonPositiveMetric(f"metric leading principal minor has min {worst:.3e} <= 0")
+        object.__setattr__(self, "det", _frozen(det))
+        object.__setattr__(self, "_cofactor_planes", cof)
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
@@ -367,7 +363,9 @@ class Metric(SymTensorField):
 
     @cached_property
     def _inv_planes(self) -> np.ndarray:
-        return _frozen(_inverse_planes(self.values, self.det))
+        inv = self.__dict__.pop("_cofactor_planes")  # g^-1 takes the cofactors' block
+        inv /= self.det
+        return _frozen(inv)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -450,14 +448,17 @@ def _diff_matrix(n: int, spacing: float) -> np.ndarray:
 
     Row i holds +-8/(12h) at columns i +- 1 and -+1/(12h) at i +- 2
     (mod n), so D f is the stencil (8(f+1 - f-1) - (f+2 - f-2)) / 12h
-    of the samples f.  The entries at i + k and i - k are exact negatives
-    of each other, so D + D^T == 0 and every row sums to 0 exactly.
+    of the samples f.  The weights are summed into their cells, so on an
+    axis of n <= 4 points, where offsets share a cell (i + 2 = i - 2 at
+    n = 4), D is still the stencil.  The entries at i + k and i - k are
+    exact negatives of each other, so D + D^T == 0 and every row sums to
+    0 exactly.
     """
     rows, scale = np.arange(n), 12.0 * spacing
     d = np.zeros((n, n))
     for offset, weight in ((1, 8.0 / scale), (2, -1.0 / scale)):
-        d[rows, (rows + offset) % n] = weight
-        d[rows, (rows - offset) % n] = -weight
+        d[rows, (rows + offset) % n] += weight
+        d[rows, (rows - offset) % n] -= weight
     return _frozen(d)
 
 

@@ -197,6 +197,9 @@ def solve_lapse(
     slice); and SolverDiverged when the budget 10 * sqrt(num_points) runs
     out above tolerance.  `callback(values)` is invoked with each CG
     iterate, for convergence instrumentation.
+
+    K enters only through |K|^2_g, so with the pure-trace K = sqrt(c/3) g
+    this solves -Delta_g u + c u = rhs for any positive function c.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")

@@ -27,8 +27,13 @@ alive.  Two wider variants were measured and rejected: letting every
 state's first reader lend (a one-entry slot, replaced by the next derived
 state) raised the 32^3 warped diagnostics sweep's peak RSS from 90.6 to
 104.1 MB, since the slot lived on between records; and having time_step
-also lend its own final Metric and SecondForm raised the 32^3 perturbed
-evolution's from 94.6 to 104.0 MB without making it faster.
+also lend its own final Metric and SecondForm, measured again on
+component-major fields with the difference matrix, raised the 32^3
+perturbed evolution's (evolve_perturbed_32, two 20 s runs per side) from
+81.5 and 81.6 to 83.0 and 83.0 MB and the traced memory held after a
+32^3 step from 3.27 to 7.77 MiB, with bitwise the same records and no
+resolved speed-up (in-process step time ratios, median 0.988 and 0.996
+over two runs of 60 alternations).
 """
 
 from __future__ import annotations

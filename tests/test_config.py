@@ -57,7 +57,6 @@ dt = 0.001
 cfl = 0.3
 perturb_amplitude = 1e-4
 seed = 7
-lambda = 5.0
 output_path = out.csv
 trace_correction = true
 solver_tol = 1e-11
@@ -67,7 +66,6 @@ snapshot_path = final.npz
     cfg = parse_config(text)
     assert cfg.kasner.exponents == pytest.approx(GENERIC.exponents)
     assert cfg.dt == 0.001
-    assert cfg.lambda_threshold == 5.0
     assert cfg.output_path == "out.csv"
     assert cfg.trace_correction is True
     assert cfg.cadence == 4
@@ -96,6 +94,14 @@ def test_parse_errors_with_line_numbers():
         parse_config("grid_n = 8\n")  # command missing
 
 
+def test_lambda_is_an_unknown_key():
+    # the continuation threshold belongs to MonitorConfig; no command reads it
+    with pytest.raises(ParseError, match="unknown key 'lambda'") as err:
+        parse_config("command = evolve\nlambda = 5\n")
+    assert err.value.line == 2
+    assert "lambda" not in serialize_config(RunConfig(command="evolve"))
+
+
 def test_bad_flag_value():
     with pytest.raises(ParseError):
         parse_config("command = evolve\ntrace_correction = maybe\n")
@@ -118,7 +124,6 @@ def test_kasner_validation_becomes_validation_error():
     ("cfl", "0.0", "cfl"),
     ("perturb_amplitude", "-1e-4", "nonnegative"),
     ("seed", "-1", "seed"),
-    ("lambda", "1.0", "lambda"),
     ("solver_tol", "0.0", "solver_tol"),
     ("cadence", "0", "cadence"),
     ("times", "-1.0, 0.5", "times"),
@@ -156,7 +161,7 @@ def test_non_finite_values_are_rejected(key, overrides):
 
 def test_serialize_round_trips_bitwise():
     cfg = parse_config(BASIC + "dt = 0.0030000000000000001\nseed = 3\n"
-                       + "kasner = 1.0, 0.0, 0.0\nlambda = 2.5\n")
+                       + "kasner = 1.0, 0.0, 0.0\n")
     assert parse_config(serialize_config(cfg)) == cfg
     # also through a second generation
     text = serialize_config(cfg)
@@ -205,7 +210,6 @@ def _run_configs(draw):
         cfl=draw(_POS),
         perturb_amplitude=draw(st.floats(min_value=0.0, max_value=1.0)),
         seed=draw(st.integers(0, 2**63)),
-        lambda_threshold=draw(st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
         output_path=draw(_PATHS),
         trace_correction=draw(st.booleans()),
         solver_tol=draw(_POS),

@@ -200,6 +200,15 @@ def test_diff_array_agrees_with_local_stencil(grid8, rng):
         assert np.all(error <= orc.diff4_rounding_bound(f, axis, h))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_diff_array_is_the_stencil_on_short_axes(n, rng):
+    """Below 5 points the stencil's offsets share cells (i + 2 = i - 2 at n = 4),
+    whose weights D must sum; diff_array takes any array, not only a field's."""
+    f, h = rng.standard_normal((n, 6, 7)), 1.0 / n
+    error = np.abs(diff_array(f, 0, h) - orc.diff4(f, 0, h))
+    assert np.all(error <= orc.diff4_rounding_bound(f, 0, h))
+
+
 @pytest.mark.parametrize("n, spacing", [(8, 0.125), (12, 2.0 / 12), (33, 0.03)],
                          ids=["8", "12", "33"])
 def test_difference_matrix_is_cached_read_only_and_skew(n, spacing):

@@ -87,6 +87,21 @@ def test_manufactured_problem_converges_at_order_four():
     assert errs[32] < 1e-4
 
 
+@pytest.mark.parametrize("shear", [0.0, 0.3], ids=["pure-trace", "sheared"])
+def test_solve_reads_k_only_through_its_norm(grid16, shear):
+    # hence the pure-trace K = sqrt(c/3) g poses -Delta_g u + c u = f for any c > 0
+    g6, k6, f, _ = orc.manufactured_lapse_problem(grid16)
+    k6 = k6.copy()
+    k6[..., 1] += shear * np.sin(2 * np.pi * grid16.meshes()[2])
+    g, K, rhs = SymTensorField(grid16, g6), SymTensorField(grid16, k6), ScalarField(grid16, f)
+    c = norm_sq(K, g).values
+    pure = SymTensorField(grid16, np.sqrt(c / 3.0)[..., None] * g6)
+    tol = 1e-10
+    N, _ = solve_lapse(g, K, tol=tol, rhs=rhs)
+    N_pure, _ = solve_lapse(g, pure, tol=tol, rhs=rhs)
+    assert np.max(np.abs(N_pure.values - N.values)) <= tol * np.max(np.abs(N.values))
+
+
 def test_discrete_manufactured_solution_recovered_to_solver_tolerance(grid16, rng):
     # rhs built by applying the discrete operator itself: no truncation term
     g = random_metric(grid16, rng)

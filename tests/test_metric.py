@@ -118,7 +118,7 @@ def counting(*names, module=grid_module):
             setattr(binder, attr, value)
 
 
-DERIVED = ("_inverse_planes", "_checked_determinant", "christoffels", "ricci")
+DERIVED = ("_cofactors", "christoffels", "ricci")
 K_DERIVED = ("_raise_planes", "_covariant_derivative_planes")
 GATHERS = ("sym_to_matrix", "matrix_to_sym")
 
@@ -156,7 +156,7 @@ def test_collector_record_derives_each_quantity_once(perturbed12):
     K, state = perturbed12.K, _fresh(perturbed12)
     with counting(*DERIVED, *K_DERIVED, *GATHERS) as calls, counting_cached("trace") as cached:
         DiagnosticsCollector().add(state)
-    assert [len(calls[name]) for name in DERIVED] == [1, 1, 1, 1]
+    assert [len(calls[name]) for name in DERIVED] == [1, 1, 1]
     # g^-1 K, tr K and nabla K once each; nabla K serves both B and div K
     assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1]
     assert _of(cached["trace"], K) == 1
@@ -173,12 +173,12 @@ def test_collector_record_derives_each_quantity_once(perturbed12):
 
 
 def test_rk4_step_derives_once_per_stage(perturbed12):
-    # one Metric per stage (inverse, guard, Gamma, Ric) and one for the
-    # updated slice (inverse, guard), which the new SliceState does not guard again
+    # one Metric per stage (cofactors, Gamma, Ric) and one for the updated
+    # slice (cofactors), which the new SliceState does not guard again
     with counting(*DERIVED, *K_DERIVED, *GATHERS) as calls, \
             counting_cached("trace", "squared") as cached:
         time_step(perturbed12, 1e-3, trace_correction=True)
-    assert [len(calls[name]) for name in DERIVED] == [5, 5, 4, 4]
+    assert [len(calls[name]) for name in DERIVED] == [5, 4, 4]
     # one SecondForm per stage, whose g^-1 K the lapse solve and evolution_rhs
     # share, and one for the updated slice (the corrected K's lapse); the
     # drift's tr K is contracted from the stored components
@@ -231,7 +231,7 @@ def test_gradient_estimate_reads_one_metric(perturbed12):
     state = _fresh(perturbed12)
     with counting(*DERIVED) as calls:
         gradient_lapse_estimate_check(state, 10.0)
-    assert [len(calls[name]) for name in DERIVED] == [1, 1, 1, 1]
+    assert [len(calls[name]) for name in DERIVED] == [1, 1, 1]
 
 
 def test_br_readers_share_one_derivation(perturbed12):
@@ -297,9 +297,9 @@ def test_k_ratio_reads_the_second_form_left_for_the_head(perturbed12):
     stepped = time_step(perturbed12, 1e-3, trace_correction=True)
     expected = sup_norm(stepped.K, stepped.g) / abs(stepped.t)
     br_energy(stepped)
-    with counting("_inverse_planes") as calls:
+    with counting("_cofactors") as calls:
         ratio = k_ratio(stepped)
-    assert len(calls["_inverse_planes"]) == 0
+    assert len(calls["_cofactors"]) == 0
     assert ratio == expected
 
 

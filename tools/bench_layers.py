@@ -18,7 +18,11 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
     Metric(grid, v), g^-1     v the values of the slice stepped by the
                               time_step below: the Sylvester check, det g
                               and g^-1 of a fresh Metric (metric_build_s)
-    g^-1 of m                 m a fresh Metric (metric_inverse_s)
+    g^-1 of m                 m a fresh Metric (metric_inverse_s); a source
+                              whose Metric forms the cofactors of g when
+                              it is built times only their division by
+                              det g here, and that work moves into
+                              metric_build_s
     g^-1 K, tr K, |K|^2 and K g^-1 K
                               on a fresh SecondForm over a Metric whose
                               g^-1 is derived (second_form_s)
@@ -40,9 +44,7 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               as in one RK4 stage
     electric_weyl(m, K)       m a Metric whose Ric is derived, K a plain field,
                               so g^-1 K, tr K and K g^-1 K are included
-    hessian(N, m)             m a Metric whose Gamma is derived; a source
-                              whose hessian takes the connection (its
-                              second parameter named gamma) gets m.gamma
+    hessian(N, m)             m a Metric whose Gamma is derived
     solve_lapse(g, K)         g a fresh Metric, cold start; the CG iteration
                               count is kept beside the time
     solve_lapse(g1, K1, initial_guess=N)
@@ -129,7 +131,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import gc  # noqa: E402
-import inspect  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
 import platform  # noqa: E402
@@ -293,9 +294,7 @@ def measure(cmclab, n):
                                   setup=lambda: cmclab.SecondForm(grid, K.values, with_gamma))
     out["evolution_rhs_s"], _ = best_of(lambda: cmclab.evolution_rhs(fresh(), K, N))
     out["electric_weyl_s"], _ = best_of(lambda: cmclab.electric_weyl(with_ricci, K))
-    takes_gamma = "gamma" in inspect.signature(cmclab.hessian).parameters
-    hessian_arg = with_gamma.gamma if takes_gamma else with_gamma
-    out["hessian_s"], _ = best_of(lambda: cmclab.hessian(N, hessian_arg))
+    out["hessian_s"], _ = best_of(lambda: cmclab.hessian(N, with_gamma))
     out["solve_lapse_s"], (_, report) = best_of(lambda: cmclab.solve_lapse(fresh(), K))
     out["solve_lapse_cg_iterations"] = report.iterations
     moved = stepped()
