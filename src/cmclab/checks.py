@@ -45,7 +45,7 @@ from .grid import (
     sym_to_matrix,
 )
 from .kasner import AXIAL, KasnerParams
-from .lapse import check_lapse_bounds, solve_lapse
+from .lapse import DEFAULT_TOL, check_lapse_bounds, solve_lapse
 from .state import SliceState
 from .tensor import curl, trace, wedge
 
@@ -103,7 +103,7 @@ def random_state(
     return state
 
 
-def identity_checks(grid_n: int = 16, seed: int = 0, solver_tol: float = 1e-10):
+def identity_checks(grid_n: int = 16, seed: int = 0, solver_tol: float = DEFAULT_TOL):
     """Named identity and oracle checks on one grid; returns CheckResults."""
     grid = GridSpec.cubic(grid_n)
     rng = np.random.default_rng(seed)

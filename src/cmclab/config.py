@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidKasner, ParseError, ValidationError
+from .evolution import DEFAULT_CFL
 from .grid import MIN_POINTS_PER_AXIS
 from .kasner import AXIAL, KasnerParams
+from .lapse import DEFAULT_TOL
 
 __all__ = ["RunConfig", "COMMANDS", "parse_config", "serialize_config"]
 
@@ -41,12 +43,12 @@ class RunConfig:
     t0: float = -1.0
     t_end: float = -0.5
     dt: float | None = None
-    cfl: float = 0.25
+    cfl: float = DEFAULT_CFL
     perturb_amplitude: float = 0.0
     seed: int = 0
     output_path: str | None = None
     trace_correction: bool = False
-    solver_tol: float = 1e-10
+    solver_tol: float = DEFAULT_TOL
     cadence: int = 1
     times: tuple[float, ...] = ()
     snapshot_path: str | None = None

@@ -20,7 +20,7 @@ class NonPositiveLapse(CmcLabError):
 
 
 class SolverDiverged(CmcLabError):
-    """The elliptic solver exhausted its iteration budget above tolerance."""
+    """The elliptic solver ran out of budget, or stalled at its rounding floor, above tolerance."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

@@ -11,9 +11,13 @@ symmetric ones in the lower-index component order
 A field's values, shaped (n1, n2, n3, k), is the transpose view of its
 block, so values[..., c] is a contiguous plane, _planes(values) is the
 block itself, and np.ascontiguousarray(values) gives the grid-last C
-layout for a caller that wants it.  The field constructor
-(_check_values) is the one boundary: values in any other layout, such as
-a grid-last C array, are copied once into a block there.  Every kernel
+layout for a caller that wants it.  Every field kind (ScalarField,
+VectorField, SymTensorField, and through the last Metric and SecondForm)
+is the one frozen base _Field(grid, values) with two class attributes:
+_comps, its component shape ((), (3,) or (6,)), and _kind, its name in a
+snapshot.  The base's one constructor, _check_values, is the one
+boundary: values in any other layout, such as a grid-last C array, are
+copied once into a block there.  Every kernel
 allocates its results as blocks, so none transposes, copies or strides
 across components, and numpy's elementwise arithmetic keeps the layout
 (its default order 'K' follows the operands), so sums of values such as
@@ -197,20 +201,36 @@ def _shared_grid(*fields) -> GridSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField:
+class _Field:
+    """The one constructor of every field kind: values checked by _check_values.
+
+    A kind sets _comps, the trailing component shape, and _kind, its
+    name in a snapshot; Metric and SecondForm inherit both from
+    SymTensorField.
+    """
+
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values, ()))
+        object.__setattr__(self, "values", _check_values(self.grid, self.values, self._comps))
+
+    @classmethod
+    def zeros(cls, grid: GridSpec):
+        return cls(grid, _grid_last(np.zeros(cls._comps + grid.shape), len(cls._comps)))
+
+
+class ScalarField(_Field):
+    """A scalar field: values, shaped grid.shape, is one C-contiguous plane."""
+
+    _comps, _kind = (), "scalar"
 
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-@dataclass(frozen=True, eq=False)
-class VectorField:
+class VectorField(_Field):
     """A covector field: values[..., a] is the lower-index component a.
 
     values, shaped (*grid.shape, 3), is a view of one C-contiguous
@@ -219,19 +239,10 @@ class VectorField:
     and np.ascontiguousarray(values) gives the grid-last C layout.
     """
 
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values, (3,)))
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "VectorField":
-        return cls(grid, _grid_last(np.zeros((3,) + grid.shape)))
+    _comps, _kind = (3,), "vector"
 
 
-@dataclass(frozen=True, eq=False)
-class SymTensorField:
+class SymTensorField(_Field):
     """A symmetric 2-tensor field: values[..., slot] is the lower-index pair SYM_PAIRS[slot].
 
     values, shaped (*grid.shape, 6), is a view of one C-contiguous
@@ -241,15 +252,7 @@ class SymTensorField:
     layout.
     """
 
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values, (6,)))
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "SymTensorField":
-        return cls(grid, _grid_last(np.zeros((6,) + grid.shape)))
+    _comps, _kind = (6,), "symtensor"
 
     @classmethod
     def identity(cls, grid: GridSpec) -> "SymTensorField":

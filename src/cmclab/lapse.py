@@ -75,17 +75,31 @@ right-hand sides, CMAME 163 (1998) 193, with the one-dimensional space of
 the guess).  A guess that already meets tol is returned bitwise after
 that one apply, no preconditioner, with 0 iterations: RK4 stage 1 on a
 state time_step or perturb returned starts from the lapse they solved on
-that slice, and pays only that.  The preconditioner is built when the
-first CG iteration is due, so a solve the Ritz start converges (the warm
-solves of homogeneous Kasner) builds none.  A guess with x0 . A x0 <= 0
-(a zero guess) is not scaled.  The callback still sees the caller's
-guess as iterate 0, and residual_history[0] is the residual CG starts
-from.
+that slice, and pays only that.  The operator builds the
+preconditioner's Fourier symbol on its first precondition call, which
+comes with the first CG iteration, so a solve the Ritz start converges
+(the warm solves of homogeneous Kasner) builds none.  A guess with
+x0 . A x0 <= 0 (a zero guess) is not scaled.  The callback still sees the
+caller's guess as iterate 0, and residual_history[0] is the residual CG
+starts from.
+
+When the recurrence residual meets tol, the solve verifies it against
+the recomputed residual b - A x and restarts CG from there if that still
+misses tol.  Near the solve's rounding floor a restart may lower the
+verified residual (a 16^3 warped slice at tol 1e-14 converges after 21
+of them) or not; the two residuals part ways there (Greenbaum, Estimating
+the attainable accuracy of recursively computed residual methods, SIAM
+J. Matrix Anal. Appl. 18 (1997) 535).  So the restarts stop once
+_STALLED_VERIFICATIONS verified residuals in a row set no new minimum,
+and the solve raises SolverDiverged naming that floor, the least
+verified residual: a 32^3 warped slice at tol 1e-14, whose floor is
+2.7e-14, raises after 19 iterations instead of its whole budget of 1811.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +118,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+
+# Restarts stop once this many verified residuals in a row set no new minimum.
+_STALLED_VERIFICATIONS = 8
 
 # Discrete maximum-principle slack: tol = max(1e-10, BOUND_TOL_COEFF * h^4).
 BOUND_TOL_COEFF = 10.0
@@ -125,20 +142,22 @@ class _Operator:
     c^ab = scale g^ab, scale = sqrt(g), is kept as six contiguous planes,
     each the product of scale with the plane of g^-1 on that stored pair
     (SYM_PAIRS order), and w = sqrt(g)|K|^2 by reference.  The planes, the
-    partials dN, the flux, a work plane and `spare` further planes for the
-    caller share one workspace block.  Each derivative is diff_array's
-    kernel (grid._diff) through the work plane and each term is formed in
-    the order of the plain formula, so results are bitwise those of
-    diff_array and a freshly allocated sum.
+    partials dN, the flux, a work plane and the five CG planes cg (b, r, p,
+    A p and a scratch plane) share one workspace block.  Each derivative is
+    diff_array's kernel (grid._diff) through the work plane and each term
+    is formed in the order of the plain formula, so results are bitwise
+    those of diff_array and a freshly allocated sum.  precondition(r) is
+    M^-1 r for the operator with c^ab and w frozen at their grid means; its
+    Fourier symbol is built on first use.
     """
 
-    def __init__(self, scale, inv_planes, weight_v: np.ndarray, spacings, spare: int = 0):
-        planes = np.empty((11 + spare,) + weight_v.shape)
+    def __init__(self, scale, inv_planes, weight_v: np.ndarray, spacings):
+        planes = np.empty((16,) + weight_v.shape)
         self.coeff = planes[:6]
         for slot in range(6):
             np.multiply(scale, inv_planes[slot], out=self.coeff[slot])
         self.dn, self.flux, self.tmp = tuple(planes[6:9]), planes[9], planes[10]
-        self.spare = planes[11:]
+        self.cg = planes[11:]
         self.weight = weight_v
         self.spacings = spacings
         # the planes c^a0, c^a1, c^a2 of each flux row a
@@ -157,26 +176,23 @@ class _Operator:
             out -= _diff(flux, a, h, flux, tmp)
         return out
 
+    @cached_property
+    def _inv_symbol(self) -> np.ndarray:
+        shape = self.weight.shape
+        thetas = [2.0 * np.pi * np.fft.fftfreq(shape[0]),
+                  2.0 * np.pi * np.fft.fftfreq(shape[1]),
+                  2.0 * np.pi * np.fft.rfftfreq(shape[2])]
+        s = np.meshgrid(*((8.0 * np.sin(th) - np.sin(2.0 * th)) / (6.0 * h)
+                          for th, h in zip(thetas, self.spacings)), indexing="ij", sparse=True)
+        c_mean = [np.mean(plane) for plane in self.coeff]
+        symbol = np.mean(self.weight) + sum(c_mean[sym_index(a, b)] * s[a] * s[b]
+                                            for a in range(3) for b in range(3))
+        return 1.0 / symbol
 
-def _constant_coefficient_inverse(coeff: np.ndarray, weight_v: np.ndarray, spacings):
-    """r -> M^-1 r for the operator with c^ab planes coeff and w frozen at their grid means."""
-    shape, axes = weight_v.shape, (0, 1, 2)
-    thetas = [2.0 * np.pi * np.fft.fftfreq(shape[0]),
-              2.0 * np.pi * np.fft.fftfreq(shape[1]),
-              2.0 * np.pi * np.fft.rfftfreq(shape[2])]
-    s = np.meshgrid(*((8.0 * np.sin(th) - np.sin(2.0 * th)) / (6.0 * h)
-                      for th, h in zip(thetas, spacings)), indexing="ij", sparse=True)
-    c_mean = [np.mean(plane) for plane in coeff]
-    symbol = np.mean(weight_v) + sum(c_mean[sym_index(a, b)] * s[a] * s[b]
-                                     for a in range(3) for b in range(3))
-    inv_symbol = 1.0 / symbol
-
-    def apply(res: np.ndarray) -> np.ndarray:
-        modes = np.fft.rfftn(res, axes=axes)
-        modes *= inv_symbol
-        return np.fft.irfftn(modes, s=shape, axes=axes)
-
-    return apply
+    def precondition(self, res: np.ndarray) -> np.ndarray:
+        modes = np.fft.rfftn(res, axes=(0, 1, 2))
+        modes *= self._inv_symbol
+        return np.fft.irfftn(modes, s=self.weight.shape, axes=(0, 1, 2))
 
 
 def solve_lapse(
@@ -194,9 +210,12 @@ def solve_lapse(
     other work, unless tol is finite and positive, or when rhs is
     identically zero (its solution is N = 0, and the relative residual
     has no scale); DegenerateZeroOrderTerm when min |K|^2 <= 0 (an H = 0
-    slice); and SolverDiverged when the budget 10 * sqrt(num_points) runs
-    out above tolerance.  `callback(values)` is invoked with each CG
-    iterate, for convergence instrumentation.
+    slice); and SolverDiverged, its report's final_residual the last
+    verified residual and its message the least one (the floor), when the
+    budget 10 * sqrt(num_points) runs out above tolerance or when 8
+    verified residuals in a row set no new minimum above it.
+    `callback(values)` is invoked with each CG iterate, for convergence
+    instrumentation.
 
     K enters only through |K|^2_g, so with the pure-trace K = sqrt(c/3) g
     this solves -Delta_g u + c u = rhs for any positive function c.
@@ -217,11 +236,8 @@ def solve_lapse(
     # first, it does not outlive the block from above the space the block frees
     x = 1.0 / ksq if initial_guess is None else initial_guess.values.copy()
     sqrt_g = g.sqrt_det
-    weight_v = sqrt_g * ksq
-    spacings = grid.spacings
-    # b, r, p, A p and a scratch plane ride in the operator's workspace block
-    op = _Operator(sqrt_g, g._inv_planes, weight_v, spacings, spare=5)
-    b, r, p, ap, tmp = op.spare
+    op = _Operator(sqrt_g, g._inv_planes, sqrt_g * ksq, grid.spacings)
+    b, r, p, ap, tmp = op.cg
 
     if rhs is None:
         b[...] = sqrt_g
@@ -252,13 +268,11 @@ def solve_lapse(
         np.subtract(b, np.multiply(ap, c, out=tmp), out=r)
         history[0] = rel_residual(r)
 
-    iterations, precondition = 0, None
+    iterations, floor, stale = 0, np.inf, 0
     while True:
         if history[-1] > tol and iterations < max_iterations:
             # the start, or a restart on the recomputed residual
-            if precondition is None:
-                precondition = _constant_coefficient_inverse(op.coeff, weight_v, spacings)
-            z = precondition(r)
+            z = op.precondition(r)
             p[...] = z
             rz = float(np.sum(np.multiply(r, z, out=tmp)))
         while history[-1] > tol and iterations < max_iterations:
@@ -266,7 +280,7 @@ def solve_lapse(
             alpha = rz / float(np.sum(np.multiply(p, ap, out=tmp)))
             x += np.multiply(p, alpha, out=tmp)
             r -= np.multiply(ap, alpha, out=tmp)
-            z = precondition(r)
+            z = op.precondition(r)
             rz_next = float(np.sum(np.multiply(r, z, out=tmp)))
             beta = rz_next / rz
             p *= beta
@@ -278,17 +292,20 @@ def solve_lapse(
                 callback(x.copy())
 
         # The CG recurrence can drift from the true residual near tol;
-        # verify, and restart on the recomputed residual while budget lasts.
+        # verify, and restart on the recomputed residual while budget lasts
+        # and the verified residual still sets new minima.
         np.subtract(b, op.apply(x, ap), out=r)
         final = rel_residual(r)
+        floor, stale = (final, 0) if final < floor else (floor, stale + 1)
         converged = final <= tol
-        if converged or iterations >= max_iterations:
+        if converged or iterations >= max_iterations or stale >= _STALLED_VERIFICATIONS:
             break
         history[-1] = final
     report = EllipticSolveReport(iterations, final, converged, history)
     if not converged:
         raise SolverDiverged(
-            f"lapse solve at {final:.3e} after {iterations} iterations (tol {tol:.1e})",
+            f"lapse solve at {final:.3e} after {iterations} iterations (tol {tol:.1e}), "
+            f"floor {floor:.3e}",
             report=report,
         )
     return ScalarField(grid, x), report

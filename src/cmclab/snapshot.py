@@ -2,10 +2,12 @@
 
 The layout is a NumPy .npz archive carrying a format tag, the grid shape
 and periods, and per-field data arrays with their kinds (scalar, vector,
-symtensor).  Each data array is the C-order (n1, n2, n3[, k]) array a
-field's values shows (np.savez writes the component-major view in that
-order), and a loaded field copies it once into its block.  Values
-round-trip bitwise.
+symtensor).  A field's kind is the _kind its class declares, so a Metric
+or a SecondForm, which inherit SymTensorField's, is saved as a symtensor
+and loaded back as a plain SymTensorField.  Each data array is the
+C-order (n1, n2, n3[, k]) array a field's values shows (np.savez writes
+the component-major view in that order), and a loaded field copies it
+once into its block.  Values round-trip bitwise.
 """
 
 from __future__ import annotations
@@ -15,17 +17,14 @@ import os
 import numpy as np
 
 from .errors import ParseError, SinkError
-from .grid import GridSpec, Metric, ScalarField, SecondForm, SymTensorField, VectorField
+from .grid import GridSpec, ScalarField, SymTensorField, VectorField
 from .state import SliceState
 
 __all__ = ["FORMAT_TAG", "save_fields", "load_fields", "save_state", "load_state"]
 
 FORMAT_TAG = "cmclab-snapshot-1"
 
-_KIND_OF_TYPE = {ScalarField: "scalar", VectorField: "vector", SymTensorField: "symtensor"}
-_TYPE_OF_KIND = {kind: cls for cls, kind in _KIND_OF_TYPE.items()}
-# saved as, and loaded back as, a plain symtensor
-_KIND_OF_TYPE[Metric] = _KIND_OF_TYPE[SecondForm] = "symtensor"
+_TYPE_OF_KIND = {cls._kind: cls for cls in (ScalarField, VectorField, SymTensorField)}
 
 
 def save_fields(path, grid: GridSpec, fields: dict, scalars: dict | None = None) -> None:
@@ -36,7 +35,7 @@ def save_fields(path, grid: GridSpec, fields: dict, scalars: dict | None = None)
         "shape": np.array(grid.shape, dtype=np.int64),
         "periods": np.array(grid.periods, dtype=float),
         "names": np.array(names),
-        "kinds": np.array([_KIND_OF_TYPE[type(fields[n])] for n in names]),
+        "kinds": np.array([fields[n]._kind for n in names]),
     }
     for i, name in enumerate(names):
         field = fields[name]

@@ -1,5 +1,7 @@
 """Command-line behavior: output formats, overrides, error paths."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,25 @@ def test_evolve_delivers_the_records_collected_before_a_failure(capsys, tmp_path
     # the slice at t0 and the one after the first step, bitwise as a complete run wrote them
     assert [r.t for r in parse_records(text)] == [-1.0, pytest.approx(-0.99, abs=1e-14)]
     assert text.splitlines() == complete.read_text().splitlines()[:3]
+
+
+def test_evolve_fails_at_the_lapse_floor_without_burning_the_budget(capsys, tmp_path):
+    # at tol 1e-13 the first step's lapse stalls at its rounding floor; the
+    # solve raises after a few dozen iterations, not the 1176 of its budget
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text(
+        "command = evolve\ngrid_n = 24\nperturb_amplitude = 1e-3\nseed = 7\nt0 = -1.0\n"
+        "t_end = -0.95\ndt = 0.005\ntrace_correction = true\nsolver_tol = 1e-13\n"
+    )
+    out_path = tmp_path / "floor.csv"
+    code, _, err = _main(capsys, "evolve", "--config", str(cfg), "--output", str(out_path))
+    assert code == 1
+    match = re.fullmatch(r"ERROR SolverDiverged: lapse solve at \S+ after (\d+) iterations "
+                         r"\(tol 1\.0e-13\), floor (\S+)", err.strip())
+    assert match is not None and int(match[1]) <= 100 and float(match[2]) > 1e-13
+    text = out_path.read_text()
+    assert text.startswith("t,e_br,") and len(text.splitlines()) == 2
+    assert [r.t for r in parse_records(text)] == [-1.0]
 
 
 def test_evolve_snapshot_round_trip(capsys, tmp_path):

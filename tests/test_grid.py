@@ -1,13 +1,17 @@
 """Grid container and packed-storage plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles as orc
 from cmclab import (
     GridSpec,
+    Metric,
     NonPositiveMetric,
     ScalarField,
+    SecondForm,
     SliceState,
     SymTensorField,
     VectorField,
@@ -123,6 +127,28 @@ def test_field_constructors(grid8):
     assert np.all(diag.component(2, 2) == 3.0)
     assert np.all(diag.component(0, 1) == 0.0)
     assert np.all(diag.component(1, 0) == diag.component(0, 1))
+
+
+@pytest.mark.parametrize("cls, comps", [(ScalarField, ()), (VectorField, (3,)),
+                                         (SymTensorField, (6,)), (Metric, (6,))])
+def test_every_field_kind_is_one_checked_constructor(cls, comps, grid8):
+    # the kinds share one (grid, values) dataclass and its check; SecondForm adds its metric
+    assert [f.name for f in dataclasses.fields(cls)] == ["grid", "values"]
+    assert [f.name for f in dataclasses.fields(SecondForm)] == ["grid", "values", "metric"]
+    bad = np.ones(grid8.shape + comps)
+    bad[(1, 2, 3) + (0,) * len(comps)] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        cls(grid8, bad)
+    with pytest.raises(ValueError, match="shaped"):
+        cls(grid8, np.ones(grid8.shape + (2,)))
+
+
+@pytest.mark.parametrize("cls, comps", [(ScalarField, ()), (VectorField, (3,)),
+                                         (SymTensorField, (6,))])
+def test_every_field_kind_has_zeros(cls, comps, grid8):
+    zeros = cls.zeros(grid8)
+    assert type(zeros) is cls and zeros.values.shape == grid8.shape + comps
+    assert not np.any(zeros.values)
 
 
 def test_sym_matrix_round_trip(grid8, rng):

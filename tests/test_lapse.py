@@ -1,5 +1,7 @@
 """CMC lapse solves: manufactured solutions, CG behavior, bound checks."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -205,18 +207,20 @@ def test_preconditioner_is_built_only_when_cg_iterates(grid8, rng, monkeypatch):
     K = SymTensorField(grid8, phi[..., None] * g.values)
     N, _ = solve_lapse(g, K, tol=1e-12)
     counts = {"apply": 0, "build": 0}
-    apply, build = lapse_module._Operator.apply, lapse_module._constant_coefficient_inverse
+    apply, symbol = lapse_module._Operator.apply, lapse_module._Operator._inv_symbol.func
 
     def counted_apply(self, *args):
         counts["apply"] += 1
         return apply(self, *args)
 
-    def counted_build(*args):
+    def counted_build(self):
         counts["build"] += 1
-        return build(*args)
+        return symbol(self)
 
+    counted_symbol = cached_property(counted_build)
+    counted_symbol.__set_name__(lapse_module._Operator, "_inv_symbol")
     monkeypatch.setattr(lapse_module._Operator, "apply", counted_apply)
-    monkeypatch.setattr(lapse_module, "_constant_coefficient_inverse", counted_build)
+    monkeypatch.setattr(lapse_module._Operator, "_inv_symbol", counted_symbol)
 
     def solve(**kwargs):
         counts.update(apply=0, build=0)
@@ -333,7 +337,7 @@ def test_returned_lapse_shares_no_memory_with_a_workspace(grid16, monkeypatch):
     assert report.iterations > 0 and len(built) == 2
     assert np.array_equal(first.values, kept)
     for op in built:
-        block = op.spare
+        block = op.cg
         while block.base is not None:
             block = block.base
         assert not np.shares_memory(first.values, block)
@@ -389,6 +393,28 @@ def test_exhausted_budget_raises_with_report(grid16):
     assert report is not None
     assert not report.converged
     assert report.iterations == 2
+
+
+def test_solve_stops_at_its_rounding_floor():
+    # At 32^3 the verified residual of this slice stalls near 2.7e-14, above
+    # tol; restarting on it until the budget (1811 iterations) ran out bought
+    # nothing, so the solve stops once 8 verifications in a row set no new low
+    s = warped_kasner_state(AXIAL, -1.0, GridSpec.cubic(32), 0.02)
+    with pytest.raises(SolverDiverged, match=r"floor \d\.\d{3}e-\d\d") as err:
+        solve_lapse(s.g, s.K, tol=1e-14)
+    report = err.value.report
+    assert not report.converged and report.iterations <= 100
+    floor = float(str(err.value).rsplit("floor ", 1)[1])
+    assert floor > 1e-14 and report.final_residual == pytest.approx(floor, rel=1e-3)
+
+
+def test_restarts_that_lower_the_residual_still_converge():
+    # the recurrence residual meets tol long before the verified one; the
+    # restarts keep lowering the latter, and 21 of them reach tol
+    s = warped_kasner_state(AXIAL, -1.0, GridSpec.cubic(16), 0.02)
+    _, report = solve_lapse(s.g, s.K, tol=1e-14)
+    assert report.converged and report.iterations == 23
+    assert report.final_residual <= 1e-14
 
 
 def test_default_bound_tolerance_formula():

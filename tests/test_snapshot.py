@@ -11,6 +11,7 @@ from cmclab import (
     Metric,
     ParseError,
     ScalarField,
+    SecondForm,
     SinkError,
     SymTensorField,
     VectorField,
@@ -92,6 +93,21 @@ def test_metric_field_saves_as_symtensor(tmp_path, grid8):
     _, fields, _ = load_fields(path)
     assert type(fields["g"]) is SymTensorField
     assert np.array_equal(fields["g"].values, g.values)
+
+
+def test_second_form_saves_as_symtensor(tmp_path, grid8, rng):
+    # a field's snapshot kind is its class's: a SecondForm inherits SymTensorField's
+    path = tmp_path / "second_form.npz"
+    g = Metric(grid8, SymTensorField.identity(grid8).values + 0.1 * rng.random(grid8.shape + (6,)))
+    fields = {"K": SecondForm(grid8, rng.standard_normal(grid8.shape + (6,)), g), "g": g,
+              "N": ScalarField.zeros(grid8)}
+    save_fields(path, grid8, fields)
+    with np.load(path) as saved:
+        assert list(saved["kinds"]) == ["symtensor", "symtensor", "scalar"]
+    _, back, _ = load_fields(path)
+    assert [type(f) for f in back.values()] == [SymTensorField, SymTensorField, ScalarField]
+    for name, field in fields.items():
+        assert back[name].values.tobytes() == field.values.tobytes()
 
 
 @pytest.mark.parametrize("shape, periods, data, match", [

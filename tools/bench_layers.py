@@ -84,6 +84,9 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               iterations, summed, are kept beside the time
                               (time_step_solves, time_step_cg_iterations)
     br_energy(s), br_flux(s)  both on one state s (br_energy_flux_s)
+    max_stable_dt(s)          on the slice's state (max_stable_dt_s): the CFL
+                              step size cmclab evolve computes before every
+                              step when dt is omitted
     time_step(s, 1e-3, trace_correction=True)
                               s made by the same step from the slice, right
                               after an untimed record of s
@@ -321,6 +324,7 @@ def measure(cmclab, n):
     out["step_after_record_s"], _ = best_of(step, setup=recorded)
     out["br_energy_flux_s"], _ = best_of(
         lambda s: (cmclab.br_energy(s), cmclab.br_flux(s)), setup=new_state)
+    out["max_stable_dt_s"], _ = best_of(lambda: cmclab.max_stable_dt(state))
     return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in out.items()}
 
 
@@ -399,7 +403,8 @@ def main(argv=None):
         "block of g (grid._planes) along each grid axis, the one row also kept at 48^3 and "
         "64^3 (on warped_kasner_state's g), and time_step_solves and "
         "time_step_cg_iterations the number of one time_step's lapse solves and their CG "
-        "iterations; the rounds alternate the sources of one "
+        "iterations, and max_stable_dt_s the CFL step size of the slice's state; the rounds "
+        "alternate the sources of one "
         "invocation, each in a new process, and change_over_parent holds the quartiles of "
         "the per-round ratios; "
         "written by tools/bench_layers.py, whose docstring defines each call."
