@@ -40,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .evolution import (
+    conformal_vacuum_state,
     evolution_rhs,
     evolve_states,
     kasner_initial_data,

@@ -82,24 +82,19 @@ def random_admissible_exponents(rng: np.random.Generator) -> KasnerParams:
     return KasnerParams(p1, p2, 1.0 - p1 - p2)
 
 
-def random_metric(
-    grid: GridSpec, rng: np.random.Generator, amplitude: float = 0.15
-) -> SymTensorField:
-    """Smooth periodic positive-definite metric near the identity."""
-    values = amplitude * _random_smooth_sym(grid, rng)
+def random_metric(grid: GridSpec, rng: np.random.Generator) -> SymTensorField:
+    """Smooth periodic positive-definite metric within 0.15 (Frobenius) of the identity."""
+    values = 0.15 * _random_smooth_sym(grid, rng)
     values[..., (0, 3, 5)] += 1.0
     return SymTensorField(grid, values)
 
 
-def random_state(
-    grid: GridSpec, rng: np.random.Generator, perturb_amplitude: float = 1e-3
-) -> SliceState:
-    """Generic valid slice: perturbed, warped Kasner data at a random time."""
+def random_state(grid: GridSpec, rng: np.random.Generator) -> SliceState:
+    """Generic valid slice: warped Kasner data at a random time, perturbed by 1e-3."""
     p = random_admissible_exponents(rng)
     t0 = -float(rng.uniform(0.5, 2.0))
     state = warped_kasner_state(p, t0, grid, amplitude=0.015)
-    if perturb_amplitude > 0.0:
-        state, _ = perturb(state, perturb_amplitude, seed=int(rng.integers(2**31)))
+    state, _ = perturb(state, 1e-3, seed=int(rng.integers(2**31)))
     return state
 
 
@@ -179,10 +174,8 @@ def identity_checks(grid_n: int = 16, seed: int = 0, solver_tol: float = DEFAULT
     return results
 
 
-def rescale_battery(
-    grid_n: int = 16, seed: int = 0, num_states: int = 10, num_factors: int = 10
-):
-    """Scaling-law battery over random states and random factors.
+def rescale_battery(grid_n: int = 16, seed: int = 0):
+    """Scaling-law battery over 10 random states and 10 random factors.
 
     Checks, over every (state, r) pair: the lapse is carried over exactly;
     mean curvature and sup |K| scale by r to 1e-12 relative; slice energy
@@ -191,8 +184,8 @@ def rescale_battery(
     """
     grid = GridSpec.cubic(grid_n)
     rng = np.random.default_rng(seed)
-    states = [random_state(grid, rng) for _ in range(num_states)]
-    factors = [float(f) for f in 10.0 ** rng.uniform(-1.0, 1.0, size=num_factors)]
+    states = [random_state(grid, rng) for _ in range(10)]
+    factors = [float(f) for f in 10.0 ** rng.uniform(-1.0, 1.0, size=10)]
 
     dev_h = dev_k = dev_e = dev_inv = 0.0
     lapse_exact = True

@@ -118,14 +118,8 @@ def _run_oracle(config: RunConfig) -> int:
     return 0
 
 
-def _deliver_records(records, config: RunConfig) -> None:
-    buffer = io.StringIO()
-    emit_records(records, buffer)
-    _deliver(buffer.getvalue(), config)
-
-
 def _run_evolve(config: RunConfig) -> int:
-    """Evolve and deliver the records; on a CmcLabError, deliver those collected, then re-raise."""
+    """Evolve and deliver the records; on any error, deliver those collected, then re-raise."""
     grid = GridSpec.cubic(config.grid_n, config.period)
     state = kasner_initial_data(config.kasner, config.t0, grid)
     if config.perturb_amplitude > 0.0:
@@ -153,10 +147,10 @@ def _run_evolve(config: RunConfig) -> int:
             collector.add(last)
         if config.snapshot_path:
             save_state(last, config.snapshot_path)
-    except CmcLabError:
-        _deliver_records(collector.records, config)
-        raise
-    _deliver_records(collector.records, config)
+    finally:
+        buffer = io.StringIO()
+        emit_records(collector.records, buffer)
+        _deliver(buffer.getvalue(), config)
     return 0
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kasner
-from .errors import CmcDriftExceeded
+from .errors import CmcDriftExceeded, SolverDiverged
 from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, _grid_last,
                    _shared_grid, _stored_trace, as_second_form, matrix_to_sym, sym_to_matrix)
 from .geometry import constraint_norms, electric_weyl
@@ -43,6 +43,7 @@ from .tensor import hessian, trace
 __all__ = [
     "kasner_initial_data",
     "warped_kasner_state",
+    "conformal_vacuum_state",
     "perturb",
     "evolution_rhs",
     "time_step",
@@ -55,6 +56,9 @@ __all__ = [
 
 DEFAULT_CFL = 0.25
 DEFAULT_CMC_DRIFT_TOL = 1e-6
+_MAX_STEPS = 1_000_000  # evolve_states' guard against a step size that never reaches t_end
+_NEWTON_STEPS = 20  # conformal_vacuum_state's Newton budget
+_LICHNEROWICZ_TOL = 1e-10  # its relative stop, and its linear steps' solve tol
 
 
 def kasner_initial_data(p: KasnerParams, t0: float, grid: GridSpec) -> SliceState:
@@ -114,14 +118,85 @@ def warped_kasner_state(
     return SliceState(t=t, g=g, K=K, N=N)
 
 
-def _random_smooth_sym(grid: GridSpec, rng: np.random.Generator, modes: int = 3) -> np.ndarray:
-    """Zero-mean smooth periodic symmetric field, sup Frobenius norm 1."""
+def conformal_vacuum_state(t: float, grid: GridSpec, amplitude: float) -> SliceState:
+    """Inhomogeneous vacuum slice at CMC time t from the conformal method.
+
+    York's conformal method (J. Math. Phys. 14 (1973) 456; on closed
+    manifolds Isenberg, Class. Quantum Grav. 12 (1995) 2249) with the flat
+    conformal metric delta and tau = t.  sigma is the constant traceless
+    diag(-0.4, 0.1, 0.3) plus transverse-traceless waves of size a =
+    amplitude,
+
+        sigma_xx = -sigma_yy = a cos(2 pi z / L_z),  sigma_xy = a sin(2 pi z / L_z),
+        sigma_yz = a sin(2 pi x / L_x),              sigma_xz = a cos(2 pi y / L_y);
+
+    each wave depends only on a coordinate that is not one of its indices,
+    so sigma is divergence-free for any periods.  The conformal factor
+    solves the Lichnerowicz equation
+
+        F(phi) = -8 Delta phi + (2/3) tau^2 phi^5 - |sigma|^2 phi^-7 = 0
+
+    by Newton, from the constant root for the grid mean of |sigma|^2 (for
+    tau != 0 and sigma not 0 the positive solution is unique).  Each step
+    solves -Delta dphi + (w/8) dphi = -F/8, w = (10/3) tau^2 phi^4 +
+    7 |sigma|^2 phi^-8, as solve_lapse(delta, sqrt(w/24) delta, rhs=-F/8),
+    since solve_lapse reads K only through |K|^2 = w/8.  -Delta phi is
+    -trace(hessian(phi, delta), delta), on a flat metric bitwise the lapse
+    operator's, so each step is the exact Newton step of the discrete
+    equation; Newton stops once sup |F| <= 1e-10 sup |sigma|^2 phi^-7,
+    and raises SolverDiverged after 20 steps.  Then g = phi^4 delta,
+    K = phi^-2 sigma + (t/3) g (so tr K = t, and both constraints hold to
+    the order of the stencil), and N = solve_lapse(g, K).  Raises
+    ValueError unless t is finite and negative and amplitude finite.
+    """
+    if not (np.isfinite(t) and t < 0.0 and np.isfinite(amplitude)):
+        raise ValueError(f"need a finite t < 0 and a finite amplitude, got {t!r}, {amplitude!r}")
+    x, y, z = grid.meshes()
+    lx, ly, lz = grid.periods
+    wave = amplitude * np.cos(2.0 * np.pi * z / lz)
+    sigma = np.empty(grid.shape + (6,))
+    sigma[..., 0] = -0.4 + wave
+    sigma[..., 1] = amplitude * np.sin(2.0 * np.pi * z / lz)
+    sigma[..., 2] = amplitude * np.cos(2.0 * np.pi * y / ly)
+    sigma[..., 3] = 0.1 - wave
+    sigma[..., 4] = amplitude * np.sin(2.0 * np.pi * x / lx)
+    sigma[..., 5] = 0.3
+    delta = Metric(grid, SymTensorField.identity(grid).values)
+    sigma_sq = as_second_form(SymTensorField(grid, sigma), delta).norm_sq
+    phi = ScalarField.constant(grid, (1.5 * float(np.mean(sigma_sq)) / t**2) ** (1.0 / 12.0))
+    for _ in range(_NEWTON_STEPS):
+        p = phi.values
+        source = sigma_sq * p**-7
+        f = (2.0 / 3.0) * t**2 * p**5 - source
+        f -= 8.0 * trace(hessian(phi, delta), delta).values
+        if np.max(np.abs(f)) <= _LICHNEROWICZ_TOL * np.max(source):
+            break
+        w = (10.0 / 3.0) * t**2 * p**4 + 7.0 * sigma_sq * p**-8
+        pure_trace = SymTensorField(grid, np.sqrt(w / 24.0)[..., None] * delta.values)
+        step, _ = solve_lapse(delta, pure_trace, tol=_LICHNEROWICZ_TOL,
+                              rhs=ScalarField(grid, -f / 8.0))
+        phi = ScalarField(grid, p + step.values)
+    else:
+        raise SolverDiverged(f"Lichnerowicz Newton at sup |F| = {np.max(np.abs(f)):.3e} "
+                             f"after {_NEWTON_STEPS} steps")
+    g = Metric(grid, (p**4)[..., None] * delta.values)
+    K = SecondForm(grid, (p**-2)[..., None] * sigma + (t / 3.0) * g.values, g)
+    N, _ = solve_lapse(g, K)
+    return SliceState(t=t, g=g, K=K, N=N)
+
+
+def _random_smooth_sym(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
+    """Zero-mean smooth periodic symmetric field, sup Frobenius norm 1.
+
+    Each component sums three random Fourier modes with wave numbers in
+    -2..2 per axis.
+    """
     x, y, z = grid.meshes()
     lx, ly, lz = grid.periods
     planes = np.zeros((6,) + grid.shape)
     for f in planes:
         picked = 0
-        while picked < modes:
+        while picked < 3:
             kx, ky, kz = (int(k) for k in rng.integers(-2, 3, size=3))
             if kx == 0 and ky == 0 and kz == 0:
                 continue
@@ -291,27 +366,28 @@ def evolve_states(
     solver_tol: float = DEFAULT_TOL,
     trace_correction: bool = False,
     cmc_drift_tol: float = DEFAULT_CMC_DRIFT_TOL,
-    max_steps: int = 1_000_000,
 ):
     """Yield successive states from state.t to exactly t_end.
 
     A fixed dt is used as given (it must be finite and its sign must point
     at t_end); with dt=None each step takes the CFL-limited size.  The
     final step is shortened to land on t_end exactly.  Raises ValueError
-    before the first step unless cmc_drift_tol is finite and nonnegative.
+    before the first step unless cmc_drift_tol is finite and nonnegative,
+    and RuntimeError if a million steps do not reach t_end.
     """
     if not (np.isfinite(t_end) and t_end < 0.0):
         raise ValueError(f"t_end must be a finite negative real, got {t_end!r}")
     if dt is not None and not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
     _check_drift_tol(cmc_drift_tol)
-    direction = np.sign(t_end - state.t)
+    # a Python float, so every step, and every t, stays one too
+    direction = float(np.sign(t_end - state.t))
     if direction == 0.0:
         return
     if dt is not None and np.sign(dt) != direction:
         raise ValueError(f"dt = {dt!r} does not point from {state.t!r} to {t_end!r}")
     current = state
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         remaining = t_end - current.t
         if direction * remaining <= 0.0:
             return
@@ -326,7 +402,7 @@ def evolve_states(
             cmc_drift_tol=cmc_drift_tol,
         )
         yield current
-    raise RuntimeError(f"evolution exceeded {max_steps} steps before reaching t_end")
+    raise RuntimeError(f"evolution exceeded {_MAX_STEPS} steps before reaching t_end")
 
 
 def rescale(state: SliceState, r: float) -> SliceState:

@@ -20,15 +20,22 @@ The quadratic energy fields assembled from E and B are
     q_attt = 2 (E ^ B)_a
     q_abtt = -(E x E)_ab - (B x B)_ab + (1/3)(|E|^2 + |B|^2) g_ab
 
+the components Q(T,T,T,T), Q(e_a,T,T,T) and Q(e_a,e_b,T,T) of the
+Bel-Robinson tensor in the unit normal T.  They enter the Gauss law of
+the slice energy, dE/dt = 3 integral(N <q_abtt, K> + <q_attt, grad N>),
+with a plus on the grad N term, from raising the normal index with
+g^tt = -1 (diagnostics.br_flux derives it).
+
 Every reader of K here reads H = tr K, g^-1 K, |K|^2, K g^-1 K and nabla K
 from grid.as_second_form(K, g), and Ric from as_metric(g), so one Metric and
 one SecondForm handed to several of them derive each once; br_components
 raises E, then B, once each through a SecondForm for |.|^2 and the cross,
 and the wedge reads B's.  E is formed from Ric, H K and K g^-1 K in their
-6-component storage.  Every trace reads tr A from the SecondForm; R is
-cached on the Metric, which raises Ric once for it.  R is not taken from
-tr E, so the tr E = ham identity stays a check of two separate
-computations.
+6-component storage.  Every trace reads tr A from the SecondForm but R,
+which scalar_curvature contracts from the 6 stored components of the
+Metric's Ric, with no g^-1 Ric, for each reader (no reader reads it
+twice, so the Metric does not keep it).  R is not taken from tr E, so
+the tr E = ham identity stays a check of two separate computations.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .grid import (
     VectorField,
     _pointwise_norm_sq,
     _shared_grid,
+    _stored_trace,
     as_metric,
     as_second_form,
     integrate,
@@ -94,8 +102,9 @@ class BRComponents:
 
 
 def scalar_curvature(g: SymTensorField) -> ScalarField:
-    """Scalar curvature R = g^{ab} Ric_ab, as cached on as_metric(g)."""
-    return as_metric(g).scalar_curvature
+    """Scalar curvature R = g^{ab} Ric_ab, contracted from the 6 stored components of Ric."""
+    g = as_metric(g)
+    return ScalarField(g.grid, _stored_trace(g.ricci.values, g._inv_planes))
 
 
 def electric_weyl(g: SymTensorField, K: SymTensorField) -> SymTensorField:
@@ -137,8 +146,7 @@ def hamiltonian_constraint(g: SymTensorField, K: SymTensorField) -> ScalarField:
     """Vacuum scalar constraint residual R + H^2 - |K|^2."""
     g = as_metric(g)
     K = as_second_form(K, g)
-    r = scalar_curvature(g)
-    return ScalarField(g.grid, r.values + K.trace**2 - K.norm_sq)
+    return ScalarField(g.grid, scalar_curvature(g).values + K.trace**2 - K.norm_sq)
 
 
 def momentum_constraint(g: SymTensorField, K: SymTensorField) -> VectorField:
@@ -171,7 +179,7 @@ def constraint_norms(g: SymTensorField, K: SymTensorField) -> tuple[float, float
     """L2(mu_g) norms of the Hamiltonian and momentum constraint residuals."""
     g = as_metric(g)
     K = as_second_form(K, g)
-    # momentum first: building nabla K sets the peak, so R is not yet cached beside it
+    # momentum first: building nabla K sets the peak, so R is not yet held beside it
     mom_sq = _pointwise_norm_sq(momentum_constraint(g, K), g)
     ham = hamiltonian_constraint(g, K)
     ham_norm = np.sqrt(integrate(ScalarField(g.grid, ham.values**2), g))
@@ -183,6 +191,4 @@ def weyl_trace_residuals(g: SymTensorField, K: SymTensorField) -> tuple[float, f
     """Sup of |tr E| and |tr B|; near zero for constraint-clean data."""
     g = as_metric(g)
     parts = weyl_parts(g, K)
-    tr_e = trace(parts.E, g).values
-    tr_b = trace(parts.B, g).values
-    return float(np.max(np.abs(tr_e))), float(np.max(np.abs(tr_b)))
+    return tuple(float(np.max(np.abs(trace(part, g).values))) for part in (parts.E, parts.B))

@@ -59,7 +59,8 @@ call, for tests, oracles and set-up code; no kernel reads them.
 A Metric is a SymTensorField checked positive definite by construction;
 it computes the cofactors of g and det g once, when it is built, and
 derives sqrt(det g), g^-1 (the cofactors over det g), the
-connection Gamma, Ric and R once each, on first use, and every operation
+connection Gamma and Ric once each, on first use (R is not cached: no
+reader reads it twice), and every operation
 takes the metric g, never a quantity derived from it, and reads them
 through as_metric(g).  A SecondForm is a symmetric A over one Metric
 that derives g^-1 A, tr A (the sum of its diagonal planes), |A|^2_g,
@@ -343,10 +344,9 @@ class Metric(SymTensorField):
     Its 6 cofactor planes and det g are computed once, when it is built
     (_cofactors); g^-1 divides those planes by det g in place.
     sqrt_det, g^-1 (as 6 planes in SYM_PAIRS order), gamma (the
-    Levi-Civita connection as christoffels' (3, 6, *grid) block), ricci
-    (Ric) and scalar_curvature (R = tr Ric) are computed once, on first
-    use; all are read-only.  R is contracted from the 6 stored components
-    of Ric (_stored_trace), with no g^-1 Ric.
+    Levi-Civita connection as christoffels' (3, 6, *grid) block) and
+    ricci (Ric) are computed once, on first use; all are read-only.  R is
+    not kept: each reader reads it once (geometry.scalar_curvature).
     """
 
     def __post_init__(self):
@@ -377,10 +377,6 @@ class Metric(SymTensorField):
     @cached_property
     def ricci(self) -> SymTensorField:
         return ricci(self)
-
-    @cached_property
-    def scalar_curvature(self) -> ScalarField:
-        return ScalarField(self.grid, _frozen(_stored_trace(self.ricci.values, self._inv_planes)))
 
 
 def as_metric(g: SymTensorField) -> Metric:

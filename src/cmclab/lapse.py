@@ -104,8 +104,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundViolation, DegenerateZeroOrderTerm, SolverDiverged
-from .grid import (ScalarField, SymTensorField, _diff, _shared_grid, as_metric, as_second_form,
-                   sup_norm, sym_index)
+from .grid import (ScalarField, SymTensorField, _diff, _plane_sum, _shared_grid, as_metric,
+                   as_second_form, sup_norm, sym_index)
 
 __all__ = [
     "EllipticSolveReport",
@@ -169,9 +169,7 @@ class _Operator:
         for b, h in enumerate(self.spacings):
             _diff(n_vals, b, h, self.dn[b], tmp)
         for a, (row, h) in enumerate(zip(self.rows, self.spacings)):
-            np.multiply(row[0], self.dn[0], out=flux)
-            flux += np.multiply(row[1], self.dn[1], out=tmp)
-            flux += np.multiply(row[2], self.dn[2], out=tmp)
+            _plane_sum(zip(row, self.dn), flux, tmp)
             # the work plane holds flux, so its derivative may overwrite it
             out -= _diff(flux, a, h, flux, tmp)
         return out

@@ -285,7 +285,7 @@ def test_criterion_5_evolution_convergence():
 def test_criterion_6_scaling_battery():
     # 10 states x 10 factors: N' = N exactly, H' = r H and |K'| = r |K|
     # to 1e-12, energy to 1e-10, involution to rounding
-    results = rescale_battery(grid_n=16, seed=0, num_states=10, num_factors=10)
+    results = rescale_battery(grid_n=16, seed=0)
     for r in results:
         print(f"  {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     ok = all(r.passed for r in results)

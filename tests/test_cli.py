@@ -7,7 +7,7 @@ import pytest
 
 from cmclab import (AXIAL, DiagnosticsCollector, GridSpec, SliceState, emit_records,
                     kasner_initial_data, load_state, parse_records, perturb, time_step)
-from cmclab import evolution, kasner
+from cmclab import cli, evolution, kasner
 from cmclab.cli import build_parser, load_config, main
 
 
@@ -157,6 +157,36 @@ def test_evolve_delivers_the_records_collected_before_a_failure(capsys, tmp_path
     # the slice at t0 and the one after the first step, bitwise as a complete run wrote them
     assert [r.t for r in parse_records(text)] == [-1.0, pytest.approx(-0.99, abs=1e-14)]
     assert text.splitlines() == complete.read_text().splitlines()[:3]
+
+
+def test_evolve_delivers_the_records_collected_before_any_other_error(tmp_path, monkeypatch):
+    # an error from outside the package, a bug say, still leaves the records
+    # collected so far in the output, then propagates
+    def failing_states(state, t_end, **options):
+        yield evolution.time_step(state, 0.01)
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "evolve_states", failing_states)
+    out_path = tmp_path / "partial.csv"
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["evolve", "--grid", "8", "--output", str(out_path)])
+    text = out_path.read_text()
+    assert text.startswith("t,e_br,") and len(text.splitlines()) == 3
+    assert [r.t for r in parse_records(text)] == [-1.0, pytest.approx(-0.99, abs=1e-14)]
+
+
+def test_evolve_error_names_a_cfl_time_as_a_plain_float(capsys, tmp_path):
+    # without trace correction the perturbed slice's tr K drifts past
+    # cmc_drift_tol on the first CFL step
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text("command = evolve\ngrid_n = 16\nt0 = -1.0\nt_end = -0.9\n"
+                   "perturb_amplitude = 1e-3\nseed = 7\n")
+    out_path = tmp_path / "drift.csv"
+    code, _, err = _main(capsys, "evolve", "--config", str(cfg), "--output", str(out_path))
+    assert code == 1
+    assert err.startswith("ERROR CmcDriftExceeded: tr K drifted ")
+    assert "from t = -0.98438" in err and "np.float64(" not in err
+    assert [r.t for r in parse_records(out_path.read_text())] == [-1.0]
 
 
 def test_evolve_fails_at_the_lapse_floor_without_burning_the_budget(capsys, tmp_path):

@@ -219,8 +219,8 @@ def test_k_readers_share_one_second_form(perturbed12):
         evolution_rhs(g, K, N)
     assert [_of(calls[name], K) for name in K_DERIVED] == [1, 1]
     assert _of(cached["trace"], K) == 1
-    # K once; R, which the Metric caches for both hamiltonian_constraint and
-    # constraint_norms, is contracted from the stored components of Ric
+    # K once; R, contracted anew by each hamiltonian_constraint (constraint_norms
+    # calls it too), reads the stored components of Ric, which is never raised
     assert len(calls["_raise_planes"]) == 1
     assert len(calls["_covariant_derivative_planes"]) == 1
     assert len(cached["squared"]) == 1
