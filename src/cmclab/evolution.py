@@ -36,7 +36,7 @@ from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, _g
                    _shared_grid, _stored_trace, as_second_form, matrix_to_sym, sym_to_matrix)
 from .geometry import constraint_norms, electric_weyl
 from .kasner import KasnerParams
-from .lapse import DEFAULT_TOL, solve_lapse
+from .lapse import DEFAULT_TOL, _solve, solve_lapse
 from .state import SliceState, _mark_head, _take_second_form
 from .tensor import hessian, trace
 
@@ -139,8 +139,8 @@ def conformal_vacuum_state(t: float, grid: GridSpec, amplitude: float) -> SliceS
     by Newton, from the constant root for the grid mean of |sigma|^2 (for
     tau != 0 and sigma not 0 the positive solution is unique).  Each step
     solves -Delta dphi + (w/8) dphi = -F/8, w = (10/3) tau^2 phi^4 +
-    7 |sigma|^2 phi^-8, as solve_lapse(delta, sqrt(w/24) delta, rhs=-F/8),
-    since solve_lapse reads K only through |K|^2 = w/8.  -Delta phi is
+    7 |sigma|^2 phi^-8, with the lapse's elliptic solver (lapse._solve)
+    given the zero-order term w/8 on delta.  -Delta phi is
     -trace(hessian(phi, delta), delta), on a flat metric bitwise the lapse
     operator's, so each step is the exact Newton step of the discrete
     equation; Newton stops once sup |F| <= 1e-10 sup |sigma|^2 phi^-7,
@@ -172,9 +172,7 @@ def conformal_vacuum_state(t: float, grid: GridSpec, amplitude: float) -> SliceS
         if np.max(np.abs(f)) <= _LICHNEROWICZ_TOL * np.max(source):
             break
         w = (10.0 / 3.0) * t**2 * p**4 + 7.0 * sigma_sq * p**-8
-        pure_trace = SymTensorField(grid, np.sqrt(w / 24.0)[..., None] * delta.values)
-        step, _ = solve_lapse(delta, pure_trace, tol=_LICHNEROWICZ_TOL,
-                              rhs=ScalarField(grid, -f / 8.0))
+        step, _ = _solve(delta, w / 8.0, _LICHNEROWICZ_TOL, rhs=ScalarField(grid, -f / 8.0))
         phi = ScalarField(grid, p + step.values)
     else:
         raise SolverDiverged(f"Lichnerowicz Newton at sup |F| = {np.max(np.abs(f)):.3e} "

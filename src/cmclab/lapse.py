@@ -9,6 +9,11 @@ H != 0, since |K|^2 >= H^2/3 pointwise.  The maximum principle then pins
 
     1 / sup|K|^2  <=  N  <=  3 / H^2.
 
+solve_lapse poses this equation and nothing else.  It hands the plane
+|K|^2 to the private _solve, which solves -Delta_g u + c u = f for a
+given plane c > 0 and right-hand side f (default 1); the Newton steps of
+evolution.conformal_vacuum_state pose their own c and f through it.
+
 The discretization keeps the Laplacian in divergence form,
 
     Delta N = (1/sqrt(g)) d_a ( sqrt(g) g^{ab} d_b N ),
@@ -26,7 +31,7 @@ with the usual monotone energy-error guarantee.
 
 The preconditioner is the exact inverse of the same discrete operator
 with constant coefficients: the grid means c^ab of sqrt(g) g^ab and w of
-sqrt(g) |K|^2.  On the periodic grid it is diagonal in Fourier space.
+sqrt(g) c.  On the periodic grid it is diagonal in Fourier space.
 The 4th-order first-derivative stencil has symbol i s_a with
 
     s_a = (8 sin theta_a - sin 2 theta_a) / (6 h_a),
@@ -34,7 +39,7 @@ The 4th-order first-derivative stencil has symbol i s_a with
 so the constant-coefficient operator has the real, even symbol
 M(k) = w + c^ab s_a s_b, inverted mode by mode with numpy.fft.  A mean of
 positive definite matrices is positive definite and w > 0 (the solve
-refuses min |K|^2 <= 0), so M >= w > 0 and the preconditioner is
+refuses min c <= 0), so M >= w > 0 and the preconditioner is
 symmetric positive definite.  Its condition number against the full
 operator depends on how far the coefficients vary, not on the grid
 spacing, so iteration counts stay flat under refinement.  The iteration
@@ -63,8 +68,8 @@ preconditioner only has to be symmetric positive definite and close to
 the operator.
 
 CG starts from a Ritz-scaled guess.  The initial A x0 gives, for two dot
-products, c = (x0 . b) / (x0 . A x0), which minimises the A-norm error
-over the multiples of x0; CG then starts from c x0 with r = b - c A x0, so
+products, s = (x0 . b) / (x0 . A x0), which minimises the A-norm error
+over the multiples of x0; CG then starts from s x0 with r = b - s A x0, so
 the monotone energy-error guarantee holds from the caller's guess on.  A
 warm start from the lapse of a nearby slice (the RK4 stages) has an error
 that is mostly a multiple of the guess, which this removes before the
@@ -82,6 +87,12 @@ comes with the first CG iteration, so a solve the Ritz start converges
 x0 . A x0 <= 0 (a zero guess) is not scaled.  The callback still sees the
 caller's guess as iterate 0, and residual_history[0] is the residual CG
 starts from.
+
+CG runs in one loop.  Each iteration first forms z = M^-1 r and r . z;
+the first iteration after the start or a restart sets p = z, and each
+later one p = beta p + z with beta the ratio of the new r . z to the
+last.  So no preconditioner runs after a solve's last iteration: a solve
+applies it exactly as many times as it iterates.
 
 When the recurrence residual meets tol, the solve verifies it against
 the recomputed residual b - A x and restarts CG from there if that still
@@ -128,10 +139,10 @@ BOUND_TOL_COEFF = 10.0
 
 @dataclass
 class EllipticSolveReport:
-    """Outcome of one lapse solve."""
+    """Outcome of one elliptic solve."""
 
     iterations: int
-    final_residual: float  # relative discrete L2 residual of -Delta N + |K|^2 N - 1
+    final_residual: float  # relative discrete L2 residual of -Delta u + c u - rhs
     converged: bool
     residual_history: list[float] = field(default_factory=list)
 
@@ -141,7 +152,7 @@ class _Operator:
 
     c^ab = scale g^ab, scale = sqrt(g), is kept as six contiguous planes,
     each the product of scale with the plane of g^-1 on that stored pair
-    (SYM_PAIRS order), and w = sqrt(g)|K|^2 by reference.  The planes, the
+    (SYM_PAIRS order), and w = sqrt(g) c by reference.  The planes, the
     partials dN, the flux, a work plane and the five CG planes cg (b, r, p,
     A p and a scratch plane) share one workspace block.  Each derivative is
     diff_array's kernel (grid._diff) through the work plane and each term
@@ -194,47 +205,58 @@ class _Operator:
 
 
 def solve_lapse(
-    g: SymTensorField,
-    K: SymTensorField,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int | None = None,
-    initial_guess: ScalarField | None = None,
-    rhs: ScalarField | None = None,
-    callback=None,
+    g: SymTensorField, K: SymTensorField, tol: float = DEFAULT_TOL,
+    max_iterations: int | None = None, initial_guess: ScalarField | None = None,
 ) -> tuple[ScalarField, EllipticSolveReport]:
-    """Solve -Delta N + |K|^2 N = rhs (default rhs = 1) to relative residual tol.
+    """Solve the lapse equation -Delta N + |K|^2 N = 1 to relative residual tol.
 
     Returns the lapse and a solve report.  Raises ValueError, before any
-    other work, unless tol is finite and positive, or when rhs is
-    identically zero (its solution is N = 0, and the relative residual
-    has no scale); DegenerateZeroOrderTerm when min |K|^2 <= 0 (an H = 0
-    slice); and SolverDiverged, its report's final_residual the last
-    verified residual and its message the least one (the floor), when the
-    budget 10 * sqrt(num_points) runs out above tolerance or when 8
-    verified residuals in a row set no new minimum above it.
-    `callback(values)` is invoked with each CG iterate, for convergence
-    instrumentation.
-
-    K enters only through |K|^2_g, so with the pure-trace K = sqrt(c/3) g
-    this solves -Delta_g u + c u = rhs for any positive function c.
+    other work, unless tol is finite and positive; DegenerateZeroOrderTerm
+    when min |K|^2 <= 0 (an H = 0 slice); and SolverDiverged, its report's
+    final_residual the last verified residual and its message the least
+    one (the floor), when the budget (default 10 * sqrt(num_points)) runs
+    out above tolerance or when 8 verified residuals in a row set no new
+    minimum above it.  No preconditioner runs after a solve's last CG
+    iteration, so a solve applies it exactly report.iterations times.
     """
+    _check_tol(tol)
+    g = as_metric(g)
+    return _solve(g, as_second_form(K, g).norm_sq, tol, max_iterations, initial_guess)
+
+
+def _check_tol(tol: float) -> None:
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
+def _solve(
+    g: SymTensorField, c: np.ndarray, tol: float, max_iterations: int | None = None,
+    initial_guess: ScalarField | None = None, rhs: ScalarField | None = None, callback=None,
+) -> tuple[ScalarField, EllipticSolveReport]:
+    """Solve -Delta_g u + c u = rhs (default rhs = 1) to relative residual tol, c a plane.
+
+    Raises as solve_lapse does, with c in place of |K|^2, and also
+    ValueError, before any other work, when rhs is identically zero (its
+    solution is u = 0, and the relative residual has no scale).  The
+    default guess is 1/c.  `callback(values)` is invoked with the
+    caller's guess and then with each CG iterate, for convergence
+    instrumentation.  Each CG iteration starts with the preconditioner
+    (z = M^-1 r, then p = z after the start or a restart, else
+    p = beta p + z), so none runs after the last one.
+    """
+    _check_tol(tol)
     if rhs is not None and not np.any(rhs.values):
         raise ValueError("rhs must not be identically zero")
     g = as_metric(g)
     grid = _shared_grid(g, initial_guess, rhs)
-    ksq = as_second_form(K, g).norm_sq
-    if np.min(ksq) <= 0.0:
-        raise DegenerateZeroOrderTerm(
-            f"min |K|^2 = {ksq.min():.3e}; the lapse operator needs |K|^2 > 0"
-        )
+    if np.min(c) <= 0.0:
+        raise DegenerateZeroOrderTerm(f"min c = {c.min():.3e}; the zero-order term must be > 0")
 
-    # x is the returned lapse, so it is the one array outside the block; made
-    # first, it does not outlive the block from above the space the block frees
-    x = 1.0 / ksq if initial_guess is None else initial_guess.values.copy()
+    # x is the returned solution, so it is the one array outside the block;
+    # made first, it does not outlive the block from above the space the block frees
+    x = 1.0 / c if initial_guess is None else initial_guess.values.copy()
     sqrt_g = g.sqrt_det
-    op = _Operator(sqrt_g, g._inv_planes, sqrt_g * ksq, grid.spacings)
+    op = _Operator(sqrt_g, g._inv_planes, sqrt_g * c, grid.spacings)
     b, r, p, ap, tmp = op.cg
 
     if rhs is None:
@@ -248,7 +270,7 @@ def solve_lapse(
         max_iterations = int(10 * np.sqrt(grid.num_points)) + 1
 
     def rel_residual(res: np.ndarray) -> float:
-        # Residual of the original equation: r = sqrt(g) (rhs - L_orig N).
+        # Residual of the original equation: r = sqrt(g) (rhs - L_orig u).
         return float(np.linalg.norm(np.divide(res, sqrt_g, out=tmp))) / rhs_scale
 
     np.subtract(b, op.apply(x, ap), out=r)
@@ -257,33 +279,30 @@ def solve_lapse(
         callback(x.copy())
     if history[0] <= tol:
         return ScalarField(grid, x), EllipticSolveReport(0, history[0], True, history)
-    # Ritz start: c x0, c = (x0 . b) / (x0 . A x0), is the multiple of the
+    # Ritz start: s x0, s = (x0 . b) / (x0 . A x0), is the multiple of the
     # guess nearest the solution in the A-norm
     x_ax = float(np.sum(np.multiply(x, ap, out=tmp)))
     if x_ax > 0.0:
-        c = float(np.sum(np.multiply(x, b, out=tmp))) / x_ax
-        x *= c
-        np.subtract(b, np.multiply(ap, c, out=tmp), out=r)
+        s = float(np.sum(np.multiply(x, b, out=tmp))) / x_ax
+        x *= s
+        np.subtract(b, np.multiply(ap, s, out=tmp), out=r)
         history[0] = rel_residual(r)
 
-    iterations, floor, stale = 0, np.inf, 0
+    iterations, floor, stale, rz = 0, np.inf, 0, None  # rz is None: p restarts from z
     while True:
-        if history[-1] > tol and iterations < max_iterations:
-            # the start, or a restart on the recomputed residual
-            z = op.precondition(r)
-            p[...] = z
-            rz = float(np.sum(np.multiply(r, z, out=tmp)))
         while history[-1] > tol and iterations < max_iterations:
+            z = op.precondition(r)
+            rz_next = float(np.sum(np.multiply(r, z, out=tmp)))
+            if rz is None:
+                p[...] = z
+            else:
+                p *= rz_next / rz
+                p += z
+            rz = rz_next
             op.apply(p, ap)
             alpha = rz / float(np.sum(np.multiply(p, ap, out=tmp)))
             x += np.multiply(p, alpha, out=tmp)
             r -= np.multiply(ap, alpha, out=tmp)
-            z = op.precondition(r)
-            rz_next = float(np.sum(np.multiply(r, z, out=tmp)))
-            beta = rz_next / rz
-            p *= beta
-            p += z
-            rz = rz_next
             iterations += 1
             history.append(rel_residual(r))
             if callback is not None:
@@ -298,7 +317,7 @@ def solve_lapse(
         converged = final <= tol
         if converged or iterations >= max_iterations or stale >= _STALLED_VERIFICATIONS:
             break
-        history[-1] = final
+        history[-1], rz = final, None
     report = EllipticSolveReport(iterations, final, converged, history)
     if not converged:
         raise SolverDiverged(

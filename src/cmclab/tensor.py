@@ -158,10 +158,10 @@ def cross(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> SymTensorF
         else:
             both[slot] += _times_mixed(a_planes, b_up, j, i, term, tmp)
     values = _grid_last(both)
-    tr_a, tr_b = a.trace[..., None], b.trace[..., None]
-    values -= tr_a * B.values
-    values -= tr_b * A.values
-    values += (2.0 / 3.0) * (tr_a * tr_b - _sym_dot(a._mixed_planes, b_up)[..., None]) * g.values
+    dot = a.norm_sq if b is a else _sym_dot(a._mixed_planes, b_up)  # A . B; A x A reads |A|^2
+    values -= a.trace[..., None] * B.values
+    values -= b.trace[..., None] * A.values
+    values += (2.0 / 3.0) * (a.trace * b.trace - dot)[..., None] * g.values
     return SymTensorField(A.grid, values)
 
 

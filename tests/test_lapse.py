@@ -32,7 +32,7 @@ from cmclab import kasner
 from cmclab import lapse as lapse_module
 from cmclab.checks import random_metric
 from cmclab.grid import diff_array, sym_index
-from cmclab.lapse import BOUND_TOL_COEFF, _Operator
+from cmclab.lapse import BOUND_TOL_COEFF, DEFAULT_TOL, _Operator, _solve
 
 
 def _operator_pieces(g, K):
@@ -81,7 +81,7 @@ def test_manufactured_problem_converges_at_order_four():
         g6, k6, f, n_exact = orc.manufactured_lapse_problem(grid)
         g = SymTensorField(grid, g6)
         K = SymTensorField(grid, k6)
-        N, report = solve_lapse(g, K, tol=1e-12, rhs=ScalarField(grid, f))
+        N, report = _solve(g, norm_sq(K, g).values, 1e-12, rhs=ScalarField(grid, f))
         assert report.converged
         errs[n] = np.max(np.abs(N.values - n_exact))
     assert np.log2(errs[8] / errs[16]) > 3.5
@@ -91,7 +91,7 @@ def test_manufactured_problem_converges_at_order_four():
 
 @pytest.mark.parametrize("shear", [0.0, 0.3], ids=["pure-trace", "sheared"])
 def test_solve_reads_k_only_through_its_norm(grid16, shear):
-    # hence the pure-trace K = sqrt(c/3) g poses -Delta_g u + c u = f for any c > 0
+    # the pure-trace K = sqrt(c/3) g, c = |K|^2_g, poses the same problem as K
     g6, k6, f, _ = orc.manufactured_lapse_problem(grid16)
     k6 = k6.copy()
     k6[..., 1] += shear * np.sin(2 * np.pi * grid16.meshes()[2])
@@ -99,8 +99,8 @@ def test_solve_reads_k_only_through_its_norm(grid16, shear):
     c = norm_sq(K, g).values
     pure = SymTensorField(grid16, np.sqrt(c / 3.0)[..., None] * g6)
     tol = 1e-10
-    N, _ = solve_lapse(g, K, tol=tol, rhs=rhs)
-    N_pure, _ = solve_lapse(g, pure, tol=tol, rhs=rhs)
+    N, _ = _solve(g, c, tol, rhs=rhs)
+    N_pure, _ = _solve(g, norm_sq(pure, g).values, tol, rhs=rhs)
     assert np.max(np.abs(N_pure.values - N.values)) <= tol * np.max(np.abs(N.values))
 
 
@@ -112,7 +112,7 @@ def test_discrete_manufactured_solution_recovered_to_solver_tolerance(grid16, rn
     sqrt_g, coeff, weight = _operator_pieces(g, K)
     x_star = 1.0 + 0.2 * np.cos(2 * np.pi * grid16.meshes()[0])
     rhs = _applied(x_star, coeff, weight, grid16.spacings) / sqrt_g
-    N, report = solve_lapse(g, K, tol=1e-13, rhs=ScalarField(grid16, rhs))
+    N, report = _solve(g, norm_sq(K, g).values, 1e-13, rhs=ScalarField(grid16, rhs))
     assert report.converged
     assert np.max(np.abs(N.values - x_star)) < 1e-9
 
@@ -129,7 +129,7 @@ def test_manufactured_solution_on_anisotropic_odd_grid(shape, rng):
     sqrt_g, coeff, weight = _operator_pieces(g, K)
     x_star = 1.0 + 0.2 * np.cos(2 * np.pi * x) + 0.1 * np.sin(2 * np.pi * z / 0.5)
     rhs = _applied(x_star, coeff, weight, grid.spacings) / sqrt_g
-    N, report = solve_lapse(g, K, tol=1e-13, rhs=ScalarField(grid, rhs))
+    N, report = _solve(g, norm_sq(K, g).values, 1e-13, rhs=ScalarField(grid, rhs))
     assert report.converged
     assert np.max(np.abs(N.values - x_star)) < 1e-9
 
@@ -155,9 +155,9 @@ def test_cg_energy_error_is_monotone(grid8, rng):
     rhs = ScalarField(grid8, _applied(
         x_star, coeff, weight, grid8.spacings) / sqrt_g)
     iterates = []
-    solve_lapse(g, K, tol=1e-12, rhs=rhs,
-                initial_guess=ScalarField.constant(grid8, 1.0),
-                callback=lambda v: iterates.append(v))
+    _solve(g, norm_sq(K, g).values, 1e-12, rhs=rhs,
+           initial_guess=ScalarField.constant(grid8, 1.0),
+           callback=lambda v: iterates.append(v))
     energies = []
     for x in iterates:
         e = x - x_star
@@ -239,6 +239,25 @@ def test_preconditioner_is_built_only_when_cg_iterates(grid8, rng, monkeypatch):
     assert seen["build"] == 1 and report.iterations > 0
 
 
+def test_preconditioner_runs_once_per_cg_iteration(grid16, monkeypatch):
+    # one at the start of each iteration: none after the last one, nor after
+    # the last one before each restart on the verified residual
+    calls = []
+    precondition = lapse_module._Operator.precondition
+
+    def counted(self, res):
+        calls.append(1)
+        return precondition(self, res)
+
+    monkeypatch.setattr(lapse_module._Operator, "precondition", counted)
+    warped = warped_kasner_state(AXIAL, -1.0, grid16, 0.02)
+    # a cold solve, and one the verified residual restarts many times
+    for s, tol in ((_perturbed_slice(grid16), 1e-10), (warped, 1e-14)):
+        calls.clear()
+        _, report = solve_lapse(s.g, s.K, tol=tol)
+        assert report.iterations > 0 and len(calls) == report.iterations
+
+
 def test_guess_a_multiple_of_the_solution_converges_at_once(grid8, rng):
     # the Ritz start scales the guess to the A-norm nearest multiple, N itself
     g = random_metric(grid8, rng)
@@ -316,7 +335,7 @@ def test_solve_leaves_its_inputs_unchanged(grid16):
     guess = ScalarField(grid16, s.N.values + 1e-3 * np.cos(2 * np.pi * grid16.meshes()[0]))
     rhs = ScalarField(grid16, 1.0 + 0.1 * np.sin(2 * np.pi * grid16.meshes()[2]))
     guess_bits, rhs_bits = guess.values.tobytes(), rhs.values.tobytes()
-    _, report = solve_lapse(s.g, s.K, initial_guess=guess, rhs=rhs)
+    _, report = _solve(s.g, norm_sq(s.K, s.g).values, DEFAULT_TOL, initial_guess=guess, rhs=rhs)
     assert report.iterations > 0
     assert guess.values.tobytes() == guess_bits and rhs.values.tobytes() == rhs_bits
 
@@ -347,8 +366,8 @@ def test_returned_lapse_shares_no_memory_with_a_workspace(grid16, monkeypatch):
 def test_callback_iterates_are_distinct_arrays(grid16):
     s = _perturbed_slice(grid16)
     iterates = []
-    _, report = solve_lapse(s.g, s.K, initial_guess=s.N, tol=1e-12,
-                            callback=lambda v: iterates.append((v, v.copy())))
+    _, report = _solve(s.g, norm_sq(s.K, s.g).values, 1e-12, initial_guess=s.N,
+                       callback=lambda v: iterates.append((v, v.copy())))
     assert len(iterates) == report.iterations + 1 > 2
     for i, (v, seen) in enumerate(iterates):
         assert np.array_equal(v, seen)  # not written to after the callback
@@ -361,8 +380,8 @@ def test_zero_rhs_is_rejected_before_any_work(grid8):
     vals = np.zeros(grid8.shape + (6,))
     vals[..., 0], vals[..., 3], vals[..., 5] = 1.0, -1.0, 1.0
     with pytest.raises(ValueError, match="rhs"):
-        solve_lapse(SymTensorField(grid8, vals), SymTensorField.identity(grid8),
-                    rhs=ScalarField.constant(grid8, 0.0))
+        _solve(SymTensorField(grid8, vals), np.ones(grid8.shape), DEFAULT_TOL,
+               rhs=ScalarField.constant(grid8, 0.0))
 
 
 def test_degenerate_zero_order_term_raises(grid8):
@@ -386,9 +405,9 @@ def test_exhausted_budget_raises_with_report(grid16):
     g = SymTensorField(grid16, g6)
     K = SymTensorField(grid16, k6)
     with pytest.raises(SolverDiverged) as err:
-        solve_lapse(g, K, tol=1e-13, max_iterations=2,
-                    rhs=ScalarField(grid16, f),
-                    initial_guess=ScalarField.constant(grid16, 1.0))
+        _solve(g, norm_sq(K, g).values, 1e-13, max_iterations=2,
+               rhs=ScalarField(grid16, f),
+               initial_guess=ScalarField.constant(grid16, 1.0))
     report = err.value.report
     assert report is not None
     assert not report.converged

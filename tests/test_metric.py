@@ -75,6 +75,7 @@ from cmclab import grid as grid_module
 from cmclab import state as state_module
 from cmclab.checks import random_metric
 from cmclab.grid import SYM_PAIRS
+from cmclab.lapse import DEFAULT_TOL, _solve
 
 
 @pytest.fixture(scope="module")
@@ -485,7 +486,7 @@ _CROSS_GRID = {
     "integrate": lambda s: integrate(_WIDE, s.g),
     "static_residual": lambda s: static_residual(s.g, _WIDE),
     "lapse_bound_margins": lambda s: lapse_bound_margins(_COARSE, s.K, s.g),
-    "solve_lapse_rhs": lambda s: solve_lapse(s.g, s.K, rhs=_COARSE),
+    "solve_lapse_rhs": lambda s: _solve(s.g, norm_sq(s.K, s.g).values, DEFAULT_TOL, rhs=_COARSE),
     "solve_lapse_initial_guess": lambda s: solve_lapse(s.g, s.K, initial_guess=_COARSE),
     "evolution_rhs": lambda s: evolution_rhs(s.g, s.K, _COARSE),
     "hessian": lambda s: hessian(_WIDE, s.g),
