@@ -24,12 +24,15 @@ across components, and numpy's elementwise arithmetic keeps the layout
 the RK4 combinations are blocks too.  ndarray.copy() does not keep it
 (its default is order 'C'); np.copy does.
 
-Spatial derivatives use the 4th-order centered periodic stencil as its
-n x n circulant difference matrix D (_diff_matrix; Trefethen, Spectral
-Methods in MATLAB, SIAM 2000, ch. 1), so a derivative along one axis is
+Spatial derivatives use the 4th-order centered periodic stencil, kept
+as one table of (offset, weight) pairs over 12h (_STENCIL).  Its n x n
+circulant difference matrix D (_diff_matrix; Trefethen, Spectral
+Methods in MATLAB, SIAM 2000, ch. 1) makes a derivative along one axis
 one BLAS product (_diff): D @ plane over the plane's lines along a
 leading or middle axis, plane @ D^T along the last.  diff_array runs it
-on each plane of a block, the lapse operator on its scalar planes.
+on each plane of a block, the lapse operator on its scalar planes.  The
+same table gives D's Fourier symbol (_diff_symbol), which the lapse
+preconditioner inverts.
 Before the product the plane's first value is subtracted, into one
 reused plane of work.  Every row of D sums to exactly 0, so this changes
 nothing in exact arithmetic, and a constant plane still differentiates
@@ -441,12 +444,17 @@ def as_second_form(K: SymTensorField, g: SymTensorField) -> SecondForm:
     return SecondForm(K.grid, K.values, g)
 
 
+# The 4th-order centered first derivative, (offset k, weight w_k) over 12h:
+# f'_i ~ sum_k w_k (f_{i+k} - f_{i-k}) / (12 h).
+_STENCIL = ((1, 8.0), (2, -1.0))
+
+
 @lru_cache(maxsize=64)  # the axes of a few grids; a miss rebuilds one n x n matrix
 def _diff_matrix(n: int, spacing: float) -> np.ndarray:
     """The read-only n x n circulant matrix D of the periodic 4th-order centered difference.
 
-    Row i holds +-8/(12h) at columns i +- 1 and -+1/(12h) at i +- 2
-    (mod n), so D f is the stencil (8(f+1 - f-1) - (f+2 - f-2)) / 12h
+    Row i holds +-w_k/(12h) at columns i +- k (mod n) for each (k, w_k)
+    of _STENCIL, so D f is the stencil (8(f+1 - f-1) - (f+2 - f-2)) / 12h
     of the samples f.  The weights are summed into their cells, so on an
     axis of n <= 4 points, where offsets share a cell (i + 2 = i - 2 at
     n = 4), D is still the stencil.  The entries at i + k and i - k are
@@ -455,10 +463,19 @@ def _diff_matrix(n: int, spacing: float) -> np.ndarray:
     """
     rows, scale = np.arange(n), 12.0 * spacing
     d = np.zeros((n, n))
-    for offset, weight in ((1, 8.0 / scale), (2, -1.0 / scale)):
-        d[rows, (rows + offset) % n] += weight
-        d[rows, (rows - offset) % n] -= weight
+    for offset, weight in _STENCIL:
+        d[rows, (rows + offset) % n] += weight / scale
+        d[rows, (rows - offset) % n] -= weight / scale
     return _frozen(d)
+
+
+def _diff_symbol(theta: np.ndarray, spacing: float) -> np.ndarray:
+    """The real symbol s of D (_diff_matrix): D v = i s(theta) v for v_j = e^{i theta j}.
+
+    Each (k, w_k) of _STENCIL adds w_k (e^{i k theta} - e^{-i k theta}) / 12h
+    = i w_k sin(k theta) / 6h, so s = (8 sin theta - sin 2 theta) / 6h.
+    """
+    return sum(weight * np.sin(offset * theta) for offset, weight in _STENCIL) / (6.0 * spacing)
 
 
 def _diff(values: np.ndarray, axis: int, spacing: float, out: np.ndarray,

@@ -2,15 +2,22 @@
 
 The lapse of a constant-mean-curvature time function satisfies
 
-    -Delta N + |K|^2 N = 1,
+    -Delta N + c N = 1,   c = |K|^2,
 
 an equation with a strictly positive zero-order coefficient whenever
 H != 0, since |K|^2 >= H^2/3 pointwise.  The maximum principle then pins
 
-    1 / sup|K|^2  <=  N  <=  3 / H^2.
+    1 / sup c  <=  N  <=  1 / inf c  <=  3 / H^2.
+
+The private _zero_order(K) is the one place that chooses c: solve_lapse
+solves with it, and lapse_bound_margins takes its lower bound 1/sup c
+from it, so the solve and that bound cannot part.  The upper bound
+checked is the paper's CMC bound 3/H^2, not 1/inf c: it reads the time
+function alone, and it holds because c = |K|^2 >= H^2/3.  A coefficient
+without that inequality must move it to 1/inf c.
 
 solve_lapse poses this equation and nothing else.  It hands the plane
-|K|^2 to the private _solve, which solves -Delta_g u + c u = f for a
+c to the private _solve, which solves -Delta_g u + c u = f for a
 given plane c > 0 and right-hand side f (default 1); the Newton steps of
 evolution.conformal_vacuum_state pose their own c and f through it.
 
@@ -36,7 +43,8 @@ The 4th-order first-derivative stencil has symbol i s_a with
 
     s_a = (8 sin theta_a - sin 2 theta_a) / (6 h_a),
 
-so the constant-coefficient operator has the real, even symbol
+which grid._diff_symbol builds from the table D is built from, so the
+constant-coefficient operator has the real, even symbol
 M(k) = w + c^ab s_a s_b, inverted mode by mode with numpy.fft.  A mean of
 positive definite matrices is positive definite and w > 0 (the solve
 refuses min c <= 0), so M >= w > 0 and the preconditioner is
@@ -115,8 +123,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundViolation, DegenerateZeroOrderTerm, SolverDiverged
-from .grid import (ScalarField, SymTensorField, _diff, _plane_sum, _shared_grid, as_metric,
-                   as_second_form, sup_norm, sym_index)
+from .grid import (ScalarField, SecondForm, SymTensorField, _diff, _diff_symbol, _plane_sum,
+                   _shared_grid, as_metric, as_second_form, sym_index)
 
 __all__ = [
     "EllipticSolveReport",
@@ -191,8 +199,8 @@ class _Operator:
         thetas = [2.0 * np.pi * np.fft.fftfreq(shape[0]),
                   2.0 * np.pi * np.fft.fftfreq(shape[1]),
                   2.0 * np.pi * np.fft.rfftfreq(shape[2])]
-        s = np.meshgrid(*((8.0 * np.sin(th) - np.sin(2.0 * th)) / (6.0 * h)
-                          for th, h in zip(thetas, self.spacings)), indexing="ij", sparse=True)
+        s = np.meshgrid(*(_diff_symbol(th, h) for th, h in zip(thetas, self.spacings)),
+                        indexing="ij", sparse=True)
         c_mean = [np.mean(plane) for plane in self.coeff]
         symbol = np.mean(self.weight) + sum(c_mean[sym_index(a, b)] * s[a] * s[b]
                                             for a in range(3) for b in range(3))
@@ -208,11 +216,11 @@ def solve_lapse(
     g: SymTensorField, K: SymTensorField, tol: float = DEFAULT_TOL,
     max_iterations: int | None = None, initial_guess: ScalarField | None = None,
 ) -> tuple[ScalarField, EllipticSolveReport]:
-    """Solve the lapse equation -Delta N + |K|^2 N = 1 to relative residual tol.
+    """Solve the lapse equation -Delta N + c N = 1, c = _zero_order(K), to relative residual tol.
 
     Returns the lapse and a solve report.  Raises ValueError, before any
     other work, unless tol is finite and positive; DegenerateZeroOrderTerm
-    when min |K|^2 <= 0 (an H = 0 slice); and SolverDiverged, its report's
+    when min c <= 0 (an H = 0 slice); and SolverDiverged, its report's
     final_residual the last verified residual and its message the least
     one (the floor), when the budget (default 10 * sqrt(num_points)) runs
     out above tolerance or when 8 verified residuals in a row set no new
@@ -221,7 +229,12 @@ def solve_lapse(
     """
     _check_tol(tol)
     g = as_metric(g)
-    return _solve(g, as_second_form(K, g).norm_sq, tol, max_iterations, initial_guess)
+    return _solve(g, _zero_order(as_second_form(K, g)), tol, max_iterations, initial_guess)
+
+
+def _zero_order(K: SecondForm) -> np.ndarray:
+    """The lapse equation's zero-order coefficient c = |K|^2_g, a read-only plane."""
+    return K.norm_sq
 
 
 def _check_tol(tol: float) -> None:
@@ -235,7 +248,7 @@ def _solve(
 ) -> tuple[ScalarField, EllipticSolveReport]:
     """Solve -Delta_g u + c u = rhs (default rhs = 1) to relative residual tol, c a plane.
 
-    Raises as solve_lapse does, with c in place of |K|^2, and also
+    Raises as solve_lapse does, and also
     ValueError, before any other work, when rhs is identically zero (its
     solution is u = 0, and the relative residual has no scale).  The
     default guess is 1/c.  `callback(values)` is invoked with the
@@ -331,18 +344,20 @@ def _solve(
 def lapse_bound_margins(
     N: ScalarField, K: SymTensorField, g: SymTensorField
 ) -> tuple[float, float]:
-    """Maximum-principle margins (min N - 1/sup|K|^2, 3/H^2 - max N).
+    """Maximum-principle margins (min N - 1/sup c, 3/H^2 - max N), c = _zero_order(K).
 
-    H^2 is taken as the grid supremum of (tr K)^2; for CMC data the trace
-    is uniform so the choice is immaterial.
+    The lower bound is the solve's own c; the upper is the paper's 3/H^2
+    (see the module docstring).  H^2 is taken as the grid supremum of
+    (tr K)^2; for CMC data the trace is uniform so the choice is
+    immaterial.  Raises DegenerateZeroOrderTerm when sup c <= 0 or H = 0.
     """
     K = as_second_form(K, g)
     _shared_grid(K, N)
-    ksq_sup = sup_norm(K, K.metric) ** 2  # (sup |K|_g)^2, as k_ratio reads it
+    c_sup = float(np.max(_zero_order(K)))
     h_sup = float(np.max(np.abs(K.trace)))
-    if ksq_sup <= 0.0 or h_sup <= 0.0:
-        raise DegenerateZeroOrderTerm("bounds need |K| > 0 and H != 0")
-    low = float(np.min(N.values)) - 1.0 / ksq_sup
+    if c_sup <= 0.0 or h_sup <= 0.0:
+        raise DegenerateZeroOrderTerm("bounds need sup c > 0 and H != 0")
+    low = float(np.min(N.values)) - 1.0 / c_sup
     high = 3.0 / h_sup**2 - float(np.max(N.values))
     return low, high
 
@@ -354,20 +369,14 @@ def default_bound_tolerance(grid) -> float:
 
 
 def check_lapse_bounds(
-    N: ScalarField,
-    K: SymTensorField,
-    g: SymTensorField,
-    tolerance: float | None = None,
+    N: ScalarField, K: SymTensorField, g: SymTensorField
 ) -> tuple[float, float]:
-    """Margins of the maximum-principle bounds; raises BoundViolation if negative.
+    """lapse_bound_margins; BoundViolation if either is below -default_bound_tolerance(N.grid).
 
-    Tolerance defaults to max(1e-10, 10 h^4), the discretization slack of
-    the 4th-order stencils; one given must be finite and >= 0 (ValueError).
+    That slack, max(1e-10, 10 h^4), is the discretization error of the
+    4th-order stencils.
     """
-    if tolerance is None:
-        tolerance = default_bound_tolerance(N.grid)
-    elif not (np.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    tolerance = default_bound_tolerance(N.grid)
     margins = lapse_bound_margins(N, K, g)
     if margins[0] < -tolerance or margins[1] < -tolerance:
         raise BoundViolation(

@@ -34,13 +34,6 @@ def sym_to_mat(vals):
     return out
 
 
-def mat_to_sym(mats):
-    out = np.zeros(mats.shape[:-2] + (6,))
-    for idx, (a, b) in enumerate(SYM_PAIRS):
-        out[..., idx] = 0.5 * (mats[..., a, b] + mats[..., b, a])
-    return out
-
-
 def gamma_to_full(planes):
     """(3, 6, ...) Gamma^a on each packed lower pair (b, c) -> (..., 3, 3, 3) indexed [a, b, c]."""
     out = np.zeros(planes.shape[2:] + (3, 3, 3))

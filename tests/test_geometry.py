@@ -28,6 +28,7 @@ from cmclab import (
     static_residual,
     sym_to_matrix,
     trace,
+    traceless,
     weyl_parts,
     weyl_trace_residuals,
 )
@@ -155,6 +156,28 @@ def test_br_components_match_brute(grid8, rng):
         ):
             scale = max(np.max(np.abs(want)), 1.0)
             assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+
+def test_br_stress_and_flux_are_bounded_by_the_density(grid8, rng):
+    # |q_abtt|_g <= q_tttt and |q_attt|_g <= q_tttt pointwise for traceless E
+    # and B (Senovilla, CQG 17 (2000) 2799), on the pipeline and the brute
+    # force alike; the first bound is attained, so the slack is rounding's
+    for _ in range(10):
+        g = random_metric(grid8, rng)
+        e = traceless(_random_sym(grid8, rng), g)
+        b = traceless(_random_sym(grid8, rng), g)
+        b = SymTensorField(grid8, rng.uniform(0.0, 3.0) * b.values)
+        q = br_components(e, b, g)
+        m = orc.brute_metric(orc.sym_to_mat(g.values))
+        em, bm = orc.sym_to_mat(e.values), orc.sym_to_mat(b.values)
+        for density, flux, stress in (
+            (q.q_tttt.values, q.q_attt.values, sym_to_matrix(q.q_abtt.values)),
+            (orc.brute_q_tttt(em, bm, m), orc.brute_q_attt(em, bm, m),
+             orc.brute_q_abtt(em, bm, m)),
+        ):
+            bound = density * (1.0 + 1e-12)
+            assert np.all(np.sqrt(orc.brute_inner(stress, stress, m.inv)) <= bound)
+            assert np.all(np.sqrt(orc.brute_vector_dot(flux, flux, m.inv)) <= bound)
 
 
 def test_br_density_nonnegative_and_zero_only_for_flat(grid8, rng):

@@ -26,7 +26,7 @@ from cmclab import (
     sym_to_matrix,
 )
 from cmclab.checks import random_metric
-from cmclab.grid import MIN_POINTS_PER_AXIS, SYM_PAIRS, _diff_matrix, diff_array
+from cmclab.grid import MIN_POINTS_PER_AXIS, SYM_PAIRS, _diff_matrix, _diff_symbol, diff_array
 
 
 def test_sym_index_matches_pair_table():
@@ -247,6 +247,19 @@ def test_difference_matrix_is_cached_read_only_and_skew(n, spacing):
     for offset, weight in ((1, 8.0), (-1, -8.0), (2, -1.0), (-2, 1.0)):
         want[rows, (rows + offset) % n] = weight / scale
     assert np.array_equal(d, want)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+@pytest.mark.parametrize("spacing", [0.125, 0.03])
+def test_difference_symbol_is_the_matrix_on_fourier_modes(n, spacing):
+    # D v = i s(theta) v for v_j = e^{i theta j}, theta = 2 pi m / n: the
+    # symbol the lapse preconditioner inverts is D's, from the same table
+    d, j = _diff_matrix(n, spacing), np.arange(n)
+    theta = 2.0 * np.pi * j / n
+    # column m is mode m; its phases reduced mod 2 pi before rounding
+    modes = np.exp(2j * np.pi * (np.outer(j, j) % n) / n)
+    error = np.abs(d @ modes - 1j * _diff_symbol(theta, spacing) * modes)
+    assert np.max(error) <= 8 * np.finfo(float).eps * np.max(np.sum(np.abs(d), axis=1))
 
 
 def test_partial_derivative_constant_is_zero(grid8):

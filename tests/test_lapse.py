@@ -16,6 +16,8 @@ from cmclab import (
     ScalarField,
     SolverDiverged,
     SymTensorField,
+    as_metric,
+    as_second_form,
     check_lapse_bounds,
     default_bound_tolerance,
     inverse_metric,
@@ -32,7 +34,7 @@ from cmclab import kasner
 from cmclab import lapse as lapse_module
 from cmclab.checks import random_metric
 from cmclab.grid import diff_array, sym_index
-from cmclab.lapse import BOUND_TOL_COEFF, DEFAULT_TOL, _Operator, _solve
+from cmclab.lapse import BOUND_TOL_COEFF, DEFAULT_TOL, _Operator, _solve, _zero_order
 
 
 def _operator_pieces(g, K):
@@ -91,17 +93,21 @@ def test_manufactured_problem_converges_at_order_four():
 
 @pytest.mark.parametrize("shear", [0.0, 0.3], ids=["pure-trace", "sheared"])
 def test_solve_reads_k_only_through_its_norm(grid16, shear):
-    # the pure-trace K = sqrt(c/3) g, c = |K|^2_g, poses the same problem as K
-    g6, k6, f, _ = orc.manufactured_lapse_problem(grid16)
+    # the pure-trace K' = sqrt(c/3) g, c = |K|^2_g, poses the same lapse equation as K
+    g6, k6, _, _ = orc.manufactured_lapse_problem(grid16)
     k6 = k6.copy()
     k6[..., 1] += shear * np.sin(2 * np.pi * grid16.meshes()[2])
-    g, K, rhs = SymTensorField(grid16, g6), SymTensorField(grid16, k6), ScalarField(grid16, f)
-    c = norm_sq(K, g).values
+    g, K = as_metric(SymTensorField(grid16, g6)), SymTensorField(grid16, k6)
+    c = _zero_order(as_second_form(K, g))
     pure = SymTensorField(grid16, np.sqrt(c / 3.0)[..., None] * g6)
     tol = 1e-10
-    N, _ = _solve(g, c, tol, rhs=rhs)
-    N_pure, _ = _solve(g, norm_sq(pure, g).values, tol, rhs=rhs)
-    assert np.max(np.abs(N_pure.values - N.values)) <= tol * np.max(np.abs(N.values))
+    N, _ = solve_lapse(g, K, tol)
+    N_pure, _ = solve_lapse(g, pure, tol)
+    assert np.max(np.abs(N_pure.values - N.values)) <= tol * np.max(N.values)
+    # the solve and the lower bound read the one coefficient
+    assert np.array_equal(N.values, _solve(g, c, tol)[0].values)
+    low, _ = lapse_bound_margins(N, K, g)
+    assert low == np.min(N.values) - 1.0 / np.max(c)
 
 
 def test_discrete_manufactured_solution_recovered_to_solver_tolerance(grid16, rng):
@@ -256,6 +262,25 @@ def test_preconditioner_runs_once_per_cg_iteration(grid16, monkeypatch):
         calls.clear()
         _, report = solve_lapse(s.g, s.K, tol=tol)
         assert report.iterations > 0 and len(calls) == report.iterations
+
+
+@pytest.mark.parametrize("grid", [GridSpec.cubic(16), GridSpec.cubic(8, period=0.01),
+                                  GridSpec((12, 10, 9), (1.0, 2.5, 0.7))],
+                         ids=["16", "8-small", "anisotropic"])
+def test_preconditioner_symbol_is_the_closed_form(grid, rng):
+    # bitwise the symbol (8 sin theta - sin 2 theta) / (6 h) written out, so
+    # taking it from grid._diff_symbol leaves every CG iterate as it was
+    g = random_metric(grid, rng)
+    _, coeff, weight = _operator_pieces(g, g)
+    thetas = [2.0 * np.pi * np.fft.fftfreq(grid.shape[0]),
+              2.0 * np.pi * np.fft.fftfreq(grid.shape[1]),
+              2.0 * np.pi * np.fft.rfftfreq(grid.shape[2])]
+    s = np.meshgrid(*((8.0 * np.sin(th) - np.sin(2.0 * th)) / (6.0 * h)
+                      for th, h in zip(thetas, grid.spacings)), indexing="ij", sparse=True)
+    c_mean = [np.mean(plane) for plane in coeff]
+    want = 1.0 / (np.mean(weight) + sum(c_mean[sym_index(a, b)] * s[a] * s[b]
+                                        for a in range(3) for b in range(3)))
+    assert np.array_equal(_Operator(1.0, coeff, weight, grid.spacings)._inv_symbol, want)
 
 
 def test_guess_a_multiple_of_the_solution_converges_at_once(grid8, rng):
@@ -474,21 +499,10 @@ def test_solve_lapse_rejects_bad_tol(grid8, tol):
         solve_lapse(g, K, tol=tol)
 
 
-@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-3])
-def test_check_lapse_bounds_rejects_bad_tolerance(grid8, tolerance):
+def test_bound_margins_of_unit_lapse_on_kasner(grid8):
+    # tau = 1: N = 1 meets 1/|K|^2 = 1 exactly and lies 2 below 3/H^2 = 3
     g, K = _kasner_slice(grid8)
-    halved = ScalarField.constant(grid8, 0.5)  # margins (-0.5, 2.5)
-    with pytest.raises(BoundViolation):
-        check_lapse_bounds(halved, K, g)
-    with pytest.raises(ValueError, match="tolerance"):
-        check_lapse_bounds(halved, K, g, tolerance=tolerance)
-    with pytest.raises(ValueError, match="tolerance"):
-        check_lapse_bounds(ScalarField.constant(grid8, 1.0), K, g, tolerance=tolerance)
-
-
-def test_check_lapse_bounds_accepts_zero_tolerance(grid8):
-    g, K = _kasner_slice(grid8)
-    low, high = check_lapse_bounds(ScalarField.constant(grid8, 1.0), K, g, tolerance=0.0)
+    low, high = lapse_bound_margins(ScalarField.constant(grid8, 1.0), K, g)
     assert low == pytest.approx(0.0, abs=1e-14) and high == pytest.approx(2.0)
 
 

@@ -1,9 +1,12 @@
-"""Code lines per module under src/cmclab: no blank, comment or docstring lines.
+"""Code lines and options per module under src/cmclab.
 
     python3 tools/code_lines.py [SRC_DIR]
 
 A line counts when a token other than a comment or a line break lies on
-it and it is not part of a module, class or function docstring.
+it and it is not part of a module, class or function docstring.  An
+option is a defaulted parameter of a public function or method, or a
+defaulted public field of a public dataclass: each is a value a caller
+can set independently.
 """
 
 import ast
@@ -29,9 +32,35 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    # @dataclass or @dataclass(...)
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def option_count(text: str) -> int:
+    module = ast.parse(text)
+    classes = [node for node in module.body if isinstance(node, ast.ClassDef) and _public(node.name)]
+    count = 0
+    for scope in [module, *classes]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(node.name):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif (scope is not module and _is_dataclass(scope) and isinstance(node, ast.AnnAssign)
+                  and node.value is not None and _public(node.target.id)):
+                count += 1
+    return count
+
+
 if __name__ == "__main__":
     src = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
-    counts = {path.name: code_lines(path.read_text()) for path in sorted(src.glob("*.py"))}
-    for name, count in counts.items():
-        print(f"{count:6d}  {name}")
-    print(f"{sum(counts.values()):6d}  total")
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    counts = {name: (code_lines(text), option_count(text)) for name, text in texts.items()}
+    print(" lines  options  module")
+    for name, (lines, options) in counts.items():
+        print(f"{lines:6d}  {options:7d}  {name}")
+    print(f"{sum(c[0] for c in counts.values()):6d}  {sum(c[1] for c in counts.values()):7d}  total")
