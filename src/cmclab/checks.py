@@ -45,7 +45,7 @@ from .grid import (
     sym_to_matrix,
 )
 from .kasner import AXIAL, KasnerParams
-from .lapse import DEFAULT_TOL, check_lapse_bounds, solve_lapse
+from .lapse import check_lapse_bounds, solve_lapse
 from .state import SliceState
 from .tensor import curl, trace, wedge
 
@@ -98,8 +98,12 @@ def random_state(grid: GridSpec, rng: np.random.Generator) -> SliceState:
     return state
 
 
-def identity_checks(grid_n: int = 16, seed: int = 0, solver_tol: float = DEFAULT_TOL):
-    """Named identity and oracle checks on one grid; returns CheckResults."""
+def identity_checks(grid_n: int, seed: int, solver_tol: float):
+    """Named identity and oracle checks on one grid; returns CheckResults.
+
+    The settings are a RunConfig's grid_n, seed and solver_tol, which the
+    CLI's verify command supplies.
+    """
     grid = GridSpec.cubic(grid_n)
     rng = np.random.default_rng(seed)
     results = []
@@ -174,8 +178,11 @@ def identity_checks(grid_n: int = 16, seed: int = 0, solver_tol: float = DEFAULT
     return results
 
 
-def rescale_battery(grid_n: int = 16, seed: int = 0):
+def rescale_battery(grid_n: int, seed: int):
     """Scaling-law battery over 10 random states and 10 random factors.
+
+    The settings are a RunConfig's grid_n and seed, which the CLI's
+    rescale-test command supplies.
 
     Checks, over every (state, r) pair: the lapse is carried over exactly;
     mean curvature and sup |K| scale by r to 1e-12 relative; slice energy

@@ -43,22 +43,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (flag, key): each flag given on the command line overrides its config key.
+_OVERRIDES = (("command", "command"), ("output", "output_path"), ("grid", "grid_n"), ("seed", "seed"))
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
+    """The --config file's RunConfig (defaults without one), with each given flag applied."""
     if args.config:
         with open(args.config) as handle:
             config = parse_config(handle.read())
-        if config.command != args.command:
-            config = replace(config, command=args.command)
     else:
         config = RunConfig(command=args.command)
-    overrides = {}
-    if args.output is not None:
-        overrides["output_path"] = args.output
-    if args.grid is not None:
-        overrides["grid_n"] = args.grid
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return replace(config, **overrides) if overrides else config
+    overrides = {key: value for flag, key in _OVERRIDES
+                 if (value := getattr(args, flag)) is not None}
+    return replace(config, **overrides)
 
 
 def _deliver(text: str, config: RunConfig) -> None:

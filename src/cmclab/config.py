@@ -2,16 +2,21 @@
 
 One key per line, each the name of a RunConfig field; `#` starts a
 comment; unknown and duplicate keys are rejected with the offending line
-number.  Validation failures name the violated invariant.
-serialize_config emits a file that parses back to an equal RunConfig
-(floats via repr, hence bitwise), and raises ValidationError for a string
-value no config line can carry.
+number.  A key's type is its RunConfig annotation, the one declaration
+of a run setting: the type picks the reader of the value text (ints,
+floats, flags true/yes/on/1 or false/no/off/0, kasner as three
+comma-separated exponents, times as comma-separated floats, an empty
+path as unset) and the writer serialize_config uses.  Validation
+failures name the violated invariant.  serialize_config emits a file
+that parses back to an equal RunConfig (floats via repr, hence bitwise),
+and raises ValidationError for a string value no config line can carry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .errors import InvalidKasner, ParseError, ValidationError
 from .evolution import DEFAULT_CFL
@@ -27,6 +32,9 @@ COMMANDS = ("verify", "evolve", "oracle", "rescale-test")
 @dataclass(frozen=True)
 class RunConfig:
     """Validated parameters for one CLI run; each config key is a field's name.
+
+    A field's annotation is its key's type, which picks how a config line
+    is read and written; it must be a type in config's reader table.
 
     dt fixes the step size directly; when dt is absent the step is chosen
     per slice from the cfl fraction.  times is the slice list for the
@@ -99,36 +107,36 @@ class RunConfig:
             raise ValidationError(f"times must all be negative, got {self.times!r}")
 
 
-_KEYS = {f.name for f in fields(RunConfig)}
-_TRUE = ("true", "yes", "on", "1")
-_FALSE = ("false", "no", "off", "0")
+_TRUE, _FALSE = ("true", "yes", "on", "1"), ("false", "no", "off", "0")
 
 
-def _parse_value(key: str, raw: str, line: int):
-    try:
-        if key in ("grid_n", "seed", "cadence"):
-            return int(raw)
-        if key == "command":
-            return raw
-        if key in ("output_path", "snapshot_path"):
-            return raw or None
-        if key == "trace_correction":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a flag value: {raw!r}")
-        if key == "kasner":
-            parts = [float(p) for p in raw.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"kasner needs three exponents, got {len(parts)}")
-            return tuple(parts)
-        if key == "times":
-            return tuple(float(p) for p in raw.split(",")) if raw else ()
-        return float(raw)
-    except ValueError as exc:
-        raise ParseError(f"bad value for {key}: {exc}", line=line) from exc
+def _flag(raw: str) -> bool:
+    if raw.lower() not in _TRUE + _FALSE:
+        raise ValueError(f"not a flag value: {raw!r}")
+    return raw.lower() in _TRUE
+
+
+def _exponents(raw: str) -> tuple[float, ...]:
+    # parse_config builds the KasnerParams once every line has parsed
+    parts = tuple(float(p) for p in raw.split(","))
+    if len(parts) != 3:
+        raise ValueError(f"kasner needs three exponents, got {len(parts)}")
+    return parts
+
+
+# A key's type is its RunConfig annotation.  Each type has one reader
+# (text to value) and one writer (value to text; str when absent here).
+_TYPES = get_type_hints(RunConfig)
+_READERS = {
+    int: int, float: float, float | None: float, str: str,
+    str | None: lambda raw: raw or None, bool: _flag, KasnerParams: _exponents,
+    tuple[float, ...]: lambda raw: tuple(float(p) for p in raw.split(",")) if raw else (),
+}
+_WRITERS = {
+    float: repr, float | None: repr, bool: lambda value: "true" if value else "false",
+    KasnerParams: lambda p: ", ".join(map(repr, p.exponents)),
+    tuple[float, ...]: lambda values: ", ".join(map(repr, values)),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -142,11 +150,14 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"expected key = value, got {raw_line.strip()!r}", line=number)
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _KEYS:
+        if key not in _TYPES:
             raise ParseError(f"unknown key {key!r}", line=number)
         if key in assignments:
             raise ParseError(f"duplicate key {key!r}", line=number)
-        assignments[key] = _parse_value(key, raw, number)
+        try:
+            assignments[key] = _READERS[_TYPES[key]](raw)
+        except ValueError as exc:
+            raise ParseError(f"bad value for {key}: {exc}", line=number) from exc
     if "command" not in assignments:
         raise ParseError("missing required key 'command'")
     if "kasner" in assignments:
@@ -155,18 +166,6 @@ def parse_config(text: str) -> RunConfig:
         except InvalidKasner as exc:
             raise ValidationError(str(exc)) from exc
     return RunConfig(**assignments)
-
-
-def _format_value(field_name: str, value) -> str:
-    if field_name == "kasner":
-        return ", ".join(repr(p) for p in value.exponents)
-    if field_name == "times":
-        return ", ".join(repr(t) for t in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _fits_one_line(text: str) -> bool:
@@ -182,11 +181,11 @@ def serialize_config(config: RunConfig) -> str:
     `#` (comment start) or a line break.
     """
     lines = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
+    for key, kind in _TYPES.items():
+        value = getattr(config, key)
         if value is None or value == ():  # an unset optional: its default
             continue
         if isinstance(value, str) and not _fits_one_line(value):
-            raise ValidationError(f"{f.name} = {value!r} cannot be written as a config line")
-        lines.append(f"{f.name} = {_format_value(f.name, value)}")
+            raise ValidationError(f"{key} = {value!r} cannot be written as a config line")
+        lines.append(f"{key} = {_WRITERS.get(kind, str)(value)}")
     return "\n".join(lines) + "\n"

@@ -241,35 +241,32 @@ def gradient_lapse_estimate_check(
 
 
 class DiagnosticsCollector:
-    """Accumulates records along a run (spacetime energy, running r_c)."""
+    """Accumulates records along a run (spacetime energy, running r_c).
+
+    The running columns continue from the last record, so a failed add
+    leaves the collector as it was.
+    """
 
     def __init__(self):
         self.records: list[DiagnosticsRecord] = []
-        self._prev_t: float | None = None
-        self._prev_density: float | None = None
-        self._accumulated = 0.0
-        self._r_c_run = np.inf
+        self._prev_density: float | None = None  # of the last record's slice
 
     def add(self, state: SliceState) -> DiagnosticsRecord:
         N = state.N
         K = _second_form(state)
         g = K.metric
         scalars = _br_scalars(state, K)
-        if self._prev_t is not None:
-            self._accumulated += _trapezoid(self._prev_t, self._prev_density, state.t,
-                                            scalars.density)
-        self._prev_t = state.t
-        self._prev_density = scalars.density
-        self._r_c_run = min(self._r_c_run, scalars.r_c)
         low, high = lapse_bound_margins(N, K, g)
         ham, mom = constraint_norms(g, K)
+        last = self.records[-1] if self.records else None
         record = DiagnosticsRecord(
             t=state.t,
             e_br=scalars.e_br,
-            e_br_spacetime=self._accumulated,
+            e_br_spacetime=0.0 if last is None else last.e_br_spacetime + _trapezoid(
+                last.t, self._prev_density, state.t, scalars.density),
             k_ratio=sup_norm(K, g) / abs(state.t),
             r_c=scalars.r_c,
-            r_c_run=self._r_c_run,
+            r_c_run=scalars.r_c if last is None else min(last.r_c_run, scalars.r_c),
             lapse_margin_low=low,
             lapse_margin_high=high,
             grad_n_sup=scalars.grad_n_sup,
@@ -278,6 +275,7 @@ class DiagnosticsCollector:
             mom_norm=mom,
         )
         self.records.append(record)
+        self._prev_density = scalars.density
         return record
 
 

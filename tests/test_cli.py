@@ -25,13 +25,15 @@ def test_parser_rejects_unknown_command():
 
 def test_flag_overrides_win_over_config(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("command = verify\ngrid_n = 16\nseed = 1\n")
+    cfg.write_text("command = verify\ngrid_n = 16\nseed = 1\nperiod = 2.0\noutput_path = a.csv\n")
     args = build_parser().parse_args(
-        ["evolve", "--config", str(cfg), "--grid", "8", "--seed", "9"])
+        ["evolve", "--config", str(cfg), "--grid", "8", "--seed", "9", "--output", "b.csv"])
     config = load_config(args)
     assert config.command == "evolve"  # positional wins
     assert config.grid_n == 8
     assert config.seed == 9
+    assert config.output_path == "b.csv"
+    assert config.period == 2.0  # a key no flag names keeps the config's value
 
 
 def test_verify_prints_pass_lines(capsys):

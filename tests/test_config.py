@@ -90,6 +90,16 @@ def test_parse_errors_with_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_config("command = evolve\ngrid_n = eight\n")
     assert err.value.line == 2
+    for line, reason in (
+        ("dt = none", "could not convert string to float: 'none'"),
+        ("times = -1, x", "could not convert string to float: ' x'"),
+        ("kasner = 1, 0", "kasner needs three exponents, got 2"),
+        ("t0 = minus", "could not convert string to float: 'minus'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_config(f"command = evolve\n{line}\n")
+        assert err.value.line == 2
+        assert str(err.value) == f"line 2: bad value for {line.split(' = ')[0]}: {reason}"
     with pytest.raises(ParseError):
         parse_config("grid_n = 8\n")  # command missing
 

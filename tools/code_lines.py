@@ -1,6 +1,11 @@
 """Code lines and options per module under src/cmclab.
 
     python3 tools/code_lines.py [SRC_DIR]
+    python3 tools/code_lines.py OLD_SRC_DIR NEW_SRC_DIR
+
+With two source directories (say a parent checkout's src/cmclab and this
+one's) it prints both trees' counts per module and the new-minus-old
+differences; a module missing from one tree counts zero there.
 
 A line counts when a token other than a comment or a line break lies on
 it and it is not part of a module, class or function docstring.  An
@@ -56,11 +61,26 @@ def option_count(text: str) -> int:
     return count
 
 
-if __name__ == "__main__":
-    src = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
+def tree_counts(src: pathlib.Path) -> dict:
+    """(code lines, options) of each module in src, by file name."""
     texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
-    counts = {name: (code_lines(text), option_count(text)) for name, text in texts.items()}
-    print(" lines  options  module")
-    for name, (lines, options) in counts.items():
-        print(f"{lines:6d}  {options:7d}  {name}")
-    print(f"{sum(c[0] for c in counts.values()):6d}  {sum(c[1] for c in counts.values()):7d}  total")
+    return {name: (code_lines(text), option_count(text)) for name, text in texts.items()}
+
+
+def _cells(pair, sign="") -> str:
+    return f"{pair[0]:{sign}6d}  {pair[1]:{sign}7d}"
+
+
+if __name__ == "__main__":
+    trees = [tree_counts(pathlib.Path(arg)) for arg in sys.argv[1:]] or [tree_counts(SRC)]
+    names = sorted(set().union(*trees))
+    total = [tuple(sum(c.get(n, (0, 0))[i] for n in names) for i in (0, 1)) for c in trees]
+    rows = [([c.get(n, (0, 0)) for c in trees], n) for n in names] + [(total, "total")]
+    if len(trees) == 1:
+        print(" lines  options  module")
+    else:
+        print(" lines  options   lines  options   lines  options  module")
+        print("   old tree         new tree       new - old")
+    for pairs, name in rows:
+        diff = [_cells((b[0] - a[0], b[1] - a[1]), "+") for a, b in zip(pairs, pairs[1:])]
+        print("  ".join([_cells(p) for p in pairs] + diff + [name]))
