@@ -15,8 +15,8 @@ and raises ValidationError for a string value no config line can carry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import get_type_hints
+from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import InvalidKasner, ParseError, ValidationError
 from .evolution import DEFAULT_CFL
@@ -66,12 +66,16 @@ class RunConfig:
             raise ValidationError(
                 f"command must be one of {', '.join(COMMANDS)}, got {self.command!r}"
             )
-        # NaN fails every comparison below silently, so test finiteness first.
-        for f in fields(self):
-            value = getattr(self, f.name)
+        # A value of another type would not survive serialize_config and
+        # parse_config, and NaN fails every comparison below silently, so
+        # test each value's type and finiteness first.
+        for key, kind in _TYPES.items():
+            value = getattr(self, key)
+            if not _is_a(value, kind):
+                raise ValidationError(f"{key} must be {self.__annotations__[key]}, got {value!r}")
             items = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-                raise ValidationError(f"{f.name} must be finite, got {value!r}")
+                raise ValidationError(f"{key} must be finite, got {value!r}")
         if self.grid_n < MIN_POINTS_PER_AXIS:
             raise ValidationError(
                 f"grid_n must be at least {MIN_POINTS_PER_AXIS}, got {self.grid_n!r}"
@@ -105,6 +109,21 @@ class RunConfig:
             raise ValidationError(f"cadence must be at least 1, got {self.cadence!r}")
         if any(t >= 0.0 for t in self.times):
             raise ValidationError(f"times must all be negative, got {self.times!r}")
+
+
+def _is_a(value, kind) -> bool:
+    """Whether value is of the annotated kind, as parse_config reads that kind.
+
+    An int key takes an int but not a bool, a float key an int or a float,
+    times a tuple of those, and any other key its annotated class; no key
+    takes a numpy scalar.  Classes match exactly: a bool is an int and
+    numpy's float64 a float, yet neither is read back as one.
+    """
+    if get_origin(kind) is tuple:  # tuple[float, ...]
+        return type(value) is tuple and all(_is_a(v, get_args(kind)[0]) for v in value)
+    if get_args(kind):  # X | None
+        return any(_is_a(value, k) for k in get_args(kind))
+    return type(value) in ((int, float) if kind is float else (kind,))
 
 
 _TRUE, _FALSE = ("true", "yes", "on", "1"), ("false", "no", "off", "0")

@@ -279,17 +279,24 @@ class DiagnosticsCollector:
         return record
 
 
+# energies below the floor are scheme noise, not growth; discrete runs of
+# exactly-flat data land near 1e-14, so the floor sits above
+_E_BR_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Continuation-monitor thresholds over a CMC window [t0, t_star)."""
+    """Continuation-monitor thresholds over a CMC window [t0, t_star).
+
+    The thresholds enter here, so they are checked here, once, with
+    ValidationError: lambda_threshold > 1, t0 < t_star < 0 and
+    growth_factor > 1.  continuation_monitor reads them as given.
+    """
 
     lambda_threshold: float
     t0: float
     t_star: float
     growth_factor: float = 100.0
-    # energies below the floor are scheme noise, not growth; discrete
-    # runs of exactly-flat data land near 1e-14, so the floor sits above
-    e_br_floor: float = 1e-12
 
     def __post_init__(self):
         if not self.lambda_threshold > 1.0:
@@ -304,8 +311,6 @@ class MonitorConfig:
             raise ValidationError(
                 f"growth_factor must exceed 1, got {self.growth_factor!r}"
             )
-        if not (np.isfinite(self.e_br_floor) and self.e_br_floor >= 0.0):
-            raise ValidationError(f"e_br_floor must be finite and >= 0, got {self.e_br_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -328,7 +333,13 @@ class MonitorVerdict:
 
 
 def continuation_monitor(records, config: MonitorConfig) -> MonitorVerdict:
-    """Check the two continuation bounds on records inside the window."""
+    """Check the two continuation bounds on records inside the window.
+
+    config's thresholds were checked when it was built; the one check here
+    is of the records, EmptyHistory when none lies in the window.
+    theorem_tension compares the window's largest e_br with growth_factor
+    times its first, the first taken as at least _E_BR_FLOOR (1e-12).
+    """
     window = [r for r in records if config.t0 <= r.t < config.t_star]
     if not window:
         raise EmptyHistory(
@@ -338,7 +349,7 @@ def continuation_monitor(records, config: MonitorConfig) -> MonitorVerdict:
     energy_ok = tuple(r.e_br_spacetime <= lam for r in window)
     ratio_ok = tuple(r.k_ratio * r.k_ratio <= lam for r in window)
     both_hold = all(energy_ok) and all(ratio_ok)
-    e_first = max(window[0].e_br, config.e_br_floor)
+    e_first = max(window[0].e_br, _E_BR_FLOOR)
     e_max = max(r.e_br for r in window)
     tension = both_hold and e_max > config.growth_factor * e_first
     return MonitorVerdict(

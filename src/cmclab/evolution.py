@@ -287,12 +287,19 @@ def time_step(
     what a state carries and for how long.  After the update the sup-norm
     drift of tr K from the new time label is either projected into the
     pure-trace part of K (trace_correction) or required to stay below
-    cmc_drift_tol.  Raises ValueError unless dt is finite and
-    cmc_drift_tol is finite and nonnegative.
+    cmc_drift_tol.  Before any lapse solve, time_step raises ValueError
+    unless dt is finite, state.t + dt differs from state.t (a step that
+    cannot move t would repeat until evolve_states ran out of steps) and
+    cmc_drift_tol is finite and nonnegative (NaN and +inf would switch the
+    drift check off, a negative tolerance would fail every step);
+    solve_lapse checks solver_tol.
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
-    _check_drift_tol(cmc_drift_tol)
+    if state.t + dt == state.t:
+        raise ValueError(f"dt = {dt!r} does not move t = {state.t!r}")
+    if not (np.isfinite(cmc_drift_tol) and cmc_drift_tol >= 0.0):
+        raise ValueError(f"cmc_drift_tol must be finite and >= 0, got {cmc_drift_tol!r}")
     grid = state.grid
     g0, k0 = state.g.values, state.K.values
     n_prev = state.N
@@ -336,13 +343,6 @@ def time_step(
     return new_state
 
 
-def _check_drift_tol(cmc_drift_tol: float) -> None:
-    # NaN and +inf would silently switch the drift check off, and a negative
-    # tolerance would fail every step
-    if not (np.isfinite(cmc_drift_tol) and cmc_drift_tol >= 0.0):
-        raise ValueError(f"cmc_drift_tol must be finite and >= 0, got {cmc_drift_tol!r}")
-
-
 def max_stable_dt(state: SliceState, cfl: float = DEFAULT_CFL) -> float:
     """Step-size bound cfl * min(h) / sup(N sqrt(lambda_max(g^-1))).
 
@@ -369,15 +369,20 @@ def evolve_states(
 
     A fixed dt is used as given (it must be finite and its sign must point
     at t_end); with dt=None each step takes the CFL-limited size.  The
-    final step is shortened to land on t_end exactly.  Raises ValueError
-    before the first step unless cmc_drift_tol is finite and nonnegative,
-    and RuntimeError if a million steps do not reach t_end.
+    final step is shortened to land on t_end exactly.  Each argument is
+    checked where it enters, each raising ValueError: here t_end, and dt's
+    finiteness (an infinite dt would be cut to the whole interval before
+    time_step saw it) and sign; cfl in max_stable_dt; and the rest in the
+    first time_step, within the first next(): a dt too small to move t and
+    cmc_drift_tol before its first lapse solve, solver_tol in that
+    solve_lapse.  So a call with state.t == t_end takes no step and checks
+    only t_end and dt's finiteness.  Raises RuntimeError if a million
+    steps do not reach t_end.
     """
     if not (np.isfinite(t_end) and t_end < 0.0):
         raise ValueError(f"t_end must be a finite negative real, got {t_end!r}")
     if dt is not None and not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
-    _check_drift_tol(cmc_drift_tol)
     # a Python float, so every step, and every t, stays one too
     direction = float(np.sign(t_end - state.t))
     if direction == 0.0:
@@ -391,6 +396,9 @@ def evolve_states(
             return
         step = direction * max_stable_dt(current, cfl) if dt is None else dt
         if abs(step) >= abs(remaining):
+            # a remaining too small to move t needs t within a factor 2 of
+            # t_end, where t_end - t is exact (Sterbenz) and t + remaining is
+            # t_end: the last step always moves t
             step = remaining
         current = time_step(
             current,

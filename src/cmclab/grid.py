@@ -123,14 +123,18 @@ def sym_index(a: int, b: int) -> int:
     return _PAIR_TO_SLOT[(a, b)]
 
 
-MIN_POINTS_PER_AXIS = 8  # 4th-order stencil needs a 5-point halo clearance
+# A resolution floor, not the stencil's: D is the stencil on an axis of any
+# length (_diff_matrix).  8 points keep the highest modes the package's data
+# carry, perturb's wave number 2 per axis (evolution._random_smooth_sym), at
+# 4 points per wavelength.
+MIN_POINTS_PER_AXIS = 8
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic grid on the 3-torus.
 
-    shape : points per axis (each >= 8, the stencil-width floor)
+    shape : points per axis (each >= MIN_POINTS_PER_AXIS, 8)
     periods : coordinate period per axis, strictly positive
     """
 
@@ -428,11 +432,11 @@ class SecondForm(SymTensorField):
 
     @cached_property
     def squared(self) -> np.ndarray:
-        # (K g^-1 K)_ab = (g^-1 K)^c_a K_cb on the stored pairs (a, b)
+        # (K g^-1 K)_ab = K_bc (g^-1 K)^c_a on the stored pairs (a, b)
         m, k = self._mixed_planes, _planes(self.values)
         out, tmp = np.empty(k.shape), np.empty(k.shape[1:])
         for slot, (a, b) in enumerate(SYM_PAIRS):
-            _plane_sum([(m[c, a], k[sym_index(c, b)]) for c in range(3)], out[slot], tmp)
+            _times_mixed(k, m, b, a, out[slot], tmp)
         return _frozen(_grid_last(out))
 
 
@@ -606,6 +610,12 @@ def _plane_sum(pairs, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     for x, y in rest:
         out += np.multiply(x, y, out=tmp)
     return out
+
+
+def _times_mixed(a: np.ndarray, b_up: np.ndarray, b: int, c: int, out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
+    """(A g^-1 B)_bc = A_bd (g^-1 B)^d_c into out, from A's 6 planes and g^-1 B's 9."""
+    return _plane_sum([(a[sym_index(b, d)], b_up[d, c]) for d in range(3)], out, tmp)
 
 
 def christoffels(g: SymTensorField) -> np.ndarray:

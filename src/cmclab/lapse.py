@@ -117,7 +117,7 @@ verified residual: a 32^3 warped slice at tol 1e-14, whose floor is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -152,7 +152,7 @@ class EllipticSolveReport:
     iterations: int
     final_residual: float  # relative discrete L2 residual of -Delta u + c u - rhs
     converged: bool
-    residual_history: list[float] = field(default_factory=list)
+    residual_history: list[float]
 
 
 class _Operator:
@@ -219,15 +219,17 @@ def solve_lapse(
     """Solve the lapse equation -Delta N + c N = 1, c = _zero_order(K), to relative residual tol.
 
     Returns the lapse and a solve report.  Raises ValueError, before any
-    other work, unless tol is finite and positive; DegenerateZeroOrderTerm
-    when min c <= 0 (an H = 0 slice); and SolverDiverged, its report's
+    other work, unless tol is finite and positive (the one check of tol:
+    _solve takes it as given); DegenerateZeroOrderTerm when min c <= 0
+    (an H = 0 slice); and SolverDiverged, its report's
     final_residual the last verified residual and its message the least
     one (the floor), when the budget (default 10 * sqrt(num_points)) runs
     out above tolerance or when 8 verified residuals in a row set no new
     minimum above it.  No preconditioner runs after a solve's last CG
     iteration, so a solve applies it exactly report.iterations times.
     """
-    _check_tol(tol)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     g = as_metric(g)
     return _solve(g, _zero_order(as_second_form(K, g)), tol, max_iterations, initial_guess)
 
@@ -237,27 +239,22 @@ def _zero_order(K: SecondForm) -> np.ndarray:
     return K.norm_sq
 
 
-def _check_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
 def _solve(
     g: SymTensorField, c: np.ndarray, tol: float, max_iterations: int | None = None,
     initial_guess: ScalarField | None = None, rhs: ScalarField | None = None, callback=None,
 ) -> tuple[ScalarField, EllipticSolveReport]:
     """Solve -Delta_g u + c u = rhs (default rhs = 1) to relative residual tol, c a plane.
 
-    Raises as solve_lapse does, and also
-    ValueError, before any other work, when rhs is identically zero (its
-    solution is u = 0, and the relative residual has no scale).  The
-    default guess is 1/c.  `callback(values)` is invoked with the
-    caller's guess and then with each CG iterate, for convergence
-    instrumentation.  Each CG iteration starts with the preconditioner
-    (z = M^-1 r, then p = z after the start or a restart, else
-    p = beta p + z), so none runs after the last one.
+    Raises DegenerateZeroOrderTerm and SolverDiverged as solve_lapse
+    does, and ValueError, before any other work, when rhs is identically
+    zero (its solution is u = 0, and the relative residual has no scale).
+    tol is taken as given: its callers pass solve_lapse's checked tol or
+    the constant evolution._LICHNEROWICZ_TOL.  The default guess is 1/c.
+    `callback(values)` is invoked with the caller's guess and then with
+    each CG iterate, for convergence instrumentation.  Each CG iteration
+    starts with the preconditioner (z = M^-1 r, then p = z after the start
+    or a restart, else p = beta p + z), so none runs after the last one.
     """
-    _check_tol(tol)
     if rhs is not None and not np.any(rhs.values):
         raise ValueError("rhs must not be identically zero")
     g = as_metric(g)

@@ -73,6 +73,7 @@ from .grid import (
     _planes,
     _shared_grid,
     _sym_dot,
+    _times_mixed,
     as_metric,
     as_second_form,
     christoffels,
@@ -119,12 +120,6 @@ def inner(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> ScalarFiel
 def norm_sq(A: SymTensorField, g: SymTensorField) -> ScalarField:
     """Pointwise squared g-norm |A|^2 = A . A."""
     return ScalarField(A.grid, as_second_form(A, g).norm_sq)
-
-
-def _times_mixed(a: np.ndarray, b_up: np.ndarray, b: int, c: int, out: np.ndarray,
-                 tmp: np.ndarray) -> np.ndarray:
-    """(A g^-1 B)_bc = A_bd (g^-1 B)^d_c into out, from A's 6 planes and g^-1 B's 9."""
-    return _plane_sum([(a[sym_index(b, d)], b_up[d, c]) for d in range(3)], out, tmp)
 
 
 def wedge(A: SymTensorField, B: SymTensorField, g: SymTensorField) -> VectorField:

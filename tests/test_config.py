@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,6 +168,19 @@ def test_non_finite_values_are_rejected(key, overrides):
         RunConfig(command="evolve", t0=-1.0, **overrides)
     assert key in str(err.value)
     assert "finite" in str(err.value)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("grid_n", 16.5), ("seed", True), ("cadence", 2.0), ("times", [-1.0]),
+    ("period", np.float64(2.0)), ("grid_n", np.int64(16)),
+], ids=["grid_n-float", "seed-bool", "cadence-float", "times-list", "period-numpy",
+        "grid_n-numpy"])
+def test_values_must_have_their_annotated_type(key, value):
+    # each breaks the serialize_config / parse_config round trip: the text is
+    # refused, the config read back differs, or numpy's ValueError escapes
+    with pytest.raises(ValidationError) as err:
+        RunConfig(command="evolve", **{key: value})
+    assert str(err.value).startswith(f"{key} must be ")
 
 
 def test_serialize_round_trips_bitwise():

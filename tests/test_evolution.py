@@ -321,7 +321,7 @@ def test_cfl_steps_keep_the_time_label_a_python_float(grid8):
     assert all(type(s.t) is float for s in states)
 
 
-def test_evolve_states_argument_validation(grid8):
+def test_evolve_states_argument_validation(grid8, monkeypatch):
     s0 = kasner_initial_data(AXIAL, -1.0, grid8)
     with pytest.raises(ValueError):
         list(evolve_states(s0, 0.5))
@@ -343,6 +343,17 @@ def test_evolve_states_argument_validation(grid8):
             next(evolve_states(s0, -0.5, dt=dt, trace_correction=True))
         with pytest.raises(ValueError, match="dt must be finite"):
             time_step(s0, dt)
+
+    # a dt below half an ulp of t would repeat t = -1.0 until the step budget
+    # ran out; time_step refuses it before a lapse solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_lapse ran before dt was checked")
+
+    monkeypatch.setattr("cmclab.evolution.solve_lapse", no_solve)
+    with pytest.raises(ValueError, match="does not move t"):
+        time_step(s0, 1e-17)
+    with pytest.raises(ValueError, match="does not move t"):
+        next(evolve_states(s0, -0.5, dt=1e-17))
 
 
 def test_adaptive_steps_follow_the_cfl_bound(grid8):
