@@ -88,10 +88,13 @@ class RunConfig:
             )
         if self.t0 == self.t_end:
             raise ValidationError(f"t0 and t_end coincide at {self.t0!r}")
-        if self.dt is not None and (self.dt == 0.0 or (self.dt > 0) != (self.t_end > self.t0)):
+        # t0 + dt == t0 includes dt = 0: time_step would refuse such a dt
+        # only after evolve had written the first record
+        if self.dt is not None and (self.t0 + self.dt == self.t0
+                                    or (self.dt > 0) != (self.t_end > self.t0)):
             raise ValidationError(
-                f"dt = {self.dt!r} does not point from t0 = {self.t0!r} "
-                f"to t_end = {self.t_end!r}"
+                f"dt = {self.dt!r} must move t0 = {self.t0!r} "
+                f"and point toward t_end = {self.t_end!r}"
             )
         if not self.cfl > 0.0:
             raise ValidationError(f"cfl must be positive, got {self.cfl!r}")

@@ -310,8 +310,9 @@ def time_step(
         return evolution_rhs(K.metric, K, n_prev)
 
     # the weighted sums dg1 + 2 dg2 + 2 dg3 + dg4 (and likewise for K) are
-    # accumulated in place, stage by stage, in that order, so each stage's
-    # derivatives die once the next stage has read them
+    # accumulated in place, stage by stage, in that order; stage 1's
+    # derivatives become the sums, and each later stage's stay bound while
+    # the next stage runs and die when its result replaces them
     dg, dk = stage(_take_second_form(state) or SecondForm(grid, k0, Metric(grid, g0)))
     sum_g, sum_k = dg, dk
     for fraction, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):

@@ -59,21 +59,23 @@ covariant_derivative_sym and sym_to_matrix expand g^-1, g^-1 A, nabla A
 and a symmetric field to (..., 3, 3) or (..., 3, 3, 3) arrays on each
 call, for tests, oracles and set-up code; no kernel reads them.
 
-A Metric is a SymTensorField checked positive definite by construction;
-it computes the cofactors of g and det g once, when it is built, and
-derives sqrt(det g), g^-1 (the cofactors over det g), the
-connection Gamma and Ric once each, on first use (R is not cached: no
-reader reads it twice), and every operation
-takes the metric g, never a quantity derived from it, and reads them
-through as_metric(g).  A SecondForm is a symmetric A over one Metric
-that derives g^-1 A, tr A (the sum of its diagonal planes), |A|^2_g,
-A g^-1 A and nabla A once each, on first use; as_second_form(A, g) is
-the only path by which a symmetric tensor is raised by g, and trace,
-raise_first_index and covariant_derivative_sym read its tr A, g^-1 A and
-nabla A.  A's own planes are the block its values view.  Build one of each per computation (a record, an RK stage; E and B
-get one each too); a SliceState never stores either, though the next RK
-step may take the pair a reader built for the state the last step
-returned (state.py sets out what a state carries and for how long).
+A Metric is a SymTensorField checked positive definite by construction,
+by the rule: pointwise algebra when it is built, derivatives on first
+use.  Building it checks g with _checked_cofactors, which a SliceState
+also runs on a plain g, and forms det g, sqrt(det g) and g^-1 (the
+cofactors of g over det g); the connection Gamma and Ric are derived
+once each, on first use (R is not cached: no reader reads it twice).  Every operation takes the metric g, never a quantity
+derived from it, and reads them through as_metric(g).  A SecondForm is
+a symmetric A over one Metric that derives g^-1 A, tr A (the sum of its
+diagonal planes), |A|^2_g, A g^-1 A and nabla A once each, on first
+use; as_second_form(A, g) is the only path by which a symmetric tensor
+is raised by g, and trace, raise_first_index and
+covariant_derivative_sym read its tr A, g^-1 A and nabla A.  A's own
+planes are the block its values view.  Build one of each per
+computation (a record, an RK stage; E and B get one each too); a
+SliceState never stores either, though the next RK step may take the
+pair a reader built for the state the last step returned (state.py sets
+out what a state carries and for how long).
 Fields handed to one operation must share one grid (ValueError
 otherwise).
 """
@@ -327,6 +329,20 @@ def _cofactors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cof, det
 
 
+def _checked_cofactors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_cofactors(v), raising NonPositiveMetric unless g's values v are positive definite.
+
+    Sylvester's criterion: the leading principal minors xx, xx yy - xy^2
+    (the zz cofactor) and det g must all be positive.  The one guard of
+    g, run by Metric and by SliceState on a plain g.
+    """
+    cof, det = _cofactors(v)
+    worst = min(float(v[..., 0].min()), float(cof[5].min()), float(det.min()))
+    if worst <= 0.0:
+        raise NonPositiveMetric(f"metric leading principal minor has min {worst:.3e} <= 0")
+    return cof, det
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -346,36 +362,24 @@ def _planes(values: np.ndarray) -> np.ndarray:
 
 
 class Metric(SymTensorField):
-    """A metric checked positive definite (else NonPositiveMetric), keeping det.
+    """A metric checked positive definite (else NonPositiveMetric), with its pointwise algebra.
 
-    Its 6 cofactor planes and det g are computed once, when it is built
-    (_cofactors); g^-1 divides those planes by det g in place.
-    sqrt_det, g^-1 (as 6 planes in SYM_PAIRS order), gamma (the
-    Levi-Civita connection as christoffels' (3, 6, *grid) block) and
-    ricci (Ric) are computed once, on first use; all are read-only.  R is
-    not kept: each reader reads it once (geometry.scalar_curvature).
+    Building it checks g and forms its 6 cofactor planes and det g
+    (_checked_cofactors), then g^-1 (as 6 planes in SYM_PAIRS order, the
+    cofactor block divided by det g in place) and sqrt_det; all three are
+    attributes from then on.  gamma (the Levi-Civita connection as
+    christoffels' (3, 6, *grid) block) and ricci (Ric), which take
+    derivatives, are computed once, on first use.  All are read-only.  R
+    is not kept: each reader reads it once (geometry.scalar_curvature).
     """
 
     def __post_init__(self):
         super().__post_init__()
-        # Sylvester's criterion: the leading principal minors xx, xx yy - xy^2
-        # (the zz cofactor) and det g must all be positive
-        cof, det = _cofactors(self.values)
-        worst = min(float(self.values[..., 0].min()), float(cof[5].min()), float(det.min()))
-        if worst <= 0.0:
-            raise NonPositiveMetric(f"metric leading principal minor has min {worst:.3e} <= 0")
+        inv, det = _checked_cofactors(self.values)
+        inv /= det  # g^-1 takes the cofactors' block
         object.__setattr__(self, "det", _frozen(det))
-        object.__setattr__(self, "_cofactor_planes", cof)
-
-    @cached_property
-    def sqrt_det(self) -> np.ndarray:
-        return _frozen(np.sqrt(self.det))
-
-    @cached_property
-    def _inv_planes(self) -> np.ndarray:
-        inv = self.__dict__.pop("_cofactor_planes")  # g^-1 takes the cofactors' block
-        inv /= self.det
-        return _frozen(inv)
+        object.__setattr__(self, "sqrt_det", _frozen(np.sqrt(det)))
+        object.__setattr__(self, "_inv_planes", _frozen(inv))
 
     @cached_property
     def gamma(self) -> np.ndarray:

@@ -6,8 +6,11 @@ arrays, not copies), so one state object always means one set of values
 and what is derived from a slice may be kept with the object.  g.values
 and K.values are (..., 6) views of component-major (6, n1, n2, n3)
 blocks (grid.py): a field copies an array in another layout into its
-block once, when it is built, and a state shares its fields' blocks.  A
-state carries, beside (t, g, K, N), one private field, _br_scalars: the
+block once, when it is built, and a state shares its fields' blocks.
+Building a state checks a plain g positive definite with
+grid._checked_cofactors, the guard a Metric runs when it is built, so no
+Metric is built and dropped for the check; a Metric g passed it when it
+was built.  A state carries, beside (t, g, K, N), one private field, _br_scalars: the
 five Bel-Robinson floats (e_br, the lapse-weighted density, the flux,
 r_c and sup |grad N|_g) that the first diagnostics reader derived
 (diagnostics.py).  It starts empty on every state built by
@@ -44,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPositiveLapse
-from .grid import (GridSpec, ScalarField, SecondForm, SymTensorField, _shared_grid, as_metric,
-                   as_second_form)
+from .grid import (GridSpec, Metric, ScalarField, SecondForm, SymTensorField, _checked_cofactors,
+                   _shared_grid, as_second_form)
 
 __all__ = ["SliceState"]
 
@@ -75,7 +78,8 @@ class SliceState:
         if not np.isfinite(self.t) or self.t >= 0.0:
             raise ValueError(f"CMC time must be a negative real, got {self.t!r}")
         grid = _shared_grid(self.g, self.K, self.N)
-        as_metric(self.g)  # the positive-definiteness guard, unless g is already a Metric
+        if not isinstance(self.g, Metric):  # a Metric passed this guard when it was built
+            _checked_cofactors(self.g.values)
         for name in ("g", "K"):
             field = getattr(self, name)
             if type(field) is not SymTensorField:

@@ -257,6 +257,17 @@ def test_validation_failure_reports_error(capsys, tmp_path):
     assert err.startswith("ERROR ValidationError")
 
 
+def test_evolve_refuses_a_dt_that_cannot_move_t0(capsys, tmp_path):
+    cfg, out = tmp_path / "tiny.cfg", tmp_path / "records.csv"
+    cfg.write_text("command = evolve\ngrid_n = 8\nt0 = -1.0\nt_end = -0.5\ndt = 1e-17\n"
+                   f"output_path = {out}\n")
+    code, stdout, err = _main(capsys, "evolve", "--config", str(cfg))
+    assert code == 1 and stdout == ""
+    assert err.splitlines() == [
+        "ERROR ValidationError: dt = 1e-17 must move t0 = -1.0 and point toward t_end = -0.5"]
+    assert not out.exists()
+
+
 def test_module_is_runnable(tmp_path):
     import subprocess, sys
     proc = subprocess.run(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cmclab import (
     AXIAL,
@@ -223,6 +223,7 @@ def _run_configs(draw):
     dt = draw(st.one_of(st.none(), _POS))
     if dt is not None and t_end < t0:
         dt = -dt  # toward t_end
+    assume(dt is None or t0 + dt != t0)  # RunConfig refuses a dt that cannot move t0
     return RunConfig(
         command=draw(st.sampled_from(COMMANDS)),
         grid_n=draw(st.integers(8, 256)),

@@ -518,6 +518,24 @@ def test_metric_caches_read_only_quantities(grid8, rng):
             array[...] = 0.0
 
 
+def test_metric_forms_its_pointwise_algebra_when_built(grid8, rng):
+    g = random_metric(grid8, rng)
+    with counting("christoffels", "ricci") as calls:
+        m = Metric(grid8, g.values)
+        built = dict(vars(m))
+        assert not calls
+        assert {"det", "sqrt_det", "_inv_planes"} <= built.keys()
+        assert not {"gamma", "ricci", "_cofactor_planes"} & built.keys()
+        for name in ("det", "sqrt_det", "_inv_planes"):
+            assert isinstance(built[name], np.ndarray) and not built[name].flags.writeable
+        assert np.array_equal(built["sqrt_det"], np.sqrt(built["det"]))
+        for _ in range(2):
+            m.gamma, m.ricci
+    # derivatives on first use only, each once
+    assert len(calls["christoffels"]) == 1 and len(calls["ricci"]) == 1
+    assert vars(m)["det"] is built["det"] and vars(m)["_inv_planes"] is built["_inv_planes"]
+
+
 def test_metric_rejects_indefinite_values(grid8):
     with pytest.raises(NonPositiveMetric):
         Metric.diagonal_constant(grid8, (-1.0, -1.0, 1.0))

@@ -11,6 +11,7 @@ import cmclab
 from cmclab import (
     AXIAL,
     GridSpec,
+    Metric,
     NonPositiveLapse,
     NonPositiveMetric,
     ScalarField,
@@ -18,6 +19,7 @@ from cmclab import (
     SymTensorField,
     kasner_initial_data,
 )
+from cmclab import grid as grid_module
 
 
 def _pieces(grid):
@@ -58,6 +60,31 @@ def test_metric_must_be_positive(grid8):
     vals[..., 0] = -1.0
     with pytest.raises(NonPositiveMetric):
         SliceState(t=-1.0, g=SymTensorField(grid8, vals), K=k, N=n)
+
+
+def test_indefinite_plain_metric_raises_what_a_metric_raises(grid8):
+    # xx > 0 and det g > 0: only the zz cofactor xx yy - xy^2 is negative
+    g = SymTensorField.diagonal_constant(grid8, (1.0, -2.0, -3.0))
+    _, k, n = _pieces(grid8)
+    with pytest.raises(NonPositiveMetric) as from_metric:
+        Metric(grid8, g.values)
+    with pytest.raises(NonPositiveMetric) as from_state:
+        SliceState(t=-1.0, g=g, K=k, N=n)
+    assert str(from_state.value) == str(from_metric.value)
+
+
+def test_a_state_from_plain_fields_builds_no_metric(grid8, monkeypatch):
+    g, k, n = _pieces(grid8)
+    calls, cofactors = [], grid_module._cofactors
+    monkeypatch.setattr(grid_module, "_cofactors", lambda v: calls.append(v) or cofactors(v))
+
+    def refuse(self):
+        raise AssertionError("a Metric was built")
+
+    monkeypatch.setattr(Metric, "__post_init__", refuse)
+    state = SliceState(t=-1.0, g=g, K=k, N=n)
+    assert len(calls) == 1 and calls[0] is g.values
+    assert type(state.g) is SymTensorField and state.g.values is g.values
 
 
 def test_lapse_must_be_positive(grid8):

@@ -22,7 +22,10 @@ perturb(warped_kasner_state(AXIAL, -1, grid, 0.02), 1e-4, 7) at 16^3 and
                               whose Metric forms the cofactors of g when
                               it is built times only their division by
                               det g here, and that work moves into
-                              metric_build_s
+                              metric_build_s; one whose Metric also forms
+                              g^-1 when it is built, as cmclab's now does,
+                              times only an attribute read here, its
+                              division timed in metric_build_s
     g^-1 K, tr K, |K|^2 and K g^-1 K
                               on a fresh SecondForm over a Metric whose
                               g^-1 is derived (second_form_s)
